@@ -296,12 +296,12 @@ func runCampaignMacro(trials int) (Macro, error) {
 	}, nil
 }
 
-// runJobstreamMacro times the open-load jobstream service (the CI smoke
+// runJobStreamMacro times the open-load jobstream service (the CI smoke
 // workload inlined: two job classes, node failures, FCFS vs EASY crossed
 // with native vs replicated jobs) and reports simulated job submissions
 // per second of bench wall time — the end-to-end cost of the scheduler
 // event loop plus policy decisions plus failure resolution.
-func runJobstreamMacro(trials int) (Macro, error) {
+func runJobStreamMacro(trials int) (Macro, error) {
 	w := &scenario.Workload{
 		Nodes: 16, Jobs: 40, Rates: []float64{8},
 		MTBFSeconds: 10, Seed: 7,
@@ -458,7 +458,7 @@ func main() {
 	for _, run := range []func() (Macro, error){
 		func() (Macro, error) { return runSweepMacro(*reps) },
 		func() (Macro, error) { return runCampaignMacro(*trials) },
-		func() (Macro, error) { return runJobstreamMacro(*jsTrials) },
+		func() (Macro, error) { return runJobStreamMacro(*jsTrials) },
 	} {
 		m, err := run()
 		if err != nil {

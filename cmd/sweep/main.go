@@ -339,7 +339,7 @@ func main() {
 			if f.Workload == nil {
 				fail("-mode jobstream needs a workload file (%s has no workload section)", *specFile)
 			}
-			if err := runJobstream(os.Stdout, f, jcfg, *jsonOut, sctx); err != nil {
+			if err := runJobStream(os.Stdout, f, jcfg, *jsonOut, sctx); err != nil {
 				fail("%v", err)
 			}
 		default:
@@ -857,12 +857,12 @@ func runCampaign(w io.Writer, cfg campaign.Config, scs []campaign.Scenario,
 	return nil
 }
 
-// runJobstream runs a workload scenario file through the jobstream
+// runJobStream runs a workload scenario file through the jobstream
 // subsystem. With an active shard it populates the store with the owned
 // cells instead; a merge (or any run over a warm store) serves every cell
 // from the store, so its output is byte-identical to a cold
 // single-process run.
-func runJobstream(w io.Writer, f *scenario.File, cfg jobstream.Config, jsonOut bool, sctx storeCtx) error {
+func runJobStream(w io.Writer, f *scenario.File, cfg jobstream.Config, jsonOut bool, sctx storeCtx) error {
 	cfg.Store = sctx.st
 	if sctx.shard.Active() {
 		stats, err := jobstream.Populate(cfg, f.Workload, sctx.shard)

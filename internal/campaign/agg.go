@@ -161,20 +161,3 @@ func (a *Agg) UnmarshalJSON(b []byte) error {
 	*a = w.agg()
 	return nil
 }
-
-// newAgg builds the aggregate of a pooled value list.
-func newAgg(xs []float64) Agg {
-	var a Agg
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a
-}
-
-// newStat aggregates a pooled value list. Routing the pooled path through
-// Agg is what ties the campaign's reported numbers to the mergeable
-// shard aggregates: both are the same arithmetic on the same exact sums.
-func newStat(xs []float64) Stat {
-	a := newAgg(xs)
-	return a.Stat()
-}

@@ -15,28 +15,28 @@
 // including the crossover MTBF found from the measured data next to
 // ckpt.CrossoverMTBF.
 //
-// Every replicated trial is one experiments.Spec, so campaigns inherit the
-// sweep runner's worker pool, content-keyed memo and deterministic
-// ordering: trials whose draw contains no crash are simulated once and
-// served from the memo, and the aggregate output is byte-identical for any
-// worker count. The ccr trials fan out over the same worker count, each a
-// deterministic replay. All randomness flows from Config.Seed through
-// fault.TrialSeed, so a campaign is reproducible from (seed, scenario
-// grid) alone.
+// Every scenario point is a Point whose trials form one stream: trial t
+// draws from fault.TrialSeed(PointSeed(seed, point fingerprint), 0, t).
+// A fixed campaign runs trials [0, Trials) of every point; the adaptive
+// explorer (internal/explore) runs the same streams with its own
+// allocations, so both fold identical per-trial values and agree byte for
+// byte over equal trial counts. Every replicated trial is one
+// experiments.Spec, so campaigns inherit the sweep runner's worker pool,
+// content-keyed memo and deterministic ordering: trials whose draw
+// contains no crash are simulated once and served from the memo, and the
+// aggregate output is byte-identical for any worker count. The ccr trials
+// fan out over the same worker count, each a deterministic replay. A
+// campaign is reproducible from (seed, scenario grid) alone.
 package campaign
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ckpt"
 	"repro/internal/ckptsim"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/scenario"
@@ -146,7 +146,7 @@ func (sc Scenario) nativeScenario() scenario.Scenario {
 // Config are the campaign-wide knobs.
 type Config struct {
 	Trials  int   // seeded trials per scenario (0 = default 100)
-	Seed    int64 // master seed; trial seeds derive via fault.TrialSeed
+	Seed    int64 // master seed; each point's trial stream derives via PointSeed
 	Workers int   // sweep workers (0 = GOMAXPROCS)
 
 	// Horizon bounds the crash-drawing window — a hard cap for every
@@ -359,146 +359,45 @@ type Result struct {
 	Crossovers []Crossover `json:"crossovers,omitempty"`
 }
 
+// trials is the per-scenario trial count of a fixed campaign.
+func (cfg Config) trials() int {
+	if cfg.Trials <= 0 {
+		return 100
+	}
+	return cfg.Trials
+}
+
 // Run executes the campaign: two fault-free reference runs per scenario
 // (native and scenario-mode; a ccr point's reference memo-hits its own
-// native baseline), then Trials seeded failure injections per scenario —
+// native baseline), then trials [0, Trials) of every point's stream —
 // simulated crash schedules for replicated points, ckptsim replays for ccr
 // points — all fanned out over the worker count, then the deterministic
 // aggregation including the measured crossovers.
 func Run(cfg Config, scenarios []Scenario) (*Result, error) {
-	trials, base, templates, err := planReferences(cfg, scenarios)
-	if err != nil {
-		return nil, err
-	}
 	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d scenarios, measuring references", len(scenarios)))
-	baseRes, err := experiments.SweepStore(cfg.Workers, cfg.Store, base)
-	if err != nil {
-		return nil, fmt.Errorf("campaign references: %w", err)
-	}
-	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes)
+	pts, err := PreparePoints(cfg, scenarios)
 	if err != nil {
 		return nil, err
 	}
-	specs, draws, trialAt := plan.specs, plan.draws, plan.trialAt
-	horizons, grow, params := plan.horizons, plan.grow, plan.params
-	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d replicated trials (%d specs)", trials, len(specs)))
-	trialRes, err := experiments.SweepStore(cfg.Workers, cfg.Store, specs)
-	if err != nil {
-		return nil, fmt.Errorf("campaign trials: %w", err)
+	trials := cfg.trials()
+	tallies := make([]*Tally, len(pts))
+	counts := make([]int, len(pts))
+	for i, p := range pts {
+		tallies[i], counts[i] = &Tally{Point: p}, trials
 	}
-
-	// Phase 2b: ccr replays, fanned out over the same worker count. Each
-	// replay is independent and deterministic in (seed, scenario, trial),
-	// so the fan-out cannot affect the aggregate.
-	experiments.Progress.SetStatus("campaign: ccr replays")
-	replays := runCCRTrials(cfg, scenarios, trials, baseRes, params, horizons, grow)
+	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d trials per scenario", trials))
+	if err := RunTrials(cfg.Workers, cfg.Store, tallies, counts); err != nil {
+		return nil, err
+	}
 	experiments.Progress.SetStatus("campaign: aggregating")
 
-	// Phase 3: aggregate per scenario, in grid order.
 	out := &Result{Seed: cfg.Seed, Trials: trials}
-	aggs := make([][3]Agg, len(scenarios))
-	for i, sc := range scenarios {
-		native, ff := baseRes[2*i], baseRes[2*i+1]
-		mtbfS := sc.MTBF.Seconds()
-
-		walls := make([]float64, trials)
-		var cs CrashStats
-		memoHits := 0
-		var ffWall, ffEff float64
-		var analytic Analytic
-		phys := ff.PhysProcs
-
-		if sc.Point.Mode == scenario.CCR {
-			// Measured side: replays of the native makespan under cCR. The
-			// "fault-free" run of a ccr scenario is the zero-failure replay:
-			// checkpoints included, failures excluded.
-			w := native.Measure.Wall.Seconds()
-			p := params[i]
-			ffWall = p.FaultFreeMakespan(w)
-			ffEff = w / ffWall * experiments.Efficiency(native.Measure, ff.Measure)
-			for t := 0; t < trials; t++ {
-				tr := replays[i][t]
-				walls[t] = tr.Makespan
-				cs.Total += tr.Failures
-				if tr.Failures > 0 {
-					cs.TrialsWithCrash++
-				}
-				if tr.Failures > cs.MaxPerTrial {
-					cs.MaxPerTrial = tr.Failures
-				}
-			}
-			sysMTBF := mtbfS / float64(phys)
-			analytic = Analytic{
-				CkptDeltaSeconds:   p.Delta,
-				CkptRestartSeconds: p.Restart,
-				CkptTauSeconds:     p.Tau,
-				SystemMTBFSeconds:  sysMTBF,
-				CCREfficiency:      ckpt.Efficiency(p.Tau, p.Delta, p.Restart, sysMTBF),
-			}
-		} else {
-			ffWall = ff.Measure.Wall.Seconds()
-			ffEff = experiments.Efficiency(native.Measure, ff.Measure)
-			for t := 0; t < trials; t++ {
-				r := trialRes[trialAt[i]+t]
-				walls[t] = r.Measure.Wall.Seconds()
-				cs.Total += r.Crashes
-				if r.Crashes > 0 {
-					cs.TrialsWithCrash++
-				}
-				if r.Crashes > cs.MaxPerTrial {
-					cs.MaxPerTrial = r.Crashes
-				}
-				if d := draws[i][t]; d.Suppressed > 0 {
-					cs.SuppressedKills += d.Suppressed
-					cs.InterruptedDraws++
-				}
-				if r.Memoized {
-					memoHits++
-				}
-			}
-			delta := cfg.CkptDelta
-			if delta <= 0 {
-				delta = 0.05 * ffWall
-			}
-			restart := cfg.CkptRestart
-			if restart <= 0 {
-				restart = delta
-			}
-			analytic = Analytic{
-				CkptDeltaSeconds:         delta,
-				CkptRestartSeconds:       restart,
-				SystemMTBFSeconds:        mtbfS / float64(phys),
-				CCREfficiency:            ckpt.BestEfficiency(delta, restart, mtbfS/float64(phys)),
-				ReplEfficiency:           ckpt.ReplicatedEfficiency(ffEff, sc.Point.Logical, mtbfS, delta, restart),
-				CrossoverNodeMTBFSeconds: ckpt.CrossoverMTBF(delta, restart, ffEff) * float64(phys),
-			}
-		}
-		cs.MeanPerTrial = float64(cs.Total) / float64(trials)
-
-		slowdowns := make([]float64, trials)
-		effs := make([]float64, trials)
-		for t := range walls {
-			slowdowns[t] = walls[t] / ffWall
-			effs[t] = ffEff / slowdowns[t]
-		}
-		aggs[i] = [3]Agg{newAgg(walls), newAgg(slowdowns), newAgg(effs)}
-		out.Scenarios = append(out.Scenarios, ScenarioResult{
-			Name: sc.Point.Name, App: sc.Point.App, Mode: sc.Point.Mode.String(),
-			Logical: sc.Point.Logical, Degree: sc.Point.EffectiveDegree(), PhysProcs: phys,
-			MTBFSeconds: mtbfS, Trials: trials,
-			HorizonSeconds:       horizons[i].Seconds(),
-			FaultFreeWallSeconds: ffWall,
-			NativeWallSeconds:    native.Measure.Wall.Seconds(),
-			FaultFreeEfficiency:  ffEff,
-			Makespan:             aggs[i][0].Stat(),
-			Slowdown:             aggs[i][1].Stat(),
-			Efficiency:           aggs[i][2].Stat(),
-			Crashes:              cs,
-			MemoHits:             memoHits,
-			Analytic:             analytic,
-		})
+	aggs := make([][3]Agg, len(tallies))
+	for i, tl := range tallies {
+		aggs[i] = tl.Aggs
+		out.Scenarios = append(out.Scenarios, tl.scenarioResult())
 	}
-	out.Crossovers = crossovers(scenarios, out.Scenarios)
+	out.Crossovers = crossovers(pts, out.Scenarios)
 	// A store-backed run persists its (whole-campaign) aggregates, so a
 	// later merge can cross-check them against any sharded scheme's.
 	if cfg.Store != nil {
@@ -509,30 +408,63 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 	return out, nil
 }
 
-// planReferences validates the campaign and lays out phase 1: the
-// fault-free reference specs (native + scenario-mode per scenario, spec
-// order fixing result order) and the per-scenario trial templates.
-func planReferences(cfg Config, scenarios []Scenario) (trials int, base, templates []experiments.Spec, err error) {
-	trials = cfg.Trials
-	if trials <= 0 {
-		trials = 100
+// scenarioResult reports a tally's trials next to the §II models at the
+// point's operating point.
+func (tl *Tally) scenarioResult() ScenarioResult {
+	p := tl.Point
+	sc := p.Scenario.Point
+	cs := tl.Crashes
+	cs.MeanPerTrial = float64(cs.Total) / float64(tl.N)
+	an := Analytic{
+		CkptDeltaSeconds:   p.Delta,
+		CkptRestartSeconds: p.Restart,
+		SystemMTBFSeconds:  p.SysMTBF(),
 	}
+	if p.IsCCR() {
+		an.CkptTauSeconds = p.Params.Tau
+		an.CCREfficiency = p.AnalyticEfficiency()
+	} else {
+		an.CCREfficiency = ckpt.BestEfficiency(p.Delta, p.Restart, an.SystemMTBFSeconds)
+		an.ReplEfficiency = p.AnalyticEfficiency()
+		an.CrossoverNodeMTBFSeconds = ckpt.CrossoverMTBF(p.Delta, p.Restart, p.FFEff) * float64(p.PhysProcs)
+	}
+	return ScenarioResult{
+		Name: sc.Name, App: sc.App, Mode: sc.Mode.String(),
+		Logical: sc.Logical, Degree: sc.EffectiveDegree(), PhysProcs: p.PhysProcs,
+		MTBFSeconds: p.Scenario.MTBF.Seconds(), Trials: tl.N,
+		HorizonSeconds:       p.Horizon.Seconds(),
+		FaultFreeWallSeconds: p.FFWall,
+		NativeWallSeconds:    p.NativeWall,
+		FaultFreeEfficiency:  p.FFEff,
+		Makespan:             tl.Aggs[0].Stat(),
+		Slowdown:             tl.Aggs[1].Stat(),
+		Efficiency:           tl.Aggs[2].Stat(),
+		Crashes:              cs,
+		MemoHits:             tl.MemoHits,
+		Analytic:             an,
+	}
+}
+
+// planReferences validates the campaign and lays out the fault-free
+// reference specs (native + scenario-mode per scenario, spec order fixing
+// result order) and the per-scenario trial templates.
+func planReferences(cfg Config, scenarios []Scenario) (base, templates []experiments.Spec, err error) {
 	if len(scenarios) == 0 {
-		return 0, nil, nil, fmt.Errorf("campaign: no scenarios")
+		return nil, nil, fmt.Errorf("campaign: no scenarios")
 	}
 	if cfg.CkptDelta < 0 || cfg.CkptRestart < 0 || cfg.CkptTau < 0 {
-		return 0, nil, nil, fmt.Errorf("campaign: negative checkpoint parameter")
+		return nil, nil, fmt.Errorf("campaign: negative checkpoint parameter")
 	}
 	for _, sc := range scenarios {
 		if !sc.Point.Mode.Replicated() && sc.Point.Mode != scenario.CCR {
-			return 0, nil, nil, fmt.Errorf("campaign: scenario %q: mode %s has no failures to survive (use classic, intra or ccr)",
+			return nil, nil, fmt.Errorf("campaign: scenario %q: mode %s has no failures to survive (use classic, intra or ccr)",
 				sc.Point.Name, sc.Point.Mode)
 		}
 		if sc.MTBF <= 0 {
-			return 0, nil, nil, fmt.Errorf("campaign: scenario %q: MTBF must be positive", sc.Point.Name)
+			return nil, nil, fmt.Errorf("campaign: scenario %q: MTBF must be positive", sc.Point.Name)
 		}
 		if f := sc.Point.Fault; f != nil && (f.MTBFSeconds > 0 || len(f.Crashes) > 0) {
-			return 0, nil, nil, fmt.Errorf("campaign: scenario %q: carry the fault model in Scenario.MTBF, not the point", sc.Point.Name)
+			return nil, nil, fmt.Errorf("campaign: scenario %q: carry the fault model in Scenario.MTBF, not the point", sc.Point.Name)
 		}
 	}
 	base = make([]experiments.Spec, 0, 2*len(scenarios))
@@ -540,167 +472,23 @@ func planReferences(cfg Config, scenarios []Scenario) (trials int, base, templat
 	for i, sc := range scenarios {
 		native, err := experiments.SpecFor(sc.nativeScenario())
 		if err != nil {
-			return 0, nil, nil, fmt.Errorf("campaign: %w", err)
+			return nil, nil, fmt.Errorf("campaign: %w", err)
 		}
 		ff, err := experiments.SpecFor(sc.Point)
 		if err != nil {
-			return 0, nil, nil, fmt.Errorf("campaign: %w", err)
+			return nil, nil, fmt.Errorf("campaign: %w", err)
 		}
 		templates[i] = ff
 		ff.Name = sc.Point.Name + "/fault-free"
 		base = append(base, native, ff)
 	}
-	return trials, base, templates, nil
-}
-
-// trialPlan is phase 2a laid out: every replicated trial as a spec, the
-// draws behind them, and the per-scenario failure windows and cCR machine
-// parameters. Deterministic in (cfg, scenarios, baseRes), so every shard
-// of a campaign derives the identical plan.
-type trialPlan struct {
-	specs   []experiments.Spec
-	draws   [][]fault.Draw
-	trialAt []int // scenario -> first spec index (-1 for ccr scenarios)
-	// Horizon resolution happens exactly once per scenario: the draws and
-	// the reported HorizonSeconds must describe the same window. An
-	// explicitly configured horizon is a hard cap on the failure window
-	// for every fault-tolerance side; only the defaulted ccr window grows
-	// with the makespan.
-	horizons []sim.Time
-	grow     []bool
-	params   []ckptsim.Params
-}
-
-// armTrials draws and lays out every trial of the campaign: one Spec per
-// replicated trial, all scenarios in a single sweep so the pool stays
-// saturated across the whole grid.
-func armTrials(cfg Config, scenarios []Scenario, trials int, templates []experiments.Spec, baseRes []experiments.Result) (*trialPlan, error) {
-	p := &trialPlan{
-		draws:    make([][]fault.Draw, len(scenarios)),
-		trialAt:  make([]int, len(scenarios)),
-		horizons: make([]sim.Time, len(scenarios)),
-		grow:     make([]bool, len(scenarios)),
-		params:   make([]ckptsim.Params, len(scenarios)),
-	}
-	for i, sc := range scenarios {
-		horizon := sc.Horizon
-		if horizon == 0 {
-			horizon = cfg.Horizon
-		}
-		if sc.Point.Mode == scenario.CCR {
-			p.trialAt[i] = -1
-			w := baseRes[2*i].Measure.Wall.Seconds()
-			p.params[i] = cfg.ckptParams(sc, w, sc.MTBF.Seconds()/float64(sc.Point.Logical))
-			if err := p.params[i].Validate(); err != nil {
-				return nil, fmt.Errorf("campaign: scenario %q: %w", sc.Point.Name, err)
-			}
-			if horizon == 0 {
-				// The base draw window is the zero-failure ccr makespan; the
-				// replay loop grows it per trial until it covers the
-				// failure-stretched run. An explicit horizon stays a cap —
-				// the same meaning it has for replicated draws — so the two
-				// sides of one table never see different failure windows.
-				horizon = sim.Seconds(p.params[i].FaultFreeMakespan(w))
-				p.grow[i] = true
-			}
-			p.horizons[i] = horizon
-			continue
-		}
-		if horizon == 0 {
-			horizon = baseRes[2*i+1].Measure.Wall
-		}
-		p.horizons[i] = horizon
-		p.trialAt[i] = len(p.specs)
-		p.draws[i] = make([]fault.Draw, trials)
-		// Classic trials replay the scenario's recorded logical-op trace
-		// instead of re-executing the application: send-deterministic
-		// replication keeps the logical sequence crash-invariant, so one
-		// recording run serves every trial of the scenario. Intra trials
-		// keep executing for real — their section protocol reacts to
-		// failures below the trace boundary.
-		var replay *core.TraceSet
-		if sc.Point.Mode == scenario.Classic {
-			ts, err := experiments.RecordTraces(templates[i])
-			if err != nil {
-				return nil, fmt.Errorf("campaign: scenario %q: trace recording: %w", sc.Point.Name, err)
-			}
-			replay = ts
-		}
-		for t := 0; t < trials; t++ {
-			d := fault.ExponentialDraw(sc.Point.Logical, sc.Point.EffectiveDegree(), sc.MTBF, p.horizons[i],
-				fault.TrialSeed(cfg.Seed, i, t))
-			p.draws[i][t] = d
-			spec := templates[i]
-			spec.Name = fmt.Sprintf("%s/t%03d", sc.Point.Name, t)
-			spec.Fault = d.Schedule
-			// Trials stay on the unbatched world: compute batching collapses
-			// per-chunk wake events, which reorders same-instant event ties
-			// (NIC posting order at crash times among them), so faulty trials
-			// drift from the reference schedule by a few microseconds. Trace
-			// replay has no such effect — the op sequence and every park/wake
-			// instant are identical — so it is the only trial accelerator.
-			spec.Replay = replay
-			p.specs = append(p.specs, spec)
-		}
-	}
-	return p, nil
+	return base, templates, nil
 }
 
 // maxHorizonDoublings bounds the ccr draw-window growth; past it the
 // remaining tail of an effectively-stalled operating point (expected
 // makespan > ~10^6 fault-free walls) is truncated rather than drawn.
 const maxHorizonDoublings = 20
-
-// runCCRTrials replays every ccr scenario's trials concurrently on the
-// configured worker count. Results are indexed [scenario][trial]; entries
-// for replicated scenarios are nil.
-func runCCRTrials(cfg Config, scenarios []Scenario, trials int,
-	baseRes []experiments.Result, params []ckptsim.Params, horizons []sim.Time, grow []bool) [][]ckptsim.Trial {
-	out := make([][]ckptsim.Trial, len(scenarios))
-	type job struct{ sc, trial int }
-	var jobs []job
-	for i, sc := range scenarios {
-		if sc.Point.Mode != scenario.CCR {
-			continue
-		}
-		out[i] = make([]ckptsim.Trial, trials)
-		for t := 0; t < trials; t++ {
-			jobs = append(jobs, job{i, t})
-		}
-	}
-	if len(jobs) == 0 {
-		return out
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1))
-				if j >= len(jobs) {
-					return
-				}
-				i, t := jobs[j].sc, jobs[j].trial
-				sc := scenarios[i]
-				work := baseRes[2*i].Measure.Wall.Seconds()
-				out[i][t] = ccrTrial(work, params[i], sc.Point.Logical, sc.MTBF,
-					horizons[i], grow[i], fault.TrialSeed(cfg.Seed, i, t))
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
 
 // ccrTrial draws one unclamped failure trace and replays the work under
 // it. With grow set (the defaulted-horizon case) it doubles the draw
@@ -717,8 +505,8 @@ func ccrTrial(work float64, p ckptsim.Params, nodes int, mtbf, horizon sim.Time,
 		for i, c := range d.Schedule.Crashes {
 			times[i] = c.Time.Seconds()
 		}
-		// params were validated in Run; with work >= 0 the replay cannot
-		// fail.
+		// params were validated in PreparePoints; with work >= 0 the
+		// replay cannot fail.
 		tr, err := ckptsim.Replay(work, p, times)
 		if err != nil {
 			panic(fmt.Sprintf("campaign: ccr replay: %v", err))
@@ -730,102 +518,110 @@ func ccrTrial(work float64, p ckptsim.Params, nodes int, mtbf, horizon sim.Time,
 	}
 }
 
-// crossovers pairs each ccr series with the replicated series sharing its
-// native baseline and finds where the measured efficiencies cross over
-// the sampled MTBF axis.
-func crossovers(scenarios []Scenario, results []ScenarioResult) []Crossover {
-	// A series is one scenario point swept over MTBF: same native
-	// baseline, mode, sizing. Group in first-appearance order so the
-	// output is deterministic.
+// crossovers reports, for every replicated/ccr series pairing, where the
+// measured efficiencies cross over the sampled MTBF axis next to the
+// analytic ckpt.CrossoverMTBF.
+func crossovers(pts []*Point, results []ScenarioResult) []Crossover {
+	eff := func(i int) float64 { return results[i].Efficiency.Mean }
+	var out []Crossover
+	for _, sp := range PairSeries(pts) {
+		repl, ccr := pts[sp.Repl[0]], pts[sp.CCR[0]]
+		out = append(out, Crossover{
+			App:          repl.Scenario.Point.App,
+			ReplMode:     repl.Scenario.Point.Mode.String(),
+			Logical:      repl.Scenario.Point.Logical,
+			Degree:       repl.Scenario.Point.EffectiveDegree(),
+			CCRPhysProcs: ccr.PhysProcs,
+			AnalyticNodeMTBFSeconds: ckpt.CrossoverMTBF(
+				ccr.Params.Delta, ccr.Params.Restart, repl.FFEff) * float64(ccr.PhysProcs),
+			MeasuredNodeMTBFSeconds: LogCrossover(sp.Axis(pts, eff)),
+		})
+	}
+	return out
+}
+
+// SeriesPair is one crossover pairing: a replicated series and a ccr
+// series over the same native baseline, each a list of indices into the
+// point slice in grid order.
+type SeriesPair struct {
+	Repl, CCR []int
+}
+
+// PairSeries groups points into series — one scenario point swept over
+// MTBF: same native baseline, mode, logical size and degree — in
+// first-appearance order, and pairs every replicated series with each ccr
+// series sharing its native baseline.
+func PairSeries(pts []*Point) []SeriesPair {
 	type seriesKey struct {
 		base            string // native reference fingerprint
-		mode            string
+		mode            scenario.Mode
 		logical, degree int
 	}
-	type series struct {
-		key    seriesKey
-		phys   int
-		points []int // indices into results, MTBF ascending (grid order kept)
-	}
 	var order []seriesKey
-	byKey := map[seriesKey]*series{}
-	for i, sc := range scenarios {
-		fp, err := sc.nativeScenario().Fingerprint()
-		if err != nil {
-			continue // phase 1 validated; unreachable in practice
-		}
-		k := seriesKey{fp, results[i].Mode, results[i].Logical, results[i].Degree}
-		s := byKey[k]
-		if s == nil {
-			s = &series{key: k, phys: results[i].PhysProcs}
-			byKey[k] = s
+	byKey := map[seriesKey][]int{}
+	for i, p := range pts {
+		sc := p.Scenario.Point
+		k := seriesKey{p.nativeFP, sc.Mode, sc.Logical, sc.EffectiveDegree()}
+		if _, ok := byKey[k]; !ok {
 			order = append(order, k)
 		}
-		s.points = append(s.points, i)
+		byKey[k] = append(byKey[k], i)
 	}
-	ccrName := scenario.CCR.String()
-	var out []Crossover
+	var out []SeriesPair
 	for _, rk := range order {
-		if rk.mode == ccrName {
+		if rk.mode == scenario.CCR {
 			continue
 		}
-		repl := byKey[rk]
 		for _, ck := range order {
-			if ck.mode != ccrName || ck.base != rk.base {
-				continue
+			if ck.mode == scenario.CCR && ck.base == rk.base {
+				out = append(out, SeriesPair{Repl: byKey[rk], CCR: byKey[ck]})
 			}
-			cs := byKey[ck]
-			x := Crossover{
-				App:          results[repl.points[0]].App,
-				ReplMode:     rk.mode,
-				Logical:      rk.logical,
-				Degree:       rk.degree,
-				CCRPhysProcs: cs.phys,
-			}
-			ccrRes := results[cs.points[0]]
-			replRes := results[repl.points[0]]
-			x.AnalyticNodeMTBFSeconds = ckpt.CrossoverMTBF(
-				ccrRes.Analytic.CkptDeltaSeconds, ccrRes.Analytic.CkptRestartSeconds,
-				replRes.FaultFreeEfficiency) * float64(cs.phys)
-			x.MeasuredNodeMTBFSeconds = measuredCrossover(repl.points, cs.points, results)
-			out = append(out, x)
 		}
 	}
 	return out
 }
 
-// measuredCrossover finds the per-node MTBF where the measured ccr
-// efficiency crosses the measured replicated efficiency, log-interpolated
-// between the bracketing sampled points; 0 when the sampled axis never
-// crosses or the series share fewer than two MTBF values.
-func measuredCrossover(replPts, ccrPts []int, results []ScenarioResult) float64 {
+// AxisSample is the measured efficiency difference (ccr - replicated) at
+// one per-node MTBF both series sampled.
+type AxisSample struct {
+	MTBF, Diff float64
+}
+
+// Axis samples the pair's efficiency difference on the MTBFs both series
+// measured, ascending; eff(i) is point i's measured mean efficiency.
+func (sp SeriesPair) Axis(pts []*Point, eff func(i int) float64) []AxisSample {
 	replAt := map[float64]float64{}
-	for _, i := range replPts {
-		replAt[results[i].MTBFSeconds] = results[i].Efficiency.Mean
+	for _, i := range sp.Repl {
+		replAt[pts[i].Scenario.MTBF.Seconds()] = eff(i)
 	}
-	type pt struct{ mtbf, diff float64 }
-	var pts []pt
-	for _, i := range ccrPts {
-		m := results[i].MTBFSeconds
+	var axis []AxisSample
+	for _, i := range sp.CCR {
+		m := pts[i].Scenario.MTBF.Seconds()
 		if re, ok := replAt[m]; ok {
-			pts = append(pts, pt{m, results[i].Efficiency.Mean - re})
+			axis = append(axis, AxisSample{MTBF: m, Diff: eff(i) - re})
 		}
 	}
-	sort.Slice(pts, func(a, b int) bool { return pts[a].mtbf < pts[b].mtbf })
-	for i := 1; i < len(pts); i++ {
-		a, b := pts[i-1], pts[i]
-		if a.diff == 0 {
-			return a.mtbf
+	sort.Slice(axis, func(a, b int) bool { return axis[a].MTBF < axis[b].MTBF })
+	return axis
+}
+
+// LogCrossover finds the MTBF where an ascending axis first changes sign,
+// log-linearly interpolated between the bracketing samples; 0 when the
+// sampled axis never crosses or has fewer than two samples.
+func LogCrossover(axis []AxisSample) float64 {
+	for i := 1; i < len(axis); i++ {
+		a, b := axis[i-1], axis[i]
+		if a.Diff == 0 {
+			return a.MTBF
 		}
-		if (a.diff < 0) == (b.diff < 0) {
+		if (a.Diff < 0) == (b.Diff < 0) {
 			continue
 		}
-		// Log-linear interpolation between the bracketing MTBFs.
-		la, lb := math.Log(a.mtbf), math.Log(b.mtbf)
-		return math.Exp(la + (lb-la)*(0-a.diff)/(b.diff-a.diff))
+		la, lb := math.Log(a.MTBF), math.Log(b.MTBF)
+		return math.Exp(la + (lb-la)*(0-a.Diff)/(b.Diff-a.Diff))
 	}
-	if n := len(pts); n > 0 && pts[n-1].diff == 0 {
-		return pts[n-1].mtbf
+	if n := len(axis); n > 0 && axis[n-1].Diff == 0 {
+		return axis[n-1].MTBF
 	}
 	return 0
 }

@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/experiments"
-	"repro/internal/fault"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -16,18 +14,25 @@ import (
 // aggKind namespaces per-scenario campaign aggregates in the store.
 const aggKind = "campaign-agg"
 
+// trialStream names how trial seeds derive from the master seed (see
+// PointSeed). It is part of every aggregate key, so records drawn under
+// another derivation are store misses that get re-simulated, never
+// compared against this campaign's trials and reported as divergent.
+const trialStream = "point-seed"
+
 // campaignFingerprint canonically encodes every campaign knob that shapes
 // the trial set (Workers deliberately excluded: the fan-out cannot change
 // the numbers). Aggregates from different campaigns never collide.
 func campaignFingerprint(cfg Config, trials int) string {
 	b, err := json.Marshal(struct {
+		Stream      string   `json:"stream"`
 		Seed        int64    `json:"seed"`
 		Trials      int      `json:"trials"`
 		Horizon     sim.Time `json:"horizon"`
 		CkptDelta   float64  `json:"ckpt_delta"`
 		CkptRestart float64  `json:"ckpt_restart"`
 		CkptTau     float64  `json:"ckpt_tau"`
-	}{cfg.Seed, trials, cfg.Horizon, cfg.CkptDelta, cfg.CkptRestart, cfg.CkptTau})
+	}{trialStream, cfg.Seed, trials, cfg.Horizon, cfg.CkptDelta, cfg.CkptRestart, cfg.CkptTau})
 	if err != nil {
 		panic(fmt.Sprintf("campaign: fingerprint: %v", err)) // struct of scalars cannot fail
 	}
@@ -120,60 +125,46 @@ func Populate(cfg Config, scenarios []Scenario, sh store.Shard) (PopulateStats, 
 	if st == nil {
 		return PopulateStats{}, fmt.Errorf("campaign: Populate needs Config.Store")
 	}
-	trials, base, templates, err := planReferences(cfg, scenarios)
+	pts, err := PreparePoints(cfg, scenarios)
 	if err != nil {
 		return PopulateStats{}, err
 	}
-	baseRes, err := experiments.SweepStore(cfg.Workers, st, base)
-	if err != nil {
-		return PopulateStats{}, fmt.Errorf("campaign references: %w", err)
+	trials := cfg.trials()
+	var specs []experiments.Spec
+	for _, p := range pts {
+		for t := 0; t < trials && !p.IsCCR(); t++ {
+			spec, _ := p.TrialSpec(t)
+			specs = append(specs, spec)
+		}
 	}
-	plan, err := armTrials(cfg, scenarios, trials, templates, baseRes)
-	if err != nil {
-		return PopulateStats{}, err
-	}
-	res, ok, sstats, err := experiments.PopulateStore(cfg.Workers, st, sh, plan.specs)
+	res, ok, sstats, err := experiments.PopulateStore(cfg.Workers, st, sh, specs)
 	if err != nil {
 		return PopulateStats{}, fmt.Errorf("campaign trials: %w", err)
 	}
-	stats := PopulateStats{Scenarios: len(scenarios), Trials: trials, Sweep: sstats}
+	stats := PopulateStats{Scenarios: len(pts), Trials: trials, Sweep: sstats}
 
-	// Partial aggregates over this shard's trials, with the per-trial
-	// arithmetic of Run's phase 3 verbatim: the merge cross-check depends
-	// on every shard producing bit-identical per-trial values.
-	aggs := make([][3]Agg, len(scenarios))
-	for i, sc := range scenarios {
-		native, ff := baseRes[2*i], baseRes[2*i+1]
-		var ffWall, ffEff float64
-		addTrial := func(wall float64) {
-			slowdown := wall / ffWall
-			aggs[i][0].Add(wall)
-			aggs[i][1].Add(slowdown)
-			aggs[i][2].Add(ffEff / slowdown)
-		}
-		if sc.Point.Mode == scenario.CCR {
-			w := native.Measure.Wall.Seconds()
-			p := plan.params[i]
-			ffWall = p.FaultFreeMakespan(w)
-			ffEff = w / ffWall * experiments.Efficiency(native.Measure, ff.Measure)
-			for t := 0; t < trials; t++ {
-				if !sh.Owns(t) {
-					continue
-				}
-				tr := ccrTrial(w, p, sc.Point.Logical, sc.MTBF,
-					plan.horizons[i], plan.grow[i], fault.TrialSeed(cfg.Seed, i, t))
-				addTrial(tr.Makespan)
-				stats.CCRReplays++
-			}
-			continue
-		}
-		ffWall = ff.Measure.Wall.Seconds()
-		ffEff = experiments.Efficiency(native.Measure, ff.Measure)
+	// Partial aggregates over this shard's trials, folded exactly as
+	// RunTrials folds them: the merge cross-check depends on every shard
+	// producing bit-identical per-trial values.
+	aggs := make([][3]Agg, len(pts))
+	next := 0
+	for i, p := range pts {
+		tl := Tally{Point: p}
 		for t := 0; t < trials; t++ {
-			if idx := plan.trialAt[i] + t; ok[idx] {
-				addTrial(res[idx].Measure.Wall.Seconds())
+			if p.IsCCR() {
+				if sh.Owns(t) {
+					tr := p.CCRTrial(t)
+					tl.fold(tr.Makespan, tr.Failures)
+					stats.CCRReplays++
+				}
+				continue
 			}
+			if r := res[next]; ok[next] {
+				tl.fold(r.Measure.Wall.Seconds(), r.Crashes)
+			}
+			next++
 		}
+		aggs[i] = tl.Aggs
 	}
 	if err := persistAggregates(st, sh, cfg, trials, scenarios, aggs); err != nil {
 		return PopulateStats{}, err

@@ -12,20 +12,20 @@ import (
 	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
-// Point is one prepared scenario point of an adaptive campaign: the
-// fault-free references are measured, the cCR machine parameters and the
-// failure window are resolved, and trials are exposed one index at a time
-// instead of as a fixed-size batch. The adaptive explorer builds on it.
+// Point is one prepared scenario point of a campaign: the fault-free
+// references are measured, the cCR machine parameters and the failure
+// window are resolved, and trials are exposed one index at a time. Run and
+// the adaptive explorer both draw their trials from it.
 //
-// Unlike Run, whose trial seeds derive from the scenario's position in the
-// grid (fault.TrialSeed(seed, index, trial)), a Point's trial stream is
-// seeded from the scenario's content fingerprint. Any driver that reaches
-// the same point — whatever subset, ordering or dynamically chosen probe
-// got it there — draws the identical trials, so adaptive aggregates are a
-// prefix-extension of any other run's and warm store hits line up across
-// campaigns that never saw each other's grids.
+// A Point's trial stream is seeded from the scenario's content
+// fingerprint, not its position in any grid. Any driver that reaches the
+// same point — a fixed campaign, whatever subset, ordering or dynamically
+// chosen probe got it there — draws the identical trials, so adaptive
+// aggregates are a prefix-extension of a fixed run's and warm store hits
+// line up across campaigns that never saw each other's grids.
 type Point struct {
 	Scenario  Scenario
 	PhysProcs int
@@ -38,8 +38,9 @@ type Point struct {
 	FFEff      float64
 
 	// Params is the resolved cCR machine (ccr points only); Delta and
-	// Restart are the analytic comparison's checkpoint parameters for
-	// replicated points, resolved with Run's defaulting rules.
+	// Restart are the analytic comparison's checkpoint parameters (the
+	// machine's own for ccr points; Config's, defaulted from the
+	// fault-free wall time, for replicated points).
 	Params  ckptsim.Params
 	Delta   float64
 	Restart float64
@@ -69,10 +70,10 @@ func PointSeed(master int64, scenarioFP string) int64 {
 }
 
 // PreparePoints measures the fault-free references of the scenarios (one
-// sweep, memo- and store-backed like Run's phase 1) and returns one
-// prepared Point per scenario, in input order.
+// sweep, memo- and store-backed) and returns one prepared Point per
+// scenario, in input order.
 func PreparePoints(cfg Config, scenarios []Scenario) ([]*Point, error) {
-	_, base, templates, err := planReferences(cfg, scenarios)
+	base, templates, err := planReferences(cfg, scenarios)
 	if err != nil {
 		return nil, err
 	}
@@ -100,6 +101,9 @@ func PreparePoints(cfg Config, scenarios []Scenario) ([]*Point, error) {
 		p.nativeFP = nfp
 		p.Seed = PointSeed(cfg.Seed, sfp)
 
+		// An explicitly configured horizon is a hard cap on the failure
+		// window for every fault-tolerance side; only the defaulted ccr
+		// window grows with the makespan (see ccrTrial).
 		horizon := sc.Horizon
 		if horizon == 0 {
 			horizon = cfg.Horizon
@@ -132,6 +136,12 @@ func PreparePoints(cfg Config, scenarios []Scenario) ([]*Point, error) {
 				horizon = ff.Measure.Wall
 			}
 			p.template = templates[i]
+			// Classic trials replay the scenario's recorded logical-op
+			// trace instead of re-executing the application:
+			// send-deterministic replication keeps the logical sequence
+			// crash-invariant, so one recording run serves every trial.
+			// Intra trials keep executing for real — their section
+			// protocol reacts to failures below the trace boundary.
 			if sc.Point.Mode == scenario.Classic {
 				ts, err := experiments.RecordTraces(templates[i])
 				if err != nil {
@@ -219,4 +229,86 @@ func (p *Point) AnalyticEfficiency() float64 {
 		return ckpt.Efficiency(p.Params.Tau, p.Params.Delta, p.Params.Restart, p.SysMTBF())
 	}
 	return ckpt.ReplicatedEfficiency(p.FFEff, p.Scenario.Point.Logical, p.Scenario.MTBF.Seconds(), p.Delta, p.Restart)
+}
+
+// Tally is one point's running trial aggregate: trials [0, N) of the
+// point's stream, folded in ascending index order. Drivers that fold the
+// same prefix — a fixed campaign, an adaptive allocation, however it was
+// split into rounds — hold byte-identical aggregates.
+type Tally struct {
+	Point    *Point
+	N        int
+	Aggs     [3]Agg     // makespan, slowdown, efficiency
+	Crashes  CrashStats // MeanPerTrial left to the reporter
+	MemoHits int        // replicated trials the sweep memo served
+}
+
+// fold adds one trial with the given wall time and crash count.
+func (tl *Tally) fold(wall float64, crashes int) {
+	mk, sd, eff := tl.Point.Metrics(wall)
+	tl.Aggs[0].Add(mk)
+	tl.Aggs[1].Add(sd)
+	tl.Aggs[2].Add(eff)
+	tl.N++
+	cs := &tl.Crashes
+	cs.Total += crashes
+	if crashes > 0 {
+		cs.TrialsWithCrash++
+	}
+	cs.MaxPerTrial = max(cs.MaxPerTrial, crashes)
+}
+
+// RunTrials measures the next counts[i] trials of each tally's point —
+// indices [N, N+counts[i]) — and folds them in, tallies in slice order and
+// trial index ascending. Every replicated trial of every point goes
+// through one sweep, so the pool stays saturated across points and the
+// memo serves identical draws of different points; the ccr replays then
+// fan out over the same worker count. Neither the fan-out nor the way a
+// prefix is split into calls can change an aggregate.
+func RunTrials(workers int, st *store.Store, tallies []*Tally, counts []int) error {
+	var specs []experiments.Spec
+	var draws []fault.Draw
+	type replay struct{ tally, trial int }
+	var replays []replay
+	for i, tl := range tallies {
+		for t := tl.N; t < tl.N+counts[i]; t++ {
+			if tl.Point.IsCCR() {
+				replays = append(replays, replay{i, t})
+				continue
+			}
+			spec, d := tl.Point.TrialSpec(t)
+			specs = append(specs, spec)
+			draws = append(draws, d)
+		}
+	}
+	res, err := experiments.SweepStore(workers, st, specs)
+	if err != nil {
+		return fmt.Errorf("campaign trials: %w", err)
+	}
+	ccr := make([]ckptsim.Trial, len(replays))
+	experiments.ForEach(workers, len(replays), func(_, j int) {
+		ccr[j] = tallies[replays[j].tally].Point.CCRTrial(replays[j].trial)
+	})
+	next, nextCCR := 0, 0
+	for i, tl := range tallies {
+		for range counts[i] {
+			if tl.Point.IsCCR() {
+				tr := ccr[nextCCR]
+				nextCCR++
+				tl.fold(tr.Makespan, tr.Failures)
+				continue
+			}
+			r, d := res[next], draws[next]
+			next++
+			tl.fold(r.Measure.Wall.Seconds(), r.Crashes)
+			if d.Suppressed > 0 {
+				tl.Crashes.SuppressedKills += d.Suppressed
+				tl.Crashes.InterruptedDraws++
+			}
+			if r.Memoized {
+				tl.MemoHits++
+			}
+		}
+	}
+	return nil
 }

@@ -141,7 +141,7 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 	errs := make([]error, len(uniq))
 	var hits, simulated atomic.Int64
 	Progress.Plan(stats.Owned)
-	forEachUnique(workers, len(uniq), func(eng *sim.Engine, sc *mpi.Scratch, j int) {
+	forEachPooled(workers, len(uniq), func(eng *sim.Engine, sc *mpi.Scratch, j int) {
 		if !owned[j] {
 			return
 		}

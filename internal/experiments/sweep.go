@@ -94,24 +94,14 @@ type Spec struct {
 	// once.
 	Fault *fault.Schedule
 
-	// BatchCompute runs the point on a batched-compute world: compute-only
-	// stretches between communications collapse into one engine event
-	// instead of one per kernel. Simulated outcomes (every virtual time,
-	// every message, every crash consequence) are identical to the
-	// unbatched run; only the diagnostic SimEvents counter shrinks. It is
-	// therefore an execution strategy, not a semantic parameter, and is
-	// excluded from the memo key — callers that serialize SimEvents (the
-	// JSON sweep reports) must leave it off.
-	BatchCompute bool
-
 	// Replay, when non-nil, substitutes the application's main with a
 	// replay of the recorded logical-op traces (RecordTraces): the
 	// simulated makespan, crash consequences and physical layout are
 	// identical to executing the application, but its kernels never run.
-	// Like BatchCompute it is an execution strategy excluded from the memo
-	// key; unlike it, app-internal diagnostics (kernel timings, section
-	// stats, per-arg update bytes) are not re-derived, so only callers
-	// that consume timing aggregates — the failure campaigns — may arm it.
+	// It is an execution strategy excluded from the memo key, but
+	// app-internal diagnostics (kernel timings, section stats, per-arg
+	// update bytes) are not re-derived, so only callers that consume
+	// timing aggregates — the failure campaigns — may arm it.
 	Replay *core.TraceSet
 }
 
@@ -317,41 +307,62 @@ func dedupe(specs []Spec) (uniq []Spec, keys []string, uniqOf []int) {
 	return uniq, keys, uniqOf
 }
 
-// forEachUnique runs fn(eng, sc, j) for j in [0, n) on a pool of workers.
-// Each worker owns one pooled simulation engine and one mpi scratch for its
-// whole lifetime: fn receives the engine Reset (time zero, empty queue,
-// goroutines parked in the idle pool) and the scratch warm, so consecutive
-// specs on a worker reuse the engine's event free list, its process
-// goroutines and the message layer's request/message/transfer pools instead
-// of rebuilding them per spec.
-func forEachUnique(workers, n int, fn func(eng *sim.Engine, sc *mpi.Scratch, j int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+// ForEach calls fn(worker, i) once for every i in [0, n), fanned out over
+// min(workers, n) goroutines (workers <= 0 means GOMAXPROCS), and returns
+// when every call has. worker in [0, min(workers, n)) names the goroutine
+// making the call, so a caller can keep per-worker state in a slice
+// indexed by it without locking. Calls complete in no particular order:
+// callers write results to per-index slots and read them once ForEach
+// returns.
+func ForEach(workers, n int, fn func(worker, i int)) {
 	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range poolSize(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := sim.NewPooled()
-			defer eng.Shutdown()
-			sc := mpi.NewScratch()
-			for {
-				j := int(next.Add(1))
-				if j >= n {
-					return
-				}
-				eng.Reset()
-				fn(eng, sc, j)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// poolSize is the goroutine count ForEach uses for n jobs.
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(min(workers, n), 0)
+}
+
+// forEachPooled is ForEach with one pooled simulation engine and one mpi
+// scratch per worker, kept for the worker's whole lifetime: fn receives
+// the engine Reset (time zero, empty queue, goroutines parked in the idle
+// pool) and the scratch warm, so consecutive specs on a worker reuse the
+// engine's event free list, its process goroutines and the message
+// layer's request/message/transfer pools instead of rebuilding them per
+// spec.
+func forEachPooled(workers, n int, fn func(eng *sim.Engine, sc *mpi.Scratch, j int)) {
+	type slot struct {
+		eng *sim.Engine
+		sc  *mpi.Scratch
+	}
+	slots := make([]slot, poolSize(workers, n))
+	ForEach(workers, n, func(w, j int) {
+		s := &slots[w]
+		if s.eng == nil {
+			s.eng, s.sc = sim.NewPooled(), mpi.NewScratch()
+		}
+		s.eng.Reset()
+		fn(s.eng, s.sc, j)
+	})
+	for _, s := range slots {
+		if s.eng != nil {
+			s.eng.Shutdown()
+		}
+	}
 }
 
 // SweepStore is SweepN consulting (and populating) a persistent result
@@ -367,7 +378,7 @@ func SweepStore(workers int, st *store.Store, specs []Spec) ([]Result, error) {
 	runs := make([]Result, len(uniq))
 	errs := make([]error, len(uniq))
 	Progress.Plan(len(uniq))
-	forEachUnique(workers, len(uniq), func(eng *sim.Engine, sc *mpi.Scratch, j int) {
+	forEachPooled(workers, len(uniq), func(eng *sim.Engine, sc *mpi.Scratch, j int) {
 		runs[j], _, errs[j] = runOrLoad(eng, sc, st, uniq[j], keys[j])
 		Progress.Done()
 	})
@@ -424,7 +435,7 @@ func runSpec(eng *sim.Engine, sc *mpi.Scratch, s Spec) (Result, error) {
 		Logical: s.Logical, Mode: s.Mode, Degree: s.Degree,
 		Net: s.Net, Machine: s.Machine, IntraOpts: s.Opts,
 		SendLog: crashes > 0,
-		Engine:  eng, Scratch: sc, BatchCompute: s.BatchCompute,
+		Engine:  eng, Scratch: sc,
 	})
 	if err != nil {
 		return Result{}, err

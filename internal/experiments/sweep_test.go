@@ -428,3 +428,47 @@ func TestCCRSpecMemoSharesNativeRun(t *testing.T) {
 		t.Fatalf("plain ccr sweep point: %+v", one[0])
 	}
 }
+
+// TestForEachVisitsEveryIndexOnce pins the shared fan-out: every index in
+// [0, n) is visited exactly once, from a worker slot inside the pool, for
+// an empty list, defaulted (<= 0) worker counts and more workers than
+// jobs. Each slot bumps a plain per-slot counter, so under -race the test
+// also checks that a slot is only ever used by one goroutine.
+func TestForEachVisitsEveryIndexOnce(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{
+		{0, 0}, {4, 0}, {-2, 0},
+		{0, 37}, {-3, 37}, {1, 37}, {3, 37},
+		{64, 5}, {5, 5},
+	} {
+		want := tc.workers
+		if want <= 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		want = min(want, tc.n)
+		if got := poolSize(tc.workers, tc.n); got != want {
+			t.Fatalf("workers=%d n=%d: pool of %d, want %d", tc.workers, tc.n, got, want)
+		}
+		visits := make([]atomic.Int32, tc.n)
+		perSlot := make([]int, want)
+		ForEach(tc.workers, tc.n, func(w, i int) {
+			if w < 0 || w >= want {
+				t.Errorf("workers=%d n=%d: slot %d outside [0, %d)", tc.workers, tc.n, w, want)
+				return
+			}
+			perSlot[w]++
+			visits[i].Add(1)
+		})
+		total := 0
+		for _, c := range perSlot {
+			total += c
+		}
+		if total != tc.n {
+			t.Fatalf("workers=%d n=%d: %d calls", tc.workers, tc.n, total)
+		}
+		for i := range visits {
+			if v := visits[i].Load(); v != 1 {
+				t.Fatalf("workers=%d n=%d: index %d visited %d times", tc.workers, tc.n, i, v)
+			}
+		}
+	}
+}

@@ -87,11 +87,12 @@ func bisectCrossover(br bracket, probe probeFn) (bisectOut, error) {
 // the round size affords and the probe reports unseparated.
 const maxProbeBatches = 10
 
-// bisect runs the geometric bisection for one series pair, probing with
-// budgeted mini-campaigns at dynamically chosen MTBFs.
-func (e *explorer) bisect(br bracket, pr pairT) (bisectOut, error) {
+// bisect runs the geometric bisection for one series pair (represented by
+// the first cell of each series), probing with budgeted mini-campaigns at
+// dynamically chosen MTBFs.
+func (e *explorer) bisect(br bracket, ccr, repl *campaign.Tally) (bisectOut, error) {
 	return bisectCrossover(br, func(mtbf float64) (probeOut, error) {
-		return e.probePair(pr, mtbf)
+		return e.probePair(ccr, repl, mtbf)
 	})
 }
 
@@ -102,10 +103,10 @@ func (e *explorer) bisect(br bracket, pr pairT) (bisectOut, error) {
 // intervals separate, the per-probe cap is reached, or the budget runs dry.
 // Probe cells are retained: their aggregates persist like grid cells', and
 // a re-run bisecting the same bracket rebuilds them warm.
-func (e *explorer) probePair(pr pairT, mtbf float64) (probeOut, error) {
+func (e *explorer) probePair(ccr, repl *campaign.Tally, mtbf float64) (probeOut, error) {
 	scs := make([]campaign.Scenario, 2)
-	for i, src := range []*cell{pr.ccr[0], pr.repl[0]} {
-		sc := src.p.Scenario
+	for i, src := range []*campaign.Tally{ccr, repl} {
+		sc := src.Point.Scenario
 		sc.Point.Name = fmt.Sprintf("%s@mtbf=%.9g", sc.Point.Name, mtbf)
 		sc.MTBF = sim.Seconds(mtbf)
 		scs[i] = sc
@@ -114,14 +115,14 @@ func (e *explorer) probePair(pr pairT, mtbf float64) (probeOut, error) {
 	if err != nil {
 		return probeOut{}, fmt.Errorf("explore probe (mtbf %.9g): %w", mtbf, err)
 	}
-	cc := &cell{p: pts[0], grid: -1}
-	rc := &cell{p: pts[1], grid: -1}
+	cc := &campaign.Tally{Point: pts[0]}
+	rc := &campaign.Tally{Point: pts[1]}
 	e.probes = append(e.probes, cc, rc)
 
 	out := probeOut{}
 	for {
-		dc, dr := cc.aggs[2].Stat(), rc.aggs[2].Stat()
-		if cc.n >= 2 && rc.n >= 2 && !math.IsNaN(dc.CI95) && !math.IsNaN(dr.CI95) {
+		dc, dr := cc.Aggs[2].Stat(), rc.Aggs[2].Stat()
+		if cc.N >= 2 && rc.N >= 2 && !math.IsNaN(dc.CI95) && !math.IsNaN(dr.CI95) {
 			out.diff = dc.Mean - dr.Mean
 			out.ci = dc.CI95 + dr.CI95
 			if math.Abs(out.diff) > out.ci {
@@ -129,7 +130,7 @@ func (e *explorer) probePair(pr pairT, mtbf float64) (probeOut, error) {
 				return out, nil
 			}
 		}
-		if cc.n >= maxProbeBatches*e.cfg.Round {
+		if cc.N >= maxProbeBatches*e.cfg.Round {
 			return out, nil
 		}
 		ac, ar := e.take(e.cfg.Round), e.take(e.cfg.Round)
@@ -138,8 +139,8 @@ func (e *explorer) probePair(pr pairT, mtbf float64) (probeOut, error) {
 		}
 		e.spentBisect += ac + ar
 		out.trials += ac + ar
-		if err := e.runBatch([]*cell{cc, rc}, []int{ac, ar}); err != nil {
-			return out, err
+		if err := campaign.RunTrials(e.cfg.Workers, e.cfg.Store, []*campaign.Tally{cc, rc}, []int{ac, ar}); err != nil {
+			return out, fmt.Errorf("explore probe (mtbf %.9g): %w", mtbf, err)
 		}
 	}
 }

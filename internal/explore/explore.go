@@ -32,15 +32,11 @@ package explore
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/campaign"
 	"repro/internal/ckpt"
 	"repro/internal/experiments"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -115,24 +111,15 @@ func (cfg Config) campaignConfig() campaign.Config {
 	}
 }
 
-// cell is one explored point: a prepared campaign.Point plus the running
-// aggregates over the trial prefix consumed so far.
-type cell struct {
-	p       *campaign.Point
-	aggs    [3]campaign.Agg // makespan, slowdown, efficiency
-	n       int             // trials folded: indices [0, n)
-	crashes int
-	grid    int // index into the input grid; -1 for bisection probes
-}
-
-// relCI is the cell's uncertainty measure: the wider of the relative CI95s
-// on makespan and efficiency (+Inf below two trials or at zero mean).
-func (c *cell) relCI() float64 {
-	if c.n < 2 {
+// relCI is an explored point's uncertainty measure: the wider of the
+// relative CI95s on makespan and efficiency (+Inf below two trials or at
+// zero mean).
+func relCI(c *campaign.Tally) float64 {
+	if c.N < 2 {
 		return math.Inf(1)
 	}
-	r := relOf(c.aggs[0].Stat())
-	if e := relOf(c.aggs[2].Stat()); e > r {
+	r := relOf(c.Aggs[0].Stat())
+	if e := relOf(c.Aggs[2].Stat()); e > r {
 		r = e
 	}
 	return r
@@ -145,10 +132,12 @@ func relOf(s campaign.Stat) float64 {
 	return s.CI95 / math.Abs(s.Mean)
 }
 
+// explorer runs one exploration. Each explored point is a cell: a
+// campaign.Tally over the trial prefix consumed so far.
 type explorer struct {
 	cfg    Config
-	cells  []*cell // grid cells, input order
-	probes []*cell // bisection probe cells, creation order
+	cells  []*campaign.Tally // grid cells, input order
+	probes []*campaign.Tally // bisection probe cells, creation order
 	rounds int
 
 	spent       int
@@ -190,8 +179,8 @@ func Run(cfg Config, scenarios []campaign.Scenario) (*Result, error) {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
 	e := &explorer{cfg: cfg}
-	for i, p := range points {
-		e.cells = append(e.cells, &cell{p: p, grid: i})
+	for _, p := range points {
+		e.cells = append(e.cells, &campaign.Tally{Point: p})
 	}
 	if err := e.refine(); err != nil {
 		return nil, err
@@ -220,7 +209,7 @@ func (e *explorer) refine() error {
 		// order (sort stability), and fresh cells (+Inf) lead round one.
 		var cand []int
 		for i, c := range e.cells {
-			if c.relCI() > e.cfg.TargetCI {
+			if relCI(c) > e.cfg.TargetCI {
 				cand = append(cand, i)
 			}
 		}
@@ -228,7 +217,7 @@ func (e *explorer) refine() error {
 			break
 		}
 		sort.SliceStable(cand, func(a, b int) bool {
-			return e.cells[cand[a]].relCI() > e.cells[cand[b]].relCI()
+			return relCI(e.cells[cand[a]]) > relCI(e.cells[cand[b]])
 		})
 		allocs := make([]int, len(e.cells))
 		total := 0
@@ -248,109 +237,12 @@ func (e *explorer) refine() error {
 		widest := e.cells[cand[0]]
 		experiments.Progress.SetStatus(fmt.Sprintf(
 			"explore: round %d, budget %d/%d, widest %s relCI %.3g",
-			e.rounds, e.spent, e.cfg.Budget, widest.p.Scenario.Point.Name, widest.relCI()))
-		if err := e.runBatch(e.cells, allocs); err != nil {
-			return err
+			e.rounds, e.spent, e.cfg.Budget, widest.Point.Scenario.Point.Name, relCI(widest)))
+		if err := campaign.RunTrials(e.cfg.Workers, e.cfg.Store, e.cells, allocs); err != nil {
+			return fmt.Errorf("explore: %w", err)
 		}
 	}
 	return nil
-}
-
-// runBatch measures trials [n, n+alloc) of each cell and folds them into
-// the aggregates in cell order, trial index ascending — the same order any
-// fixed-grid run over the same indices would use, so the aggregate partials
-// stay byte-identical. Replicated trials flow through one sweep (pool
-// saturation, memo, store); ccr replays fan out over the worker count.
-func (e *explorer) runBatch(cells []*cell, allocs []int) error {
-	var specs []experiments.Spec
-	specAt := make([]int, len(cells)) // cell -> first spec index, -1 = none
-	type job struct{ cell, trial int }
-	var jobs []job
-	for i, c := range cells {
-		specAt[i] = -1
-		a := allocs[i]
-		if a == 0 {
-			continue
-		}
-		if c.p.IsCCR() {
-			for t := c.n; t < c.n+a; t++ {
-				jobs = append(jobs, job{i, t})
-			}
-			continue
-		}
-		specAt[i] = len(specs)
-		for t := c.n; t < c.n+a; t++ {
-			spec, _ := c.p.TrialSpec(t)
-			specs = append(specs, spec)
-		}
-	}
-	trialRes, err := experiments.SweepStore(e.cfg.Workers, e.cfg.Store, specs)
-	if err != nil {
-		return fmt.Errorf("explore trials: %w", err)
-	}
-	replayWalls := make([]float64, len(jobs))
-	replayFails := make([]int, len(jobs))
-	runJobs(e.cfg.Workers, len(jobs), func(j int) {
-		tr := cells[jobs[j].cell].p.CCRTrial(jobs[j].trial)
-		replayWalls[j] = tr.Makespan
-		replayFails[j] = tr.Failures
-	})
-	// Fold in deterministic order: cells in slice order, trials ascending.
-	ji := 0
-	for i, c := range cells {
-		a := allocs[i]
-		if a == 0 {
-			continue
-		}
-		for k := 0; k < a; k++ {
-			var wall float64
-			if c.p.IsCCR() {
-				wall = replayWalls[ji]
-				c.crashes += replayFails[ji]
-				ji++
-			} else {
-				r := trialRes[specAt[i]+k]
-				wall = r.Measure.Wall.Seconds()
-				c.crashes += r.Crashes
-			}
-			mk, sd, eff := c.p.Metrics(wall)
-			c.aggs[0].Add(mk)
-			c.aggs[1].Add(sd)
-			c.aggs[2].Add(eff)
-		}
-		c.n += a
-	}
-	return nil
-}
-
-// runJobs fans n independent jobs over the worker count.
-func runJobs(workers, n int, fn func(int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1))
-				if j >= n {
-					return
-				}
-				fn(j)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // bisectCrossovers is engine 2: pair each measured ccr series with the
@@ -358,42 +250,33 @@ func runJobs(workers, n int, fn func(int)) {
 // crossover on the refined grid, then bisect the per-node MTBF axis with
 // budgeted CI-separated probes until the bracket ratio meets the target.
 func (e *explorer) bisectCrossovers() error {
-	pairs := pairSeries(e.cells)
-	for _, pr := range pairs {
+	pts := make([]*campaign.Point, len(e.cells))
+	for i, c := range e.cells {
+		pts[i] = c.Point
+	}
+	eff := func(i int) float64 { return e.cells[i].Aggs[2].Stat().Mean }
+	for _, sp := range campaign.PairSeries(pts) {
+		repl, ccr := e.cells[sp.Repl[0]], e.cells[sp.CCR[0]]
+		rp, cp := repl.Point, ccr.Point
 		x := CrossoverResult{
-			App:          pr.repl[0].p.Scenario.Point.App,
-			ReplMode:     pr.repl[0].p.Scenario.Point.Mode.String(),
-			Logical:      pr.repl[0].p.Scenario.Point.Logical,
-			Degree:       pr.repl[0].p.Scenario.Point.EffectiveDegree(),
-			CCRPhysProcs: pr.ccr[0].p.PhysProcs,
+			App:          rp.Scenario.Point.App,
+			ReplMode:     rp.Scenario.Point.Mode.String(),
+			Logical:      rp.Scenario.Point.Logical,
+			Degree:       rp.Scenario.Point.EffectiveDegree(),
+			CCRPhysProcs: cp.PhysProcs,
 		}
-		ccr0 := pr.ccr[0].p
 		x.AnalyticNodeMTBFSeconds = ckpt.CrossoverMTBF(
-			ccr0.Params.Delta, ccr0.Params.Restart, pr.repl[0].p.FFEff) * float64(ccr0.PhysProcs)
+			cp.Params.Delta, cp.Params.Restart, rp.FFEff) * float64(cp.PhysProcs)
 
-		// The shared refined axis, ascending, with the efficiency
-		// difference (ccr - repl) at each sampled MTBF.
-		replAt := map[float64]*cell{}
-		for _, c := range pr.repl {
-			replAt[c.p.Scenario.MTBF.Seconds()] = c
-		}
-		var axis []axisSample
-		for _, c := range pr.ccr {
-			m := c.p.Scenario.MTBF.Seconds()
-			if rc, ok := replAt[m]; ok {
-				axis = append(axis, axisSample{
-					mtbf: m,
-					diff: c.aggs[2].Stat().Mean - rc.aggs[2].Stat().Mean,
-				})
-			}
-		}
-		sort.Slice(axis, func(a, b int) bool { return axis[a].mtbf < axis[b].mtbf })
-		x.GridNodeMTBFSeconds = gridInterpolate(axis)
+		// The shared refined axis: the fixed grid's log-interpolation is
+		// kept in the output for comparison with the bisection.
+		axis := sp.Axis(pts, eff)
+		x.GridNodeMTBFSeconds = campaign.LogCrossover(axis)
 
 		// First adjacent sign change brackets the crossover.
 		bi := -1
 		for i := 1; i < len(axis); i++ {
-			if (axis[i-1].diff < 0) != (axis[i].diff < 0) {
+			if (axis[i-1].Diff < 0) != (axis[i].Diff < 0) {
 				bi = i
 				break
 			}
@@ -404,9 +287,9 @@ func (e *explorer) bisectCrossovers() error {
 		}
 		lo, hi := axis[bi-1], axis[bi]
 		out, err := e.bisect(bracket{
-			lo: lo.mtbf, hi: hi.mtbf, dlo: lo.diff, dhi: hi.diff,
+			lo: lo.MTBF, hi: hi.MTBF, dlo: lo.Diff, dhi: hi.Diff,
 			targetRatio: e.cfg.BracketRatio,
-		}, pr)
+		}, ccr, repl)
 		if err != nil {
 			return err
 		}
@@ -419,72 +302,4 @@ func (e *explorer) bisectCrossovers() error {
 		e.crossovers = append(e.crossovers, x)
 	}
 	return nil
-}
-
-// axisSample is one shared-MTBF grid sample of the efficiency difference
-// (ccr mean - replicated mean).
-type axisSample struct {
-	mtbf, diff float64
-}
-
-// gridInterpolate is the fixed-grid estimator the bisection supersedes:
-// log-linear interpolation between the first bracketing sampled MTBFs
-// (campaign's measured-crossover rule), kept in the output for comparison.
-func gridInterpolate(axis []axisSample) float64 {
-	for i := 1; i < len(axis); i++ {
-		a, b := axis[i-1], axis[i]
-		if a.diff == 0 {
-			return a.mtbf
-		}
-		if (a.diff < 0) == (b.diff < 0) {
-			continue
-		}
-		la, lb := math.Log(a.mtbf), math.Log(b.mtbf)
-		return math.Exp(la + (lb-la)*(0-a.diff)/(b.diff-a.diff))
-	}
-	if n := len(axis); n > 0 && axis[n-1].diff == 0 {
-		return axis[n-1].mtbf
-	}
-	return 0
-}
-
-// pair is a crossover pairing: a ccr series and a replicated series over
-// the same native baseline, each MTBF-ascending in grid order.
-type pairT struct {
-	repl, ccr []*cell
-}
-
-// pairSeries groups grid cells into series (same native fingerprint, mode,
-// sizing) in first-appearance order and pairs replicated with ccr series
-// sharing a native baseline — campaign.Run's crossover rule.
-func pairSeries(cells []*cell) []pairT {
-	type seriesKey struct {
-		base            string
-		mode            string
-		logical, degree int
-	}
-	var order []seriesKey
-	byKey := map[seriesKey][]*cell{}
-	for _, c := range cells {
-		sc := c.p.Scenario.Point
-		k := seriesKey{c.p.NativeFingerprint(), sc.Mode.String(), sc.Logical, sc.EffectiveDegree()}
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
-		}
-		byKey[k] = append(byKey[k], c)
-	}
-	ccrName := scenario.CCR.String()
-	var out []pairT
-	for _, rk := range order {
-		if rk.mode == ccrName {
-			continue
-		}
-		for _, ck := range order {
-			if ck.mode != ccrName || ck.base != rk.base {
-				continue
-			}
-			out = append(out, pairT{repl: byKey[rk], ccr: byKey[ck]})
-		}
-	}
-	return out
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/apps/hpccg"
 	"repro/internal/campaign"
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -94,9 +93,10 @@ func TestBisectSynthetic(t *testing.T) {
 }
 
 // TestAdaptivePrefixIdentity is the determinism property behind the whole
-// design: the adaptive run's per-point aggregates are byte-identical to a
-// fixed fold over the same trial indices [0, n) — the batching and the
-// round-by-round allocation leave no trace in the numbers.
+// design: each point's adaptive aggregate is byte-identical to a fixed
+// campaign.Run at the same seed over the same trial count — the
+// round-by-round allocation leaves no trace in the numbers, because both
+// drivers draw trials from the same per-point stream.
 func TestAdaptivePrefixIdentity(t *testing.T) {
 	cfg := Config{Budget: 60, Round: 4, TargetCI: 0.01, Seed: 11, Workers: 3}
 	scs := []campaign.Scenario{
@@ -110,49 +110,27 @@ func TestAdaptivePrefixIdentity(t *testing.T) {
 	if res.Spent > cfg.Budget {
 		t.Fatalf("spent %d over budget %d", res.Spent, cfg.Budget)
 	}
-
-	pts, err := campaign.PreparePoints(cfg.withDefaults().campaignConfig(), scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pts {
-		got := res.Points[i]
+	for i, got := range res.Points {
 		if got.Trials == 0 {
 			t.Fatalf("point %d got no trials", i)
 		}
-		var aggs [3]campaign.Agg
-		fold := func(wall float64) {
-			mk, sd, eff := p.Metrics(wall)
-			aggs[0].Add(mk)
-			aggs[1].Add(sd)
-			aggs[2].Add(eff)
+		fixed, err := campaign.Run(campaign.Config{Trials: got.Trials, Seed: cfg.Seed, Workers: 2}, scs[i:i+1])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.IsCCR() {
-			for tr := 0; tr < got.Trials; tr++ {
-				fold(p.CCRTrial(tr).Makespan)
-			}
-		} else {
-			var specs []experiments.Spec
-			for tr := 0; tr < got.Trials; tr++ {
-				spec, _ := p.TrialSpec(tr)
-				specs = append(specs, spec)
-			}
-			trialRes, err := experiments.Sweep(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range trialRes {
-				fold(r.Measure.Wall.Seconds())
-			}
-		}
-		for m, want := range []campaign.Stat{aggs[0].Stat(), aggs[1].Stat(), aggs[2].Stat()} {
-			gotStat := []campaign.Stat{got.Makespan, got.Slowdown, got.Efficiency}[m]
-			wb, _ := json.Marshal(want)
-			gb, _ := json.Marshal(gotStat)
-			if !bytes.Equal(wb, gb) {
-				t.Fatalf("point %d metric %d: adaptive %s != fixed fold over [0,%d) %s",
+		want := fixed.Scenarios[0]
+		for m, pair := range [][2]campaign.Stat{
+			{got.Makespan, want.Makespan}, {got.Slowdown, want.Slowdown}, {got.Efficiency, want.Efficiency},
+		} {
+			gb, _ := json.Marshal(pair[0])
+			wb, _ := json.Marshal(pair[1])
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("point %d metric %d: adaptive %s != campaign.Run over %d trials %s",
 					i, m, gb, got.Trials, wb)
 			}
+		}
+		if got.Crashes != want.Crashes.Total {
+			t.Fatalf("point %d: adaptive crashes %d != campaign.Run %d", i, got.Crashes, want.Crashes.Total)
 		}
 	}
 }

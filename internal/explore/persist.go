@@ -44,7 +44,7 @@ func (e *explorer) runFingerprint() string {
 	cfg := e.cfg
 	fps := make([]string, len(e.cells))
 	for i, c := range e.cells {
-		fps[i] = c.p.Fingerprint()
+		fps[i] = c.Point.Fingerprint()
 	}
 	b, err := json.Marshal(struct {
 		Stream       string   `json:"stream"`
@@ -95,14 +95,14 @@ func (e *explorer) putVerify(kind, key string, payload any) error {
 // cell (grid and probe), one record per crossover, one per tau search.
 func (e *explorer) persist(res *Result) error {
 	sfp := e.cfg.streamFingerprint()
-	for _, c := range append(append([]*cell{}, e.cells...), e.probes...) {
-		if c.n == 0 {
+	for _, c := range append(append([]*campaign.Tally{}, e.cells...), e.probes...) {
+		if c.N == 0 {
 			continue
 		}
-		key := store.Key(sfp + "|" + c.p.Fingerprint() + fmt.Sprintf("|trials:%d", c.n))
+		key := store.Key(sfp + "|" + c.Point.Fingerprint() + fmt.Sprintf("|trials:%d", c.N))
 		rec := aggRecord{
-			Trials: c.n, Crashes: c.crashes,
-			Makespan: c.aggs[0], Slowdown: c.aggs[1], Efficiency: c.aggs[2],
+			Trials: c.N, Crashes: c.Crashes.Total,
+			Makespan: c.Aggs[0], Slowdown: c.Aggs[1], Efficiency: c.Aggs[2],
 		}
 		if err := e.putVerify(aggKind, key, rec); err != nil {
 			return err

@@ -146,25 +146,25 @@ func (e *explorer) result() *Result {
 	return r
 }
 
-func pointResult(c *cell) PointResult {
-	sc := c.p.Scenario
+func pointResult(c *campaign.Tally) PointResult {
+	sc := c.Point.Scenario
 	pr := PointResult{
 		Scenario:        sc.Point.Name,
 		App:             sc.Point.App,
 		Mode:            sc.Point.Mode.String(),
 		Logical:         sc.Point.Logical,
 		Degree:          sc.Point.EffectiveDegree(),
-		PhysProcs:       c.p.PhysProcs,
+		PhysProcs:       c.Point.PhysProcs,
 		NodeMTBFSeconds: sc.MTBF.Seconds(),
-		Trials:          c.n,
-		Crashes:         c.crashes,
-		Makespan:        c.aggs[0].Stat(),
-		Slowdown:        c.aggs[1].Stat(),
-		Efficiency:      c.aggs[2].Stat(),
-		AnalyticEff:     c.p.AnalyticEfficiency(),
-		Fingerprint:     c.p.Fingerprint(),
+		Trials:          c.N,
+		Crashes:         c.Crashes.Total,
+		Makespan:        c.Aggs[0].Stat(),
+		Slowdown:        c.Aggs[1].Stat(),
+		Efficiency:      c.Aggs[2].Stat(),
+		AnalyticEff:     c.Point.AnalyticEfficiency(),
+		Fingerprint:     c.Point.Fingerprint(),
 	}
-	if rc := c.relCI(); !math.IsInf(rc, 1) && !math.IsNaN(rc) {
+	if rc := relCI(c); !math.IsInf(rc, 1) && !math.IsNaN(rc) {
 		pr.RelCI = &rc
 	}
 	return pr

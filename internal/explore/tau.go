@@ -3,8 +3,10 @@ package explore
 import (
 	"math"
 
+	"repro/internal/campaign"
 	"repro/internal/ckpt"
 	"repro/internal/ckptsim"
+	"repro/internal/experiments"
 )
 
 const (
@@ -36,15 +38,14 @@ const (
 // is deterministic), cross-checked against Daly's analytic optimum.
 func (e *explorer) tauSearch() {
 	for _, c := range e.cells {
-		if !c.p.IsCCR() {
+		if !c.Point.IsCCR() {
 			continue
 		}
-		e.tau = append(e.tau, e.tauSearchCell(c))
+		e.tau = append(e.tau, e.tauSearchCell(c.Point))
 	}
 }
 
-func (e *explorer) tauSearchCell(c *cell) TauResult {
-	p := c.p
+func (e *explorer) tauSearchCell(p *campaign.Point) TauResult {
 	sysMTBF := p.SysMTBF()
 	res := TauResult{
 		Scenario:        p.Scenario.Point.Name,
@@ -75,7 +76,7 @@ func (e *explorer) tauSearchCell(c *cell) TauResult {
 		res.Trials += e.cfg.TauTraces
 		params := ckptsim.Params{Tau: tau, Delta: p.Params.Delta, Restart: p.Params.Restart}
 		walls := make([]float64, e.cfg.TauTraces)
-		runJobs(e.cfg.Workers, len(walls), func(k int) {
+		experiments.ForEach(e.cfg.Workers, len(walls), func(_, k int) {
 			walls[k] = p.ReplayTrace(1, k, params).Makespan
 		})
 		sum := 0.0

@@ -315,17 +315,27 @@ func (s *Store) Compact() error {
 			buf.Write(line)
 		}
 	}
+	// The shard files are deleted below, so the compacted file must be
+	// durable first: its bytes synced before the rename, the rename synced
+	// into the directory. Otherwise a power loss could leave the removals
+	// on disk without the file that subsumed them.
 	tmp := filepath.Join(s.dir, "store.jsonl.tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := writeSynced(tmp, buf.Bytes()); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	final := filepath.Join(s.dir, "store.jsonl")
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
+	}
 	if s.file != nil {
-		s.file.Close()
+		err := s.file.Close()
 		s.file = nil
+		if err != nil {
+			return fmt.Errorf("store: compact: %w", err)
+		}
 	}
 	names, err := filepath.Glob(filepath.Join(s.dir, "*.jsonl"))
 	if err != nil {
@@ -339,6 +349,37 @@ func (s *Store) Compact() error {
 		}
 	}
 	return nil
+}
+
+// writeSynced writes data to a fresh file at name and syncs it to stable
+// storage before closing.
+func writeSynced(name string, data []byte) error {
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir makes the directory's entries (a rename into it) durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Close releases the append file, flushing nothing because every Put is a
