@@ -57,8 +57,9 @@
 // DIR backs the run with a content-addressed on-disk cache (points already
 // present are served without simulating; fresh ones are appended), -shard
 // i/N turns the run into one shard of a multi-process campaign (it
-// simulates and persists only the unique points with index ≡ i mod N,
-// reporting a populate summary instead of results), and the merge
+// simulates and persists only the unique points with index ≡ i mod N, and
+// reports one populate summary instead of results: the shard and its store
+// traffic, {"shard": "i/N", …, "hits", "misses", "puts"}), and the merge
 // subcommand re-runs the same grid against the merged store — every point
 // a cache hit, so the output is byte-identical to a single-process run —
 // then verifies any stored campaign aggregates, compacts the store to one
@@ -580,40 +581,42 @@ func runGrid(w io.Writer, g scenario.Grid, workers int, jsonOut bool, sctx store
 	return runScenarios(w, "sweep", strings.Join(g.Apps, ","), scs, workers, jsonOut, sctx)
 }
 
-// populateScenarios runs one shard's slice of a plain sweep: only the
-// owned unique points are simulated and persisted, and the report is a
-// populate summary instead of results — a later merge run over the warm
-// store emits those, byte-identical to a single-process sweep.
-func populateScenarios(w io.Writer, sctx storeCtx, scs []scenario.Scenario, workers int, jsonOut bool) error {
+// sweepScenarios sweeps a scenario list through the store. A shard run
+// simulates only the points it owns and reports the populate summary
+// instead of results (done): the merge run emits them.
+func sweepScenarios(w io.Writer, scs []scenario.Scenario, workers int, jsonOut bool, sctx storeCtx) (res []experiments.Result, done bool, err error) {
 	specs, err := experiments.SpecsFor(scs)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	_, _, stats, err := experiments.PopulateStore(workers, sctx.st, sctx.shard, specs)
-	if err != nil {
-		return err
+	res, _, err = experiments.PopulateStore(workers, sctx.st, sctx.shard, specs)
+	if err != nil || !sctx.shard.Active() {
+		return res, false, err
 	}
+	reportShard(w, sctx, jsonOut)
+	return nil, true, nil
+}
+
+// reportShard prints a populate run's one summary, whichever driver ran:
+// the shard and the store traffic it caused.
+func reportShard(w io.Writer, sctx storeCtx, jsonOut bool) {
+	s := sctx.st.Stats()
 	if jsonOut {
 		emitJSON(w, struct {
 			Shard string `json:"shard"`
-			experiments.PopulateStats
-		}{sctx.shard.String(), stats})
-		return nil
+			store.Stats
+		}{sctx.shard.String(), s})
+		return
 	}
-	fmt.Fprintf(w, "shard %s: %d specs, %d unique, %d owned, %d simulated, %d store hits, %d unkeyed\n",
-		sctx.shard, stats.Specs, stats.Unique, stats.Owned, stats.Simulated, stats.Hits, stats.Unkeyed)
-	return nil
+	fmt.Fprintf(w, "shard %s: %s\n", sctx.shard, s)
 }
 
 // runScenarios sweeps any scenario list and reports it under the one
 // {net, machine, results} envelope, with platform labels derived from the
 // scenarios themselves.
 func runScenarios(w io.Writer, id, label string, scs []scenario.Scenario, workers int, jsonOut bool, sctx storeCtx) error {
-	if sctx.shard.Active() {
-		return populateScenarios(w, sctx, scs, workers, jsonOut)
-	}
-	results, err := experiments.SweepScenariosStore(workers, sctx.st, scs)
-	if err != nil {
+	results, done, err := sweepScenarios(w, scs, workers, jsonOut, sctx)
+	if err != nil || done {
 		return err
 	}
 	netLabel, machineLabel := scenario.PlatformLabels(scs)
@@ -693,11 +696,8 @@ func runSpecFile(w io.Writer, f *scenario.File, workers int, jsonOut bool, sctx 
 		if err != nil {
 			return err
 		}
-		if sctx.shard.Active() {
-			return populateScenarios(w, sctx, scs, workers, jsonOut)
-		}
-		res, err := experiments.SweepScenariosStore(workers, sctx.st, scs)
-		if err != nil {
+		res, done, err := sweepScenarios(w, scs, workers, jsonOut, sctx)
+		if err != nil || done {
 			return err
 		}
 		t, err := experiments.RenderFigure(f.Figure, scs, res)
@@ -811,27 +811,18 @@ func campaignGrid(apps, modesFlag, procsFlag, degreesFlag string, iters, tasks i
 
 // runCampaign executes the campaign grid and reports the aggregates. With
 // an active shard it runs campaign.Populate instead — only the owned
-// trials are simulated, and mergeable per-scenario aggregates land in the
-// store. The merge pass cross-checks every complete stored shard scheme
-// against the pooled statistics before reporting.
+// trials are simulated, mergeable per-scenario aggregates land in the
+// store, and the report is the populate summary. The merge pass
+// cross-checks every complete stored shard scheme against the pooled
+// statistics before reporting.
 func runCampaign(w io.Writer, cfg campaign.Config, scs []campaign.Scenario,
 	netLabel, machineLabel string, jsonOut bool, sctx storeCtx) error {
 	cfg.Store = sctx.st
 	if sctx.shard.Active() {
-		stats, err := campaign.Populate(cfg, scs, sctx.shard)
-		if err != nil {
+		if _, err := campaign.Populate(cfg, scs, sctx.shard); err != nil {
 			return err
 		}
-		if jsonOut {
-			emitJSON(w, struct {
-				Shard string `json:"shard"`
-				campaign.PopulateStats
-			}{sctx.shard.String(), stats})
-			return nil
-		}
-		fmt.Fprintf(w, "shard %s: %d scenarios × %d trials; sweep: %d unique, %d owned, %d simulated, %d store hits; %d ccr replays; %d aggregate records\n",
-			sctx.shard, stats.Scenarios, stats.Trials, stats.Sweep.Unique, stats.Sweep.Owned,
-			stats.Sweep.Simulated, stats.Sweep.Hits, stats.CCRReplays, stats.AggRecords)
+		reportShard(w, sctx, jsonOut)
 		return nil
 	}
 	res, err := campaign.Run(cfg, scs)
@@ -859,25 +850,16 @@ func runCampaign(w io.Writer, cfg campaign.Config, scs []campaign.Scenario,
 
 // runJobStream runs a workload scenario file through the jobstream
 // subsystem. With an active shard it populates the store with the owned
-// cells instead; a merge (or any run over a warm store) serves every cell
-// from the store, so its output is byte-identical to a cold
-// single-process run.
+// cells instead and reports the populate summary; a merge (or any run
+// over a warm store) serves every cell from the store, so its output is
+// byte-identical to a cold single-process run.
 func runJobStream(w io.Writer, f *scenario.File, cfg jobstream.Config, jsonOut bool, sctx storeCtx) error {
 	cfg.Store = sctx.st
 	if sctx.shard.Active() {
-		stats, err := jobstream.Populate(cfg, f.Workload, sctx.shard)
-		if err != nil {
+		if _, err := jobstream.Populate(cfg, f.Workload, sctx.shard); err != nil {
 			return err
 		}
-		if jsonOut {
-			emitJSON(w, struct {
-				Shard string `json:"shard"`
-				jobstream.PopulateStats
-			}{sctx.shard.String(), stats})
-			return nil
-		}
-		fmt.Fprintf(w, "shard %s: %d cells, %d owned, %d simulated, %d store hits\n",
-			sctx.shard, stats.Cells, stats.Owned, stats.Simulated, stats.Hits)
+		reportShard(w, sctx, jsonOut)
 		return nil
 	}
 	res, err := jobstream.Run(cfg, f.Workload)

@@ -167,12 +167,14 @@ type Config struct {
 	CkptRestart float64
 	CkptTau     float64
 
-	// Store, when non-nil, backs every simulation with the persistent
-	// result cache: references and replicated trials already present are
-	// served without simulating, fresh ones are appended, and the
-	// campaign's per-scenario aggregates are persisted as mergeable
-	// count/sum/sumsq records (see Populate for the sharded producer).
-	// The aggregate output is byte-identical with or without a store.
+	// Store, when non-nil, backs the references and replicated trials with
+	// the persistent result cache: points already present are served
+	// without simulating, fresh ones are appended (ccr replays are cheap
+	// and always recomputed). Each run also appends its per-scenario
+	// aggregates as mergeable count/sum/sumsq records under its shard
+	// label — 0/1 for Run, i/N for Populate. Those are written, never
+	// served: only VerifyStoredAggregates reads them back. The aggregate
+	// output is byte-identical with or without a store.
 	Store *store.Store
 }
 
@@ -374,6 +376,29 @@ func (cfg Config) trials() int {
 // points — all fanned out over the worker count, then the deterministic
 // aggregation including the measured crossovers.
 func Run(cfg Config, scenarios []Scenario) (*Result, error) {
+	return run(cfg, scenarios, store.Shard{})
+}
+
+// Populate is Run restricted to the trials shard sh owns, the build phase
+// of a multi-process campaign. The references run in full on every shard
+// (store-backed, so later shards hit the first one's records); replicated
+// trials are partitioned by unique sweep point, exactly as
+// experiments.PopulateStore partitions them, and ccr trials by trial
+// index. The returned Result aggregates only this shard's trials, and the
+// same partial aggregates are persisted as one mergeable record per
+// scenario. After every shard of the scheme has run, Run against the
+// merged store performs zero simulations and reproduces the
+// single-process campaign byte for byte, and VerifyStoredAggregates
+// cross-checks the pooled statistics against the merged shard aggregates.
+func Populate(cfg Config, scenarios []Scenario, sh store.Shard) (*Result, error) {
+	if cfg.Store == nil {
+		return nil, fmt.Errorf("campaign: Populate needs Config.Store")
+	}
+	return run(cfg, scenarios, sh)
+}
+
+// run is Run over the trials shard sh owns (all of them when inactive).
+func run(cfg Config, scenarios []Scenario, sh store.Shard) (*Result, error) {
 	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d scenarios, measuring references", len(scenarios)))
 	pts, err := PreparePoints(cfg, scenarios)
 	if err != nil {
@@ -386,7 +411,7 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 		tallies[i], counts[i] = &Tally{Point: p}, trials
 	}
 	experiments.Progress.SetStatus(fmt.Sprintf("campaign: %d trials per scenario", trials))
-	if err := RunTrials(cfg.Workers, cfg.Store, tallies, counts); err != nil {
+	if err := runTrials(cfg.Workers, cfg.Store, sh, tallies, counts); err != nil {
 		return nil, err
 	}
 	experiments.Progress.SetStatus("campaign: aggregating")
@@ -398,10 +423,11 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 		out.Scenarios = append(out.Scenarios, tl.scenarioResult())
 	}
 	out.Crossovers = crossovers(pts, out.Scenarios)
-	// A store-backed run persists its (whole-campaign) aggregates, so a
-	// later merge can cross-check them against any sharded scheme's.
+	// A store-backed run persists its aggregates under its shard label, so
+	// a later merge can cross-check any complete scheme against the pooled
+	// statistics.
 	if cfg.Store != nil {
-		if err := persistAggregates(cfg.Store, store.Shard{}, cfg, trials, scenarios, aggs); err != nil {
+		if err := persistAggregates(cfg.Store, sh, cfg, trials, scenarios, aggs); err != nil {
 			return nil, err
 		}
 	}
@@ -414,7 +440,9 @@ func (tl *Tally) scenarioResult() ScenarioResult {
 	p := tl.Point
 	sc := p.Scenario.Point
 	cs := tl.Crashes
-	cs.MeanPerTrial = float64(cs.Total) / float64(tl.N)
+	if tl.N > 0 { // a shard may own none of a point's trials
+		cs.MeanPerTrial = float64(cs.Total) / float64(tl.N)
+	}
 	an := Analytic{
 		CkptDeltaSeconds:   p.Delta,
 		CkptRestartSeconds: p.Restart,

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -99,78 +98,6 @@ func persistAggregates(st *store.Store, sh store.Shard, cfg Config, trials int, 
 		}
 	}
 	return nil
-}
-
-// PopulateStats summarizes one shard's campaign populate pass.
-type PopulateStats struct {
-	Scenarios  int                       `json:"scenarios"`   // campaign grid points
-	Trials     int                       `json:"trials"`      // trials per scenario (whole campaign)
-	Sweep      experiments.PopulateStats `json:"sweep"`       // replicated trial sweep, this shard's slice
-	CCRReplays int                       `json:"ccr_replays"` // ccr replays this shard ran
-	AggRecords int                       `json:"agg_records"` // aggregate records persisted
-}
-
-// Populate runs one shard's slice of a campaign and persists everything a
-// later merge needs: the references (store-backed, shared by all shards
-// through first-write-wins dedup), the owned replicated trial simulations
-// (partitioned by unique spec, exactly as experiments.PopulateStore), and
-// one mergeable aggregate record per scenario covering the trials this
-// shard owns — replicated trials by spec ownership, ccr replays by trial
-// index. After every shard of the scheme has run, `Run` against the
-// merged store performs zero simulations and reproduces the
-// single-process campaign byte for byte, and VerifyStoredAggregates
-// cross-checks the pooled statistics against the merged shard aggregates.
-func Populate(cfg Config, scenarios []Scenario, sh store.Shard) (PopulateStats, error) {
-	st := cfg.Store
-	if st == nil {
-		return PopulateStats{}, fmt.Errorf("campaign: Populate needs Config.Store")
-	}
-	pts, err := PreparePoints(cfg, scenarios)
-	if err != nil {
-		return PopulateStats{}, err
-	}
-	trials := cfg.trials()
-	var specs []experiments.Spec
-	for _, p := range pts {
-		for t := 0; t < trials && !p.IsCCR(); t++ {
-			spec, _ := p.TrialSpec(t)
-			specs = append(specs, spec)
-		}
-	}
-	res, ok, sstats, err := experiments.PopulateStore(cfg.Workers, st, sh, specs)
-	if err != nil {
-		return PopulateStats{}, fmt.Errorf("campaign trials: %w", err)
-	}
-	stats := PopulateStats{Scenarios: len(pts), Trials: trials, Sweep: sstats}
-
-	// Partial aggregates over this shard's trials, folded exactly as
-	// RunTrials folds them: the merge cross-check depends on every shard
-	// producing bit-identical per-trial values.
-	aggs := make([][3]Agg, len(pts))
-	next := 0
-	for i, p := range pts {
-		tl := Tally{Point: p}
-		for t := 0; t < trials; t++ {
-			if p.IsCCR() {
-				if sh.Owns(t) {
-					tr := p.CCRTrial(t)
-					tl.fold(tr.Makespan, tr.Failures)
-					stats.CCRReplays++
-				}
-				continue
-			}
-			if r := res[next]; ok[next] {
-				tl.fold(r.Measure.Wall.Seconds(), r.Crashes)
-			}
-			next++
-		}
-		aggs[i] = tl.Aggs
-	}
-	if err := persistAggregates(st, sh, cfg, trials, scenarios, aggs); err != nil {
-		return PopulateStats{}, err
-	}
-	stats.AggRecords = len(scenarios)
-	return stats, nil
 }
 
 // ulpEq reports whether two float64s are equal to within one unit in the

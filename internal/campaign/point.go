@@ -266,6 +266,14 @@ func (tl *Tally) fold(wall float64, crashes int) {
 // fan out over the same worker count. Neither the fan-out nor the way a
 // prefix is split into calls can change an aggregate.
 func RunTrials(workers int, st *store.Store, tallies []*Tally, counts []int) error {
+	return runTrials(workers, st, store.Shard{}, tallies, counts)
+}
+
+// runTrials is RunTrials folding only the trials shard sh owns: replicated
+// trials by the sweep's ownership mask (unique sweep point index, see
+// experiments.PopulateStore), ccr trials by trial index. A sharded tally
+// therefore counts this shard's trials rather than a stream prefix.
+func runTrials(workers int, st *store.Store, sh store.Shard, tallies []*Tally, counts []int) error {
 	var specs []experiments.Spec
 	var draws []fault.Draw
 	type replay struct{ tally, trial int }
@@ -273,7 +281,9 @@ func RunTrials(workers int, st *store.Store, tallies []*Tally, counts []int) err
 	for i, tl := range tallies {
 		for t := tl.N; t < tl.N+counts[i]; t++ {
 			if tl.Point.IsCCR() {
-				replays = append(replays, replay{i, t})
+				if sh.Owns(t) {
+					replays = append(replays, replay{i, t})
+				}
 				continue
 			}
 			spec, d := tl.Point.TrialSpec(t)
@@ -281,7 +291,7 @@ func RunTrials(workers int, st *store.Store, tallies []*Tally, counts []int) err
 			draws = append(draws, d)
 		}
 	}
-	res, err := experiments.SweepStore(workers, st, specs)
+	res, owned, err := experiments.PopulateStore(workers, st, sh, specs)
 	if err != nil {
 		return fmt.Errorf("campaign trials: %w", err)
 	}
@@ -291,15 +301,21 @@ func RunTrials(workers int, st *store.Store, tallies []*Tally, counts []int) err
 	})
 	next, nextCCR := 0, 0
 	for i, tl := range tallies {
-		for range counts[i] {
+		first := tl.N // fold advances N
+		for t := first; t < first+counts[i]; t++ {
 			if tl.Point.IsCCR() {
-				tr := ccr[nextCCR]
-				nextCCR++
-				tl.fold(tr.Makespan, tr.Failures)
+				if sh.Owns(t) {
+					tr := ccr[nextCCR]
+					nextCCR++
+					tl.fold(tr.Makespan, tr.Failures)
+				}
 				continue
 			}
-			r, d := res[next], draws[next]
+			r, d, ok := res[next], draws[next], owned[next]
 			next++
+			if !ok {
+				continue
+			}
 			tl.fold(r.Measure.Wall.Seconds(), r.Crashes)
 			if d.Suppressed > 0 {
 				tl.Crashes.SuppressedKills += d.Suppressed

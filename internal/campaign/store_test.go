@@ -45,6 +45,7 @@ func TestCampaignShardedMergeByteIdentical(t *testing.T) {
 	const shards = 3
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(1))
+	owned := make([]int, len(scs)) // trials per scenario, summed over shards
 	for _, i := range rng.Perm(shards) {
 		sh := store.Shard{Index: i, Count: shards}
 		st, err := store.Open(dir, sh.String())
@@ -53,18 +54,26 @@ func TestCampaignShardedMergeByteIdentical(t *testing.T) {
 		}
 		cfg := base
 		cfg.Store = st
-		pstats, err := campaign.Populate(cfg, scs, sh)
+		part, err := campaign.Populate(cfg, scs, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pstats.Scenarios != len(scs) || pstats.Trials != 9 || pstats.AggRecords != len(scs) {
-			t.Fatalf("shard %v populate stats: %+v", sh, pstats)
+		if part.Trials != 9 || len(part.Scenarios) != len(scs) {
+			t.Fatalf("shard %v partial result: %d trials, %d scenarios", sh, part.Trials, len(part.Scenarios))
 		}
-		if pstats.CCRReplays != 3 {
-			t.Fatalf("shard %v replayed %d ccr trials, want 3 of 9", sh, pstats.CCRReplays)
+		for k, sr := range part.Scenarios {
+			owned[k] += sr.Trials
+		}
+		if ccr := part.Scenarios[len(scs)-1]; ccr.Trials != 3 {
+			t.Fatalf("shard %v replayed %d ccr trials, want 3 of 9", sh, ccr.Trials)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for k, n := range owned {
+		if n != 9 {
+			t.Fatalf("scenario %d: shards own %d trials, want a partition of 9", k, n)
 		}
 	}
 
@@ -82,9 +91,10 @@ func TestCampaignShardedMergeByteIdentical(t *testing.T) {
 	if got := campaignJSON(t, merged); got != want {
 		t.Fatalf("merged campaign diverges from the storeless single-process run:\n%s\nvs\n%s", got, want)
 	}
-	// Zero simulations at merge time: every sweep point was a store hit.
-	// The merge's own puts are exactly its whole-campaign aggregate records.
-	if s := st.Stats(); s.Misses != 0 || s.Puts != int64(len(scs)) {
+	// Zero simulations at merge time: every sweep point was a store hit,
+	// and no shard simulated a point another had. The merge's own puts are
+	// exactly its whole-campaign aggregate records.
+	if s := st.Stats(); s.Misses != 0 || s.Dupes != 0 || s.Puts != int64(len(scs)) {
 		t.Fatalf("merge run was not fully warm: %+v", s)
 	}
 	verified, err := campaign.VerifyStoredAggregates(cfg, scs, merged)

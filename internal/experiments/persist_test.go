@@ -84,21 +84,21 @@ func TestResultRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, ok := decodeResult(raw)
-	if !ok {
-		t.Fatal("round-trip decode failed")
+	var back resultWire
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("round-trip decode failed: %v", err)
 	}
-	if !reflect.DeepEqual(r, back) {
-		t.Fatalf("round trip not exact:\n%+v\nvs\n%+v", r, back)
+	if !reflect.DeepEqual(r, back.Result) {
+		t.Fatalf("round trip not exact:\n%+v\nvs\n%+v", r, back.Result)
 	}
-	if back.Measure.samples != r.Measure.samples {
-		t.Fatalf("sample count lost: %d vs %d", back.Measure.samples, r.Measure.samples)
+	if back.Result.Measure.samples != r.Measure.samples {
+		t.Fatalf("sample count lost: %d vs %d", back.Result.Measure.samples, r.Measure.samples)
 	}
 	// A payload without its measure is a miss, never a half-result.
-	if _, ok := decodeResult([]byte(`{"result":{"name":"x"}}`)); ok {
+	if err := json.Unmarshal([]byte(`{"result":{"name":"x"}}`), &back); err == nil {
 		t.Fatal("measureless payload must decode as a miss")
 	}
-	if _, ok := decodeResult([]byte(`{broken`)); ok {
+	if err := json.Unmarshal([]byte(`{broken`), &back); err == nil {
 		t.Fatal("garbage payload must decode as a miss")
 	}
 }
@@ -124,23 +124,22 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 		for i := range ownedBy {
 			ownedBy[i] = -1
 		}
-		totalSim := 0
+		var puts int64
 		for _, i := range rng.Perm(shards) {
 			sh := store.Shard{Index: i, Count: shards}
 			st := openStore(t, dir, sh.String())
-			res, ok, stats, err := PopulateStore(2, st, sh, specs)
+			res, owned, err := PopulateStore(2, st, sh, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.Specs != len(specs) || stats.Unique != 4 || stats.Unkeyed != 0 {
-				t.Fatalf("shard %v stats: %+v", sh, stats)
+			// Every point a shard claims is simulated and persisted by it:
+			// disjoint shards never hit each other's work.
+			if s := st.Stats(); s.Hits != 0 || s.Misses != s.Puts {
+				t.Fatalf("shard %v store traffic: %+v", sh, s)
 			}
-			if stats.Hits != 0 {
-				t.Fatalf("disjoint shards must not hit each other's work: %+v", stats)
-			}
-			totalSim += stats.Simulated
-			for j, owned := range ok {
-				if !owned {
+			puts += st.Stats().Puts
+			for j, ok := range owned {
+				if !ok {
 					continue
 				}
 				if ownedBy[j] != -1 {
@@ -155,8 +154,8 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if totalSim != 4 {
-			t.Fatalf("round %d: %d simulations across shards, want each unique point once (4)", round, totalSim)
+		if puts != 4 {
+			t.Fatalf("round %d: %d simulations across shards, want each unique point once (4)", round, puts)
 		}
 		for j, owner := range ownedBy {
 			if owner == -1 {
@@ -172,7 +171,7 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 		if got := canonicalize(t, merged); got != want {
 			t.Fatalf("round %d: merged sweep diverges from single-process run:\n%s\nvs\n%s", round, got, want)
 		}
-		if st := mergeStore.Stats(); st.Misses != 0 || st.Puts != 0 {
+		if st := mergeStore.Stats(); st.Misses != 0 || st.Puts != 0 || st.Dupes != 0 {
 			t.Fatalf("round %d: merge run had to simulate: %+v", round, st)
 		}
 	}
@@ -192,12 +191,12 @@ func TestPopulateStoreUnkeyedSpecs(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		sh := store.Shard{Index: i, Count: 2}
 		st := openStore(t, dir, sh.String())
-		_, ok, stats, err := PopulateStore(1, st, sh, specs)
+		_, owned, err := PopulateStore(1, st, sh, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Unkeyed != 1 || ok[len(specs)-1] {
-			t.Fatalf("shard %v must skip the unkeyed spec: %+v ok=%v", sh, stats, ok)
+		if owned[len(specs)-1] {
+			t.Fatalf("shard %v must skip the unkeyed spec: owned=%v", sh, owned)
 		}
 	}
 	st := openStore(t, dir, "merge")
@@ -278,5 +277,48 @@ func TestStoreCorruptionResimulated(t *testing.T) {
 	}
 	if canonicalize(t, res2) != canonicalize(t, fresh) {
 		t.Fatal("undecodable record served instead of re-simulating")
+	}
+}
+
+// TestStaleRecordReplaced: a record that passes its checksum but does not
+// decode (an older schema's payload) is a store miss, and the fresh
+// result replaces it in the merged view, so a Compact persists the good
+// record and the next run over the reopened store is fully warm.
+func TestStaleRecordReplaced(t *testing.T) {
+	dir := t.TempDir()
+	specs := smallSpecs()[:1]
+	_, keys, _ := dedupe(specs)
+	addr := store.Key(keys[0])
+	st := openStore(t, dir, "stale")
+	if err := st.Put(resultKind, addr, map[string]any{"result": map[string]any{}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SweepStore(1, st, specs); err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Misses != 1 {
+		t.Fatalf("an undecodable record must count as a miss: %+v", s)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again := openStore(t, dir, "again")
+	if _, err := SweepStore(1, again, specs); err != nil {
+		t.Fatal(err)
+	}
+	if s := again.Stats(); s.Misses != 0 || s.Puts != 0 {
+		t.Fatalf("the compacted store still serves the stale record: %+v", s)
+	}
+	recs := again.Records(resultKind)
+	if len(recs) != 1 {
+		t.Fatalf("want one stored result, have %d", len(recs))
+	}
+	var w resultWire
+	if err := json.Unmarshal(recs[0].Payload, &w); err != nil {
+		t.Fatalf("compacted payload does not decode: %v", err)
 	}
 }

@@ -190,17 +190,11 @@ func SpecFor(sc scenario.Scenario) (Spec, error) {
 // SweepScenarios validates and runs a scenario list through the sweep
 // pool, in order.
 func SweepScenarios(workers int, scs []scenario.Scenario) ([]Result, error) {
-	return SweepScenariosStore(workers, nil, scs)
-}
-
-// SweepScenariosStore is SweepScenarios backed by a persistent result
-// store (nil = in-memory only).
-func SweepScenariosStore(workers int, st *store.Store, scs []scenario.Scenario) ([]Result, error) {
 	specs, err := SpecsFor(scs)
 	if err != nil {
 		return nil, err
 	}
-	return SweepStore(workers, st, specs)
+	return SweepN(workers, specs)
 }
 
 // SpecsFor converts a scenario list into sweep points, in order.
@@ -374,40 +368,83 @@ func forEachPooled(workers, n int, fn func(eng *sim.Engine, sc *mpi.Scratch, j i
 // originally simulated it (the memo overlay below is applied after store
 // lookup, so Memoized flags are untouched by store warmth).
 func SweepStore(workers int, st *store.Store, specs []Spec) ([]Result, error) {
+	out, _, err := PopulateStore(workers, st, store.Shard{}, specs)
+	return out, err
+}
+
+// PopulateStore is SweepStore restricted to the unique points shard sh
+// owns: the build phase of a multi-process sweep. Every shard derives the
+// identical deduplicated point list (the memo key is content-addressed)
+// and claims the keyed unique points whose index it owns — an exact
+// partition, so N shards together simulate each unique point exactly once
+// and their merged store lets a final plain run emit the single-process
+// JSON with zero simulations. Unkeyed points are claimed by no shard
+// (their results cannot outlive the process) and left to the merge run.
+// An inactive shard owns every point.
+//
+// It returns the results in spec order alongside an ownership mask:
+// owned[i] reports whether specs[i] resolved to an owned unique point,
+// and results of unowned specs are left zero.
+func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (out []Result, owned []bool, err error) {
 	uniq, keys, uniqOf := dedupe(specs)
+	claimed := make([]bool, len(uniq))
+	var todo []int // the claimed unique points
+	for j, key := range keys {
+		if claimed[j] = !sh.Active() || key != "" && sh.Owns(j); claimed[j] {
+			todo = append(todo, j)
+		}
+	}
 	runs := make([]Result, len(uniq))
 	errs := make([]error, len(uniq))
-	Progress.Plan(len(uniq))
-	forEachPooled(workers, len(uniq), func(eng *sim.Engine, sc *mpi.Scratch, j int) {
-		runs[j], _, errs[j] = runOrLoad(eng, sc, st, uniq[j], keys[j])
-		Progress.Done()
+	Progress.Plan(len(todo))
+	forEachPooled(workers, len(todo), func(eng *sim.Engine, sc *mpi.Scratch, k int) {
+		defer Progress.Done()
+		j := todo[k]
+		addr := ""
+		if st != nil && keys[j] != "" {
+			addr = store.Key(keys[j])
+		}
+		w, _, err := store.GetOrCompute(st, resultKind, addr, func() (resultWire, error) {
+			r, err := runSpec(eng, sc, uniq[j])
+			if err != nil {
+				return resultWire{}, err
+			}
+			return encodeResult(r), nil
+		})
+		runs[j], errs[j] = w.Result, err
 	})
 
 	// Report the first failure in spec order, so the error is the same
 	// whatever the worker count.
 	for i, s := range specs {
 		if err := errs[uniqOf[i]]; err != nil {
-			return nil, fmt.Errorf("sweep %q: %w", s.Name, err)
+			return nil, nil, fmt.Errorf("sweep %q: %w", s.Name, err)
 		}
 	}
 
-	out := make([]Result, len(specs))
+	out = make([]Result, len(specs))
+	owned = make([]bool, len(specs))
 	seen := make([]bool, len(uniq))
 	for i, s := range specs {
-		r := runs[uniqOf[i]]
+		j := uniqOf[i]
+		if !claimed[j] {
+			continue
+		}
+		r := runs[j]
 		r.Name = s.Name
 		// The memo can serve one spec from another mode's identical
 		// simulation (ccr <-> native); the reported mode is always the
 		// spec's own.
 		r.Mode = s.Mode.String()
-		if seen[uniqOf[i]] {
+		if seen[j] {
 			r.Memoized = true
 			r.ElapsedMS = 0
 		}
-		seen[uniqOf[i]] = true
+		seen[j] = true
 		out[i] = r
+		owned[i] = true
 	}
-	return out, nil
+	return out, owned, nil
 }
 
 // runSpec simulates one sweep point. eng, when non-nil, is a Reset pooled

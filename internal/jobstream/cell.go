@@ -36,7 +36,7 @@ type classCtx struct {
 // simulated once and persist alongside everything else). The replicated
 // job keeps the native per-rank problem — replication is a footprint
 // decision, not a problem resizing.
-func buildClasses(w *scenario.Workload, r Runner) ([]classCtx, error) {
+func buildClasses(w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
 	out := make([]classCtx, len(w.Mix))
 	for i, c := range w.Mix {
 		base := scenario.Scenario{
@@ -81,7 +81,7 @@ type cellParams struct {
 	scheduler string
 	policy    string
 	classes   []classCtx
-	runner    Runner
+	runner    *memoRunner
 }
 
 // cellWire is one cell's measured outcome — the stored and aggregated

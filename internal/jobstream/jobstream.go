@@ -133,7 +133,7 @@ type Result struct {
 // the effective seed, the canonical cell list, the class contexts (their
 // reference simulations run here, through the store when one is set) and
 // the per-cell store keys.
-func prepare(cfg Config, w *scenario.Workload, r Runner) (cells []cell, groups int, seed int64, classes []classCtx, keys []string, err error) {
+func prepare(cfg Config, w *scenario.Workload, r *memoRunner) (cells []cell, groups int, seed int64, classes []classCtx, keys []string, err error) {
 	if err = w.Validate(); err != nil {
 		return
 	}
@@ -164,21 +164,37 @@ func prepare(cfg Config, w *scenario.Workload, r Runner) (cells []cell, groups i
 // trial aggregates per group. Output is byte-identical at any worker
 // count and any store temperature.
 func Run(cfg Config, w *scenario.Workload) (*Result, error) {
+	return run(cfg, w, store.Shard{})
+}
+
+// run is Run over the cells shard sh owns (all of them when inactive):
+// cells are claimed by canonical index, and each group aggregates only
+// its owned trials.
+func run(cfg Config, w *scenario.Workload, sh store.Shard) (*Result, error) {
 	runner := newMemoRunner(cfg.Store)
 	cells, groups, seed, classes, keys, err := prepare(cfg, w, runner)
 	if err != nil {
 		return nil, err
 	}
+	var owned []int
+	for i := range cells {
+		if sh.Owns(i) {
+			owned = append(owned, i)
+		}
+	}
 	wires := make([]cellWire, len(cells))
 	errs := make([]error, len(cells))
-	experiments.Progress.Plan(len(cells))
-	experiments.ForEach(cfg.Workers, len(cells), func(_, i int) {
+	experiments.Progress.Plan(len(owned))
+	experiments.ForEach(cfg.Workers, len(owned), func(_, k int) {
 		defer experiments.Progress.Done()
+		i := owned[k]
 		c := cells[i]
-		wires[i], _, errs[i] = runOrLoadCell(cfg.Store, keys[i], cellParams{
-			w: w, rate: c.rate, seed: seed, trial: c.trial,
-			scheduler: c.scheduler, policy: c.policy,
-			classes: classes, runner: runner,
+		wires[i], _, errs[i] = store.GetOrCompute(cfg.Store, cellKind, keys[i], func() (cellWire, error) {
+			return runCell(cellParams{
+				w: w, rate: c.rate, seed: seed, trial: c.trial,
+				scheduler: c.scheduler, policy: c.policy,
+				classes: classes, runner: runner,
+			})
 		})
 	})
 	for i, err := range errs {
@@ -194,11 +210,10 @@ func Run(cfg Config, w *scenario.Workload) (*Result, error) {
 	}
 	type aggs struct{ thr, bsld, p95, wait, util, good campaign.Agg }
 	acc := make([]aggs, groups)
-	for i, c := range cells {
+	for _, i := range owned {
+		c := cells[i]
 		g := &res.Groups[c.group]
-		if g.Trials == 0 {
-			g.RateJobsPerSec, g.Scheduler, g.Policy = c.rate, c.scheduler, c.policy
-		}
+		g.RateJobsPerSec, g.Scheduler, g.Policy = c.rate, c.scheduler, c.policy
 		g.Trials++
 		cw := wires[i]
 		g.Jobs += cw.Jobs

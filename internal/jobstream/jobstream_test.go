@@ -320,7 +320,8 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 	}
 
 	// Three populate shards partition the cells exactly; the merged store
-	// then serves a full Run without a single simulation.
+	// then serves a full Run without a single simulation, and holds no
+	// record twice (no shard simulated a cell another shard owns).
 	dir2 := t.TempDir()
 	totalOwned := 0
 	for i := 0; i < 3; i++ {
@@ -332,16 +333,12 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := Populate(Config{Trials: 2, Store: sst}, w, sh)
+		part, err := Populate(Config{Trials: 2, Store: sst}, w, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Owned != stats.Hits+stats.Simulated {
-			t.Fatalf("shard %d stats do not add up: %+v", i, stats)
-		}
-		totalOwned += stats.Owned
-		if stats.Cells != 8 {
-			t.Fatalf("shard %d sees %d cells, want 8", i, stats.Cells)
+		for _, g := range part.Groups {
+			totalOwned += g.Trials
 		}
 		if err := sst.Close(); err != nil {
 			t.Fatal(err)
@@ -361,8 +358,8 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 	if resultJSON(t, merged) != want {
 		t.Fatal("merged run diverged from plain run")
 	}
-	if s := mst.Stats(); s.Misses != 0 {
-		t.Fatalf("merged run should be fully warm: %s", s.String())
+	if s := mst.Stats(); s.Misses != 0 || s.Dupes != 0 {
+		t.Fatalf("merged run should be fully warm over disjoint shards: %s", s.String())
 	}
 	if err := mst.Close(); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
@@ -32,88 +31,18 @@ func cellKey(streamFP, scheduler, policy string, trial int, seed int64) string {
 	return store.Key(string(b))
 }
 
-// runOrLoadCell serves one cell from the store when warm, simulating and
-// persisting it otherwise. A payload that does not decode is a cache miss
-// (the store's corruption convention), never a stand-in result. The bool
-// reports a store hit.
-func runOrLoadCell(st *store.Store, key string, p cellParams) (cellWire, bool, error) {
-	if st != nil {
-		if raw, ok := st.Get(cellKind, key); ok {
-			var cw cellWire
-			if err := json.Unmarshal(raw, &cw); err == nil {
-				return cw, true, nil
-			}
-		}
-	}
-	cw, err := runCell(p)
-	if err != nil {
-		return cellWire{}, false, err
-	}
-	if st != nil {
-		if err := st.Put(cellKind, key, cw); err != nil {
-			return cellWire{}, false, err
-		}
-	}
-	return cw, false, nil
-}
-
-// PopulateStats summarizes one shard's jobstream populate pass.
-type PopulateStats struct {
-	Cells     int `json:"cells"`     // cells in the whole run
-	Owned     int `json:"owned"`     // cells this shard is responsible for
-	Hits      int `json:"hits"`      // owned cells served from the store
-	Simulated int `json:"simulated"` // owned cells simulated (and persisted)
-}
-
-// Populate runs one shard's slice of a workload and persists everything a
-// later merge needs: the class reference simulations (store-backed and
-// shared by all shards through first-write-wins), the owned cells' inner
-// job simulations, and the owned cell records themselves. Cells are
-// claimed by canonical index modulo the shard count — an exact partition,
-// so after every shard has run, a plain Run against the merged store
-// serves every cell warm and emits the single-process JSON with zero
-// simulations.
-func Populate(cfg Config, w *scenario.Workload, sh store.Shard) (PopulateStats, error) {
+// Populate is Run restricted to the cells shard sh owns, the build phase
+// of a multi-process run. It persists everything a later merge needs: the
+// class reference simulations (store-backed, so later shards hit the
+// first one's records), the owned cells' inner job simulations, and the
+// owned cell records themselves. Cells are claimed by canonical index
+// modulo the shard count — an exact partition, so after every shard has
+// run, a plain Run against the merged store serves every cell warm and
+// emits the single-process JSON with zero simulations. The returned
+// Result aggregates only this shard's cells.
+func Populate(cfg Config, w *scenario.Workload, sh store.Shard) (*Result, error) {
 	if cfg.Store == nil {
-		return PopulateStats{}, fmt.Errorf("jobstream: Populate needs Config.Store")
+		return nil, fmt.Errorf("jobstream: Populate needs Config.Store")
 	}
-	runner := newMemoRunner(cfg.Store)
-	cells, _, seed, classes, keys, err := prepare(cfg, w, runner)
-	if err != nil {
-		return PopulateStats{}, err
-	}
-	stats := PopulateStats{Cells: len(cells)}
-	owned := make([]int, 0, len(cells))
-	for i := range cells {
-		if sh.Owns(i) {
-			owned = append(owned, i)
-		}
-	}
-	stats.Owned = len(owned)
-
-	hits := make([]bool, len(owned))
-	errs := make([]error, len(owned))
-	experiments.Progress.Plan(len(owned))
-	experiments.ForEach(cfg.Workers, len(owned), func(_, k int) {
-		defer experiments.Progress.Done()
-		i := owned[k]
-		c := cells[i]
-		_, hits[k], errs[k] = runOrLoadCell(cfg.Store, keys[i], cellParams{
-			w: w, rate: c.rate, seed: seed, trial: c.trial,
-			scheduler: c.scheduler, policy: c.policy,
-			classes: classes, runner: runner,
-		})
-	})
-	for k, err := range errs {
-		if err != nil {
-			c := cells[owned[k]]
-			return stats, fmt.Errorf("jobstream: rate %g %s/%s trial %d: %w", c.rate, c.scheduler, c.policy, c.trial, err)
-		}
-		if hits[k] {
-			stats.Hits++
-		} else {
-			stats.Simulated++
-		}
-	}
-	return stats, nil
+	return run(cfg, w, sh)
 }

@@ -155,6 +155,107 @@ func TestFlippedByte(t *testing.T) {
 	}
 }
 
+// TestCorruptFinalRecord flips a byte inside a complete, newline-terminated
+// final record: that is corruption, not a torn append — only a final line
+// missing its newline is truncated.
+func TestCorruptFinalRecord(t *testing.T) {
+	dir := t.TempDir()
+	keys := writeStore(t, dir, 5)
+	name := shardFile(t, dir)
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	data[(last+len(data))/2] ^= 0x20
+	if err := os.WriteFile(name, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Corrupt != 1 || st.Truncated != 0 || st.Records != 4 {
+		t.Fatalf("stats %+v, want 4 live records and 1 corrupt", st)
+	}
+	if _, ok := s.Get("result", keys[4]); ok {
+		t.Fatal("corrupt record served")
+	}
+}
+
+// TestGetOrCompute pins the get-or-compute contract: a hit decodes the
+// stored payload without computing, a miss computes and persists, a nil
+// store or empty key only computes, and an undecodable payload is a miss
+// whose fresh value replaces it in the view that Compact writes out.
+func TestGetOrCompute(t *testing.T) {
+	calls := 0
+	compute := func() (payload, error) {
+		calls++
+		return payload{N: 7, S: "fresh"}, nil
+	}
+	for _, c := range []struct {
+		name string
+		s    *Store
+		key  string
+	}{{"nil store", nil, Key("a")}, {"empty key", openT(t, t.TempDir()), ""}} {
+		v, hit, err := GetOrCompute(c.s, "result", c.key, compute)
+		if err != nil || hit || v.S != "fresh" {
+			t.Fatalf("%s: %+v hit=%v err=%v", c.name, v, hit, err)
+		}
+		if c.s != nil {
+			if st := c.s.Stats(); st.Hits != 0 || st.Misses != 0 || st.Puts != 0 {
+				t.Fatalf("%s must not touch the store: %+v", c.name, st)
+			}
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("compute ran %d times, want 2", calls)
+	}
+
+	dir := t.TempDir()
+	s := openT(t, dir)
+	good, stale := Key("good"), Key("stale")
+	if err := s.Put("result", stale, []int{1}); err != nil { // does not decode into payload
+		t.Fatal(err)
+	}
+	// A miss computes and persists; the key then hits without computing.
+	if _, hit, err := GetOrCompute(s, "result", good, compute); err != nil || hit || calls != 3 {
+		t.Fatalf("cold lookup: hit=%v calls=%d err=%v", hit, calls, err)
+	}
+	if v, hit, err := GetOrCompute(s, "result", good, compute); err != nil || !hit || calls != 3 || v.S != "fresh" {
+		t.Fatalf("warm lookup: %+v hit=%v calls=%d err=%v", v, hit, calls, err)
+	}
+	if _, hit, err := GetOrCompute(s, "result", stale, compute); err != nil || hit {
+		t.Fatalf("an undecodable payload must be a miss: hit=%v err=%v", hit, err)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 2 || st.Puts != 3 || st.Records != 2 {
+		t.Fatalf("stats %+v", st)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openT(t, dir)
+	if v, hit, err := GetOrCompute(s2, "result", stale, compute); err != nil || !hit || v.S != "fresh" {
+		t.Fatalf("compacted store must serve the replacement: %+v hit=%v err=%v", v, hit, err)
+	}
+	if st := s2.Stats(); st.Misses != 0 || st.Puts != 0 || st.Dupes != 0 {
+		t.Fatalf("stats after compaction %+v", st)
+	}
+}
+
+// openT opens a store over dir, closing it with the test.
+func openT(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // TestDuplicateRecords concatenates a shard file with itself and adds a
 // re-Put of an existing key: duplicates are counted and deduplicated, the
 // view unchanged.
