@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-alloc bench bench-json lint sweep figures campaign campaign-ccr explore check-docs validate-scenarios
+.PHONY: build test test-alloc bench lint sweep campaign campaign-ccr explore check-docs validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,6 @@ test-alloc:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# bench-json runs the substrate micro benchmarks at a real benchtime plus
-# the campaign-scale macro benchmarks, and writes BENCH_sim.json at the
-# repo root (the tracked perf trajectory; CI uploads it as an artifact).
-bench-json:
-	$(GO) run ./cmd/bench -out BENCH_sim.json $(BENCHFLAGS)
-
 lint:
 	$(GO) vet ./...
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -30,9 +24,6 @@ lint:
 
 sweep:
 	$(GO) run ./cmd/sweep -figures all
-
-figures:
-	$(GO) run ./cmd/intrasim -exp all
 
 campaign:
 	$(GO) run ./cmd/sweep -mode campaign -app gtc -procs 32 -mtbf 0.01,0.1,1
@@ -50,7 +41,16 @@ validate-scenarios:
 		$(GO) run ./cmd/sweep -spec $$f -validate || exit 1; \
 	done
 
+# Every *.md file doc.go and README.md name, and every cmd/<name> and
+# examples/<name> directory the docs name, must exist. Brace lists such as
+# cmd/{sweep,hpccg} name each of their entries.
+DOCS = README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+
 check-docs:
 	@missing=0; for f in $$(grep -ohE '[A-Z]+\.md' doc.go README.md | sort -u); do \
 		if [ ! -f "$$f" ]; then echo "missing $$f (referenced from doc.go/README.md)"; missing=1; fi; \
+	done; \
+	for d in $$(grep -ohE '(cmd|examples)/(\{[a-z0-9_,-]+\}|[a-z0-9_-]+)' $(DOCS) | \
+		awk -F/ '{ n = split($$2, e, /[{},]/); for (i = 1; i <= n; i++) if (e[i] != "") print $$1 "/" e[i] }' | sort -u); do \
+		if [ ! -d "$$d" ]; then echo "missing $$d (referenced from $(DOCS))"; missing=1; fi; \
 	done; exit $$missing

@@ -7,16 +7,14 @@ import (
 	"repro/internal/apps/hpccg"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mpi"
 	"repro/internal/perf"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 // Figure-level benchmarks: each regenerates one figure of the paper's
 // evaluation on a reduced cluster (so a bench iteration stays fast) and
 // reports the measured efficiencies as benchmark metrics. Run the full
-// paper-scale tables with: go run ./cmd/intrasim -exp all
+// paper-scale tables with: go run ./cmd/sweep -figures all
 
 func cell(b *testing.B, t *experiments.Table, row, col int) float64 {
 	b.Helper()
@@ -31,7 +29,7 @@ func cell(b *testing.B, t *experiments.Table, row, col int) float64 {
 // waxpby / ddot / sparsemv).
 func BenchmarkFig5aKernels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig5a(32, 3)
+		t, err := experiments.RunFigure("fig5a", 32, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +42,7 @@ func BenchmarkFig5aKernels(b *testing.B) {
 // BenchmarkFig5bHPCCG regenerates Figure 5b (HPCCG weak scaling).
 func BenchmarkFig5bHPCCG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig5b([]int{32}, 3)
+		t, err := experiments.RunFigure("fig5b", 32, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,10 +51,10 @@ func BenchmarkFig5bHPCCG(b *testing.B) {
 	}
 }
 
-func benchFig6(b *testing.B, fn func(int) (*experiments.Table, error), procs int) {
+func benchFig6(b *testing.B, id string, procs int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		t, err := fn(procs)
+		t, err := experiments.RunFigure(id, procs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,21 +64,21 @@ func benchFig6(b *testing.B, fn func(int) (*experiments.Table, error), procs int
 }
 
 // BenchmarkFig6aAMGPCG regenerates Figure 6a (AMG, 27-point, PCG).
-func BenchmarkFig6aAMGPCG(b *testing.B) { benchFig6(b, experiments.Fig6a, 16) }
+func BenchmarkFig6aAMGPCG(b *testing.B) { benchFig6(b, "fig6a", 16) }
 
 // BenchmarkFig6bAMGGMRES regenerates Figure 6b (AMG, 7-point, GMRES).
-func BenchmarkFig6bAMGGMRES(b *testing.B) { benchFig6(b, experiments.Fig6b, 16) }
+func BenchmarkFig6bAMGGMRES(b *testing.B) { benchFig6(b, "fig6b", 16) }
 
 // BenchmarkFig6cGTC regenerates Figure 6c (GTC particle-in-cell).
-func BenchmarkFig6cGTC(b *testing.B) { benchFig6(b, experiments.Fig6c, 16) }
+func BenchmarkFig6cGTC(b *testing.B) { benchFig6(b, "fig6c", 16) }
 
 // BenchmarkFig6dMiniGhost regenerates Figure 6d (MiniGhost stencil).
-func BenchmarkFig6dMiniGhost(b *testing.B) { benchFig6(b, experiments.Fig6d, 16) }
+func BenchmarkFig6dMiniGhost(b *testing.B) { benchFig6(b, "fig6d", 16) }
 
 // BenchmarkAblationTaskGranularity sweeps tasks/section (§V-B discussion).
 func BenchmarkAblationTaskGranularity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationTaskGranularity(16)
+		t, err := experiments.RunFigure("granularity", 16, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +91,7 @@ func BenchmarkAblationTaskGranularity(b *testing.B) {
 // (§III-B2).
 func BenchmarkAblationInoutMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationInoutMode(8)
+		t, err := experiments.RunFigure("inout", 8, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,74 +179,6 @@ func BenchmarkSweepMemo(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkSimEngineEvents measures raw event throughput of the
-// discrete-event engine.
-func BenchmarkSimEngineEvents(b *testing.B) {
-	e := sim.New()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(1, tick)
-		}
-	}
-	b.ResetTimer()
-	e.After(1, tick)
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkMPIPingPong measures simulated point-to-point messaging.
-func BenchmarkMPIPingPong(b *testing.B) {
-	e := sim.New()
-	net := simnet.New(e, simnet.InfiniBand20G, 1)
-	w := mpi.NewWorld(e, net, 2, perf.Grid5000, nil)
-	payload := make([]float64, 128)
-	w.Launch("a", 0, func(r *mpi.Rank) {
-		for i := 0; i < b.N; i++ {
-			r.Send(r.World(), 1, 0, payload, nil)
-			if _, err := r.Recv(r.World(), 1, 1); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	w.Launch("b", 1, func(r *mpi.Rank) {
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Recv(r.World(), 0, 0); err != nil {
-				b.Error(err)
-				return
-			}
-			r.Send(r.World(), 0, 1, payload, nil)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkAllreduce64 measures a 64-rank simulated allreduce per op.
-func BenchmarkAllreduce64(b *testing.B) {
-	e := sim.New()
-	net := simnet.New(e, simnet.InfiniBand20G, 16)
-	w := mpi.NewWorld(e, net, 64, perf.Grid5000, nil)
-	w.LaunchAll("p", func(r *mpi.Rank) {
-		for i := 0; i < b.N; i++ {
-			if _, err := r.AllreduceScalar(r.World(), mpi.OpSum, 1); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkIntraSection measures the full cost of one intra-parallel
 // section (8 tasks, two replicas) including update shipping.
 func BenchmarkIntraSection(b *testing.B) {
@@ -297,7 +227,7 @@ func BenchmarkHPCCGIteration(b *testing.B) {
 // BenchmarkAblationDegree measures efficiency vs replication degree.
 func BenchmarkAblationDegree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationDegree(8)
+		t, err := experiments.RunFigure("degree", 8, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

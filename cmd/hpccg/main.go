@@ -10,10 +10,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/apps/hpccg"
@@ -63,9 +66,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "hpccg: -kill requires a replicated mode")
 			os.Exit(2)
 		}
-		var rank, lane int
-		var frac float64
-		if _, err := fmt.Sscanf(strings.ReplaceAll(*kill, "@", " "), "%d:%d %f", &rank, &lane, &frac); err != nil {
+		rank, lane, frac, err := parseKill(*kill, logical)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpccg: bad -kill spec %q: %v\n", *kill, err)
 			os.Exit(2)
 		}
@@ -79,6 +81,30 @@ func main() {
 		return
 	}
 	run(mode, logical, cfg, nil, true)
+}
+
+// parseKill parses a -kill spec "rank:lane@frac" for a run of logical
+// ranks at the default replication degree. The crash must name an existing
+// replica, and frac must be finite and non-negative: the engine clamps an
+// event in the past to t=0, so a negative fraction would kill the replica
+// before it starts.
+func parseKill(spec string, logical int) (rank, lane int, frac float64, err error) {
+	replica, fracText, ok := strings.Cut(spec, "@")
+	rankText, laneText, ok2 := strings.Cut(replica, ":")
+	if !ok || !ok2 {
+		return 0, 0, 0, errors.New("want rank:lane@frac")
+	}
+	if rank, err = strconv.Atoi(rankText); err != nil || rank < 0 || rank >= logical {
+		return 0, 0, 0, fmt.Errorf("rank %q is not in [0, %d)", rankText, logical)
+	}
+	if lane, err = strconv.Atoi(laneText); err != nil || lane < 0 || lane >= scenario.DefaultDegree {
+		return 0, 0, 0, fmt.Errorf("lane %q is not in [0, %d)", laneText, scenario.DefaultDegree)
+	}
+	frac, err = strconv.ParseFloat(fracText, 64)
+	if err != nil || frac < 0 || math.IsInf(frac, 0) || math.IsNaN(frac) {
+		return 0, 0, 0, fmt.Errorf("fraction %q is not a finite number >= 0", fracText)
+	}
+	return rank, lane, frac, nil
 }
 
 func run(mode experiments.Mode, logical int, cfg hpccg.Config, sched *fault.Schedule, report bool) sim.Time {

@@ -7,5 +7,8 @@
 //
 // See README.md for a tour, DESIGN.md for the architecture and
 // substitutions, and EXPERIMENTS.md for paper-vs-measured results.
-// The root package holds only the figure-level benchmarks (bench_test.go).
+// The root package holds only benchmarks (bench_test.go): one per figure,
+// the sweep runner's, one intra-parallel section and one HPCCG iteration.
+// The benchmark suite, with its end-to-end workloads and per-layer micros,
+// is the nested perfbench module.
 package repro

@@ -9,9 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkCampaignGTC runs a full Monte Carlo campaign per op — the same
-// workload as cmd/bench's campaign-gtc-trials macro — so the trial loop can
-// be profiled in isolation with the testing harness:
+// BenchmarkCampaignGTC runs a full Monte Carlo campaign per op (GTC,
+// classic replication, 8 logical ranks, per-node MTBF 0.05 s) so the trial
+// loop can be profiled in isolation with the testing harness:
 //
 //	BENCH_TRIALS=1000 go test ./internal/campaign/ -run xxx -bench CampaignGTC -benchtime 3x
 //

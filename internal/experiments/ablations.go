@@ -7,16 +7,12 @@ import (
 	"repro/internal/scenario"
 )
 
-// AblationTaskGranularity sweeps the number of tasks per section on HPCCG
+var granularityTaskCounts = []int{1, 2, 4, 8, 16, 32, 64}
+
+// granularityScenarios sweeps the number of tasks per section on HPCCG
 // (§V-B: 8 tasks per section is the paper's default; fewer tasks reduce
 // transfer/compute overlap, more tasks add synchronization overhead). The
 // native baseline and every granularity run through one parallel sweep.
-func AblationTaskGranularity(physProcs int) (*Table, error) {
-	return figures["granularity"].Run(physProcs, 0)
-}
-
-var granularityTaskCounts = []int{1, 2, 4, 8, 16, 32, 64}
-
 func granularityScenarios(procs, iters int) ([]scenario.Scenario, error) {
 	physProcs := orDefault(procs, 64)
 	iters = orDefault(iters, 10)
@@ -65,13 +61,9 @@ func granularityRender(scs []scenario.Scenario, res []Result) (*Table, error) {
 	return t, nil
 }
 
-// AblationInoutMode compares the two protections against the Figure 2
+// inoutScenarios compares the two protections against the Figure 2
 // hazard — copy-on-receive vs atomic update application — on GTC, the
 // application with inout task arguments (§III-B2 claims similar cost).
-func AblationInoutMode(physProcs int) (*Table, error) {
-	return figures["inout"].Run(physProcs, 0)
-}
-
 func inoutScenarios(procs, iters int) ([]scenario.Scenario, error) {
 	physProcs := orDefault(procs, 64)
 	raw := scenario.MustRaw(Fig6cConfig())
@@ -110,18 +102,14 @@ func inoutRender(scs []scenario.Scenario, res []Result) (*Table, error) {
 	return t, nil
 }
 
-// AblationDegree measures intra-parallelization efficiency as a function
+var ablationDegrees = []int{2, 3}
+
+// degreeScenarios measures intra-parallelization efficiency as a function
 // of the replication degree on a fixed HPCCG problem. The paper argues
 // (§II) that degree 2 is the appropriate choice for crash failures; this
 // table shows why higher degrees do not pay: sections speed up at most
 // d-fold while the resource bill grows d-fold and the replicated parts
 // are never shared.
-func AblationDegree(logical int) (*Table, error) {
-	return figures["degree"].Run(logical, 0)
-}
-
-var ablationDegrees = []int{2, 3}
-
 func degreeScenarios(procs, iters int) ([]scenario.Scenario, error) {
 	logical := orDefault(procs, 32)
 	raw := scenario.MustRaw(hpccg.Config{

@@ -120,7 +120,7 @@ func parseEff(t *testing.T, cell string) float64 {
 // paper's qualitative result: ddot and sparsemv profit from
 // intra-parallelization, waxpby does not.
 func TestFig5aSmallShape(t *testing.T) {
-	tab, err := Fig5a(32, 4)
+	tab, err := RunFigure("fig5a", 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFig5aSmallShape(t *testing.T) {
 
 // TestFig5bSmallShape checks SDR pins at 0.5 and intra lands clearly above.
 func TestFig5bSmallShape(t *testing.T) {
-	tab, err := Fig5b([]int{32}, 4)
+	tab, err := RunFigure("fig5b", 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,18 +166,18 @@ func TestFig5bSmallShape(t *testing.T) {
 // clusters and checks the efficiency ordering of the paper: GTC > AMG-PCG >
 // AMG-GMRES > MiniGhost, with everything in (0.5, 1).
 func TestFig6SmallShapes(t *testing.T) {
-	get := func(fn func(int) (*Table, error), procs int) float64 {
+	get := func(id string, procs int) float64 {
 		t.Helper()
-		tab, err := fn(procs)
+		tab, err := RunFigure(id, procs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return parseEff(t, tab.Rows[2][5])
 	}
-	gtcEff := get(Fig6c, 16)
-	pcg := get(Fig6a, 16)
-	gmres := get(Fig6b, 16)
-	mg := get(Fig6d, 16)
+	gtcEff := get("fig6c", 16)
+	pcg := get("fig6a", 16)
+	gmres := get("fig6b", 16)
+	mg := get("fig6d", 16)
 	for name, v := range map[string]float64{"gtc": gtcEff, "pcg": pcg, "gmres": gmres, "mg": mg} {
 		if v <= 0.5 || v >= 1 {
 			t.Fatalf("%s intra efficiency %v outside (0.5, 1)", name, v)
@@ -227,7 +227,7 @@ func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep is slow")
 	}
-	tab, err := AblationTaskGranularity(16)
+	tab, err := RunFigure("granularity", 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestAblationsRun(t *testing.T) {
 	if parseEff(t, tab.Rows[0][2]) >= parseEff(t, tab.Rows[3][2]) {
 		t.Fatal("1 task should be worse than 8 tasks")
 	}
-	inout, err := AblationInoutMode(8)
+	inout, err := RunFigure("inout", 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestAblationsRun(t *testing.T) {
 // TestAblationDegree checks the §II argument: degree 2 is the sweet spot;
 // degree 3 costs efficiency.
 func TestAblationDegree(t *testing.T) {
-	tab, err := AblationDegree(8)
+	tab, err := RunFigure("degree", 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

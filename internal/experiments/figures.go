@@ -58,17 +58,9 @@ func measures(res []Result) []*Measure {
 	return ms
 }
 
-// Fig5a regenerates Figure 5a: normalized per-kernel execution time and
-// efficiency for waxpby, ddot and sparsemv on 512 physical processes, with
-// the time spent on non-overlapped update transfers.
-func Fig5a(physProcs, iters int) (*Table, error) {
-	scs, err := fig5aScenarios(physProcs, iters)
-	if err != nil {
-		return nil, err
-	}
-	return runFigure(scs, fig5aRender)
-}
-
+// fig5aScenarios declares Figure 5a: normalized per-kernel execution time
+// and efficiency for waxpby, ddot and sparsemv on 512 physical processes,
+// with the time spent on non-overlapped update transfers.
 func fig5aScenarios(procs, iters int) ([]scenario.Scenario, error) {
 	return hpccgTriple("fig5a", orDefault(procs, 512), orDefault(iters, 10), true), nil
 }
@@ -100,17 +92,9 @@ func fig5aRender(scs []scenario.Scenario, res []Result) (*Table, error) {
 	return t, nil
 }
 
-// Fig5b regenerates Figure 5b: HPCCG total execution time under weak
+// fig5bScenarios declares Figure 5b: HPCCG total execution time under weak
 // scaling, with intra-parallelization applied to ddot and sparsemv only.
 // All proc-count/mode combinations run through one sweep.
-func Fig5b(procCounts []int, iters int) (*Table, error) {
-	var scs []scenario.Scenario
-	for _, p := range procCounts {
-		scs = append(scs, hpccgTriple(fmt.Sprintf("fig5b/%d", p), p, orDefault(iters, 10), false)...)
-	}
-	return runFigure(scs, fig5bRender)
-}
-
 func fig5bScenarios(procs, iters int) ([]scenario.Scenario, error) {
 	counts := []int{128, 256, 512}
 	if procs > 0 {
@@ -187,19 +171,6 @@ func fig6Render(id, title, paperNote string) func([]scenario.Scenario, []Result)
 		return t, nil
 	}
 }
-
-// Fig6a regenerates Figure 6a: AMG2013, 27-point stencil, PCG solver.
-func Fig6a(logical int) (*Table, error) { return figures["fig6a"].Run(logical, 0) }
-
-// Fig6b regenerates Figure 6b: AMG2013, 7-point stencil, GMRES solver.
-func Fig6b(logical int) (*Table, error) { return figures["fig6b"].Run(logical, 0) }
-
-// Fig6c regenerates Figure 6c: the GTC particle-in-cell code.
-func Fig6c(logical int) (*Table, error) { return figures["fig6c"].Run(logical, 0) }
-
-// Fig6d regenerates Figure 6d: MiniGhost (27-point stencil boundary
-// exchange).
-func Fig6d(logical int) (*Table, error) { return figures["fig6d"].Run(logical, 0) }
 
 // CkptModelTable regenerates the §II motivation: cCR efficiency collapses
 // with shrinking MTBF while replication-based schemes hold theirs. The

@@ -31,15 +31,11 @@ func (f Figure) Run(procs, iters int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runFigure(scs, f.Render)
-}
-
-func runFigure(scs []scenario.Scenario, render func([]scenario.Scenario, []Result) (*Table, error)) (*Table, error) {
 	res, err := SweepScenarios(0, scs)
 	if err != nil {
 		return nil, err
 	}
-	return render(scs, res)
+	return f.Render(scs, res)
 }
 
 // FigureIDs lists every regenerable figure of the evaluation, in

@@ -367,7 +367,7 @@ func TestFigureRegistry(t *testing.T) {
 // the serial rendering pins it to 1.
 func TestFiguresByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	render := func() string {
-		tab, err := Fig5b([]int{16}, 3)
+		tab, err := RunFigure("fig5b", 16, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

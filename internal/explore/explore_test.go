@@ -45,6 +45,79 @@ func crossoverGrid() []campaign.Scenario {
 	return scs
 }
 
+// gtcCrossoverGrid is the checked-in explore-crossover workload
+// (scenarios/explore-crossover.json) at the given per-node MTBFs: GTC on
+// 8 logical ranks under ccr and under intra replication.
+func gtcCrossoverGrid(mtbfs []float64) []campaign.Scenario {
+	cfg := json.RawMessage(`{"Cells": 64, "PerCell": 25, "Zones": 8, "Steps": 2, "Dt": 0.02, "Scale": 64, "ShiftFrac": 0.05, "AuxBytes": 180, "IntraCharge": true, "IntraPush": true}`)
+	var scs []campaign.Scenario
+	for _, m := range mtbfs {
+		scs = append(scs, campaign.Scenario{
+			MTBF: sim.Seconds(m),
+			Point: scenario.Scenario{
+				Name: fmt.Sprintf("gtc/ccr/p8/mtbf%g", m),
+				App:  "gtc", Config: cfg, Mode: scenario.CCR, Logical: 8,
+			},
+		}, campaign.Scenario{
+			MTBF: sim.Seconds(m),
+			Point: scenario.Scenario{
+				Name: fmt.Sprintf("gtc/intra/p8/d2/mtbf%g", m),
+				App:  "gtc", Config: cfg, Mode: scenario.Intra, Logical: 8, Degree: 2,
+			},
+		})
+	}
+	return scs
+}
+
+// TestAdaptiveCrossoverTrialsRatio is the explorer's headline claim: it
+// locates the ccr-vs-intra crossover as precisely as a dense fixed grid
+// for at most a third of the grid's trials. The fixed side samples 9
+// log-spaced per-node MTBFs from 0.02 s to 0.5 s (step ratio r) at 100
+// trials per point, the explorer's per-probe cap: a fixed design cannot
+// know which points are contested, so it pays that count everywhere. The
+// adaptive side gets the two endpoints, the same budget and a bracket
+// target of r. Trial counts are deterministic, so the ratio is exact.
+func TestAdaptiveCrossoverTrialsRatio(t *testing.T) {
+	const loMTBF, hiMTBF, steps, perPoint = 0.02, 0.5, 8, 100
+	stepRatio := math.Pow(hiMTBF/loMTBF, 1.0/steps)
+	mtbfs := make([]float64, steps+1)
+	for i := range mtbfs {
+		mtbfs[i] = loMTBF * math.Pow(stepRatio, float64(i))
+	}
+	fixedScs := gtcCrossoverGrid(mtbfs)
+	fixedTrials := len(fixedScs) * perPoint
+	fixed, err := campaign.Run(campaign.Config{Trials: perPoint, Seed: 1}, fixedScs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixed.Crossovers) != 1 || fixed.Crossovers[0].MeasuredNodeMTBFSeconds == 0 {
+		t.Fatalf("fixed grid found no crossover: %+v", fixed.Crossovers)
+	}
+	adaptive, err := Run(Config{
+		Budget: fixedTrials, TargetCI: 0.1, BracketRatio: stepRatio, TauTraces: 2, Seed: 1,
+	}, gtcCrossoverGrid([]float64{loMTBF, hiMTBF}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(adaptive.Crossovers) != 1 || adaptive.Crossovers[0].MeasuredNodeMTBFSeconds == 0 {
+		t.Fatalf("adaptive run found no crossover: %+v", adaptive.Crossovers)
+	}
+	// The estimates must agree within two grid steps, or the trial counts
+	// below compare different answers. Tau search is left out of the
+	// adaptive count: the fixed side has no counterpart.
+	fx, ax := fixed.Crossovers[0].MeasuredNodeMTBFSeconds, adaptive.Crossovers[0].MeasuredNodeMTBFSeconds
+	if r := math.Max(fx, ax) / math.Min(fx, ax); r > stepRatio*stepRatio {
+		t.Fatalf("crossovers disagree: fixed %.4g s, adaptive %.4g s (%.2fx apart)", fx, ax, r)
+	}
+	adaptiveTrials := adaptive.SpentRefine + adaptive.SpentBisect
+	ratio := float64(fixedTrials) / float64(adaptiveTrials)
+	t.Logf("fixed %d trials -> %.4g s, adaptive %d trials -> %.4g s: %.2fx fewer trials",
+		fixedTrials, fx, adaptiveTrials, ax, ratio)
+	if ratio < 3 {
+		t.Fatalf("adaptive run spent %d trials, more than a third of the fixed grid's %d", adaptiveTrials, fixedTrials)
+	}
+}
+
 // TestBisectSynthetic drives the bisection with a synthetic monotone
 // difference curve whose crossover is known, checking the final bracket
 // contains it at the requested ratio — and that an unseparable probe stops
