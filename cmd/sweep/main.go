@@ -156,7 +156,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON instead of tables")
 	list := flag.Bool("list", false, "list registered apps, figures, nets and machines, then exit")
 	specFile := flag.String("spec", "", "run a scenario file (see scenarios/)")
-	validate := flag.Bool("validate", false, "with -spec: load, validate and expand the file, but do not run it")
+	validate := flag.Bool("validate", false, "with -spec: load, validate and expand the file and bind every point to its app, but do not run it")
 	modeFlag := flag.String("mode", "", "'campaign' runs Monte Carlo failure injection over the -app grid or the -spec file; 'jobstream' runs a workload -spec file as an open-load cluster service")
 	trials := flag.Int("trials", 100, "campaign/jobstream: seeded trials per point or cell (jobstream default 5)")
 	seed := flag.Int64("seed", 1, "campaign/jobstream: master seed (jobstream default: the workload's own)")
@@ -317,7 +317,11 @@ func main() {
 			fail("%v", err)
 		}
 		if *validate {
-			validateSpec(f)
+			msg, err := validateSpec(f)
+			if err != nil {
+				fail("%v", err)
+			}
+			fmt.Println(msg)
 			return
 		}
 		if f.Workload != nil && *modeFlag != "jobstream" {
@@ -452,29 +456,48 @@ func listRegistries(w io.Writer) {
 	}
 }
 
-func validateSpec(f *scenario.File) {
+// validateSpec loads, validates and expands a scenario file without
+// running it, and binds every expanded point to its app the way a run
+// does, so a configuration the app cannot simulate fails here too. It
+// returns the one-line summary of what the file holds.
+func validateSpec(f *scenario.File) (string, error) {
 	if f.Workload != nil {
 		w := f.Workload
 		if err := w.Validate(); err != nil {
-			fail("%v", err)
+			return "", err
 		}
 		if err := jobstream.CheckNames(w); err != nil {
-			fail("%v", err)
+			return "", err
 		}
-		fmt.Printf("ok: workload: %d rates × %d schedulers × %d policies, %d jobs/trial on %d nodes\n",
-			len(w.Rates), len(w.Schedulers), len(w.Policies), w.Jobs, w.Nodes)
-		return
+		return fmt.Sprintf("ok: workload: %d rates × %d schedulers × %d policies, %d jobs/trial on %d nodes",
+			len(w.Rates), len(w.Schedulers), len(w.Policies), w.Jobs, w.Nodes), nil
 	}
 	scs, err := f.Expand()
 	if err != nil {
-		fail("%v", err)
+		return "", err
 	}
 	if f.Figure != "" {
 		if _, err := experiments.FigureByID(f.Figure); err != nil {
-			fail("%v", err)
+			return "", err
 		}
 	}
-	fmt.Printf("ok: %d scenarios\n", len(scs))
+	// A campaign lifts an MTBF fault model off its point before binding
+	// the point, so validation does the same.
+	points := make([]scenario.Scenario, len(scs))
+	for i, sc := range scs {
+		if sc.Fault != nil && sc.Fault.MTBFSeconds > 0 {
+			c, err := campaign.FromScenario(sc)
+			if err != nil {
+				return "", err
+			}
+			sc = c.Point
+		}
+		points[i] = sc
+	}
+	if _, err := experiments.SpecsFor(points); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("ok: %d scenarios", len(scs)), nil
 }
 
 func splitList(s string) []string {

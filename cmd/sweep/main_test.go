@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,5 +137,25 @@ func TestCampaignCCRFlagGrid(t *testing.T) {
 	}
 	if len(scs) != 4 {
 		t.Fatalf("replication-only grid has %d points, want 4", len(scs))
+	}
+}
+
+// TestValidateBindsApps: -validate binds every expanded point to its app,
+// so a GTC grid with fewer than two cells per zone fails validation
+// instead of panicking (tasks 64) or running empty (tasks 100).
+func TestValidateBindsApps(t *testing.T) {
+	for _, c := range []struct {
+		tasks int
+		ok    bool
+	}{{64, false}, {100, false}, {32, true}} {
+		f, err := scenario.Parse([]byte(fmt.Sprintf(`{"name": "g", "grid": {"apps": ["gtc"],
+			"modes": ["native"], "procs": [2], "iters": 1, "tasks": %d}}`, c.tasks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := validateSpec(f)
+		if (err == nil) != c.ok {
+			t.Errorf("tasks %d: validate = %q, %v; want ok %v", c.tasks, msg, err, c.ok)
+		}
 	}
 }

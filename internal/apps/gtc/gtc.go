@@ -11,6 +11,8 @@
 package gtc
 
 import (
+	"fmt"
+
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -71,10 +73,31 @@ type app struct {
 	phi    []float64
 }
 
+// defaultZones is the zone count Run uses when Config.Zones is not positive.
+const defaultZones = 8
+
+// check rejects a grid that leaves a zone fewer than two cells: the
+// charge and push kernels interpolate between a cell and its right
+// neighbour, so one cell per zone indexes outside the zone's grid, and
+// none leaves the zone without particles to simulate.
+func (c Config) check() error {
+	zones := c.Zones
+	if zones <= 0 {
+		zones = defaultZones
+	}
+	if c.Cells/zones < 2 {
+		return fmt.Errorf("gtc: %d cells over %d zones leave %d per zone, need at least 2", c.Cells, zones, c.Cells/zones)
+	}
+	return nil
+}
+
 // Run executes the GTC surrogate on the calling logical process.
 func Run(rt core.Runner, cfg Config) (*Result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if cfg.Zones <= 0 {
-		cfg.Zones = 8
+		cfg.Zones = defaultZones
 	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1

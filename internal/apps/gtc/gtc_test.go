@@ -1,7 +1,9 @@
 package gtc_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/gtc"
@@ -124,4 +126,25 @@ func newCluster(t *testing.T, cfg experiments.ClusterConfig) *experiments.Cluste
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestAppForRejectsZonesUnderTwoCells: a zone needs two cells. With one
+// (64 cells over 64 zones) the charge and push kernels indexed rho[-1];
+// with none (over 100 zones) a run simulated no particles and reported
+// time 0. experiments.AppFor, which binds an app before anything is
+// simulated, rejects both and accepts two cells per zone.
+func TestAppForRejectsZonesUnderTwoCells(t *testing.T) {
+	for _, zones := range []int{64, 100} {
+		cfg := gtc.PaperConfig()
+		cfg.Zones = zones
+		_, err := experiments.AppFor("gtc", &cfg)
+		if want := fmt.Sprintf("64 cells over %d zones", zones); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d zones: err = %v, want one naming %q", zones, err, want)
+		}
+	}
+	cfg := gtc.PaperConfig()
+	cfg.Zones = 32
+	if _, err := experiments.AppFor("gtc", &cfg); err != nil {
+		t.Errorf("32 zones of 2 cells: %v", err)
+	}
 }

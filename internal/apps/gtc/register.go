@@ -30,6 +30,9 @@ func init() {
 				return nil, fmt.Errorf("gtc: config is %T, want *gtc.Config", cfg)
 			}
 			cc := *c
+			if err := cc.check(); err != nil {
+				return nil, err
+			}
 			return func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
 				res, err := Run(rt, cc)
 				if err != nil {

@@ -37,7 +37,8 @@ func SpmvWork(rows, nnz int) perf.Work {
 
 // MulVecRange computes y[r0:r1] = (A x)[r0:r1] for the row range [r0, r1)
 // (HPCCG's sparsemv kernel, restricted to a task's rows). x must include
-// halo entries for any external column indices.
+// halo entries for any external column indices. On Gen27Point's matrix it
+// is the reference Op27.MulVecRange matches bit for bit.
 func (m *CSR) MulVecRange(x, y []float64, r0, r1 int) perf.Work {
 	nnz := 0
 	for r := r0; r < r1; r++ {
@@ -68,6 +69,9 @@ func (m *CSR) MulVec(x, y []float64) perf.Work {
 //	above: rows+nx*ny..rows+2*nx*ny-1 (plane received from rank+1)
 //
 // hasBelow/hasAbove indicate whether those neighbor slabs exist.
+//
+// HPCCG applies this operator matrix-free (Op27); the matrix is the
+// reference Op27 is tested against.
 func Gen27Point(nx, ny, nz int, hasBelow, hasAbove bool) *CSR {
 	rows := nx * ny * nz
 	plane := nx * ny

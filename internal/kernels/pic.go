@@ -50,7 +50,8 @@ func ChargeWork(n int) perf.Work {
 
 // ChargeDeposit scatters particle weights onto rho, a grid covering cells
 // [c0, c0+len(rho)) with linear (cloud-in-cell) interpolation. rho is
-// overwritten (GTC's charge kernel for one zone).
+// overwritten (GTC's charge kernel for one zone). len(rho) must be at
+// least 2: each particle deposits onto a cell and its right neighbour.
 func ChargeDeposit(psi, w []float64, rho []float64, c0 float64) perf.Work {
 	Fill(rho, 0)
 	n := len(rho)
@@ -79,7 +80,8 @@ func PushWork(n int) perf.Work {
 // field phi defined on cells [c0, c0+len(phi)) (GTC's push kernel for one
 // zone). Positions are reflected at the zone boundaries [c0, c1]; the new
 // position depends on the old one, which is why the paper declares
-// positions inout (§IV).
+// positions inout (§IV). len(phi) must be at least 2: the field at a
+// particle is the difference of phi across its cell.
 func Push(psi, vpar []float64, phi []float64, c0, c1, dt float64) perf.Work {
 	n := len(phi)
 	for i := range psi {

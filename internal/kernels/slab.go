@@ -36,8 +36,8 @@ func (s *Slab) Plane(iz int) []float64 {
 }
 
 // Interior returns all interior values as one slice (without halos).
-// The result aliases the slab's storage only when Nz == 1; callers must
-// treat it as read-only.
+// The result aliases the slab's storage: writes through it change the
+// slab.
 func (s *Slab) Interior() []float64 {
 	p := s.Nx * s.Ny
 	return s.V[p : p+s.Nx*s.Ny*s.Nz]
@@ -62,28 +62,124 @@ func Stencil27Work(n int) perf.Work {
 //	out = center*in + sum(neighbors)*off
 //
 // to interior planes [z0, z1) (MiniGhost's 27-point kernel and the AMG
-// 27-point operator). Halo planes of `in` must be current.
+// 27-point operator). Halo planes of `in` must be current, and in and out
+// must be distinct slabs. It allocates nothing.
+//
+// Every output is bit for bit that of the reference formula over Slab.at:
+// the neighbour sum starts from +0 and adds its terms in (dz, dy, dx)
+// order. Neighbours outside the x/y domain, which Slab.at reads as 0, are
+// skipped: a sum that starts from +0 never becomes -0 under
+// round-to-nearest, so adding +0 to it changes nothing.
 func Stencil27Range(in, out *Slab, center, off float64, z0, z1 int) perf.Work {
 	nx, ny := in.Nx, in.Ny
+	p := nx * ny
+	var buf [9][]float64
 	for iz := z0; iz < z1; iz++ {
 		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				var nb float64
-				for dz := -1; dz <= 1; dz++ {
-					for dy := -1; dy <= 1; dy++ {
-						for dx := -1; dx <= 1; dx++ {
-							if dx == 0 && dy == 0 && dz == 0 {
-								continue
-							}
-							nb += in.at(ix+dx, iy+dy, iz+dz)
-						}
+			// The input lines around row (iy, iz) in (dz, dy) order;
+			// centre is the row's own line.
+			lines, centre := buf[:0], 0
+			for dz := -1; dz <= 1; dz++ {
+				for jy := max(iy-1, 0); jy <= min(iy+1, ny-1); jy++ {
+					if dz == 0 && jy == iy {
+						centre = len(lines)
 					}
+					b := (iz+1+dz)*p + jy*nx
+					lines = append(lines, in.V[b:b+nx])
 				}
-				out.V[(iz+1)*nx*ny+iy*nx+ix] = center*in.at(ix, iy, iz) + off*nb
 			}
+			b := (iz+1)*p + iy*nx
+			stencil27Line(out.V[b:b+nx], lines, centre, center, off)
 		}
 	}
 	return Stencil27Work((z1 - z0) * nx * ny)
+}
+
+// stencil27Line computes one output row from the input lines around it.
+// Points go several at a time: their sums are independent, so one's chain
+// of 26 dependent additions overlaps the next one's, while each keeps the
+// reference order. The two x-boundary points go together, the others four
+// at a time; the last group of four is moved back to end at the last
+// such point, so it may recompute, to the same bits, a few outputs of the
+// group before it.
+func stencil27Line(out []float64, lines [][]float64, centre int, center, off float64) {
+	nx := len(out)
+	mid := lines[centre]
+	if nx < 2 {
+		for ix := range out {
+			out[ix] = center*mid[ix] + off*stencil27Sum(lines, centre, ix)
+		}
+		return
+	}
+	// The two x-boundary points together.
+	var a, d float64
+	for k, l := range lines {
+		if k != centre {
+			a += l[0]
+		}
+		a += l[1]
+		d += l[nx-2]
+		if k != centre {
+			d += l[nx-1]
+		}
+	}
+	out[0] = center*mid[0] + off*a
+	out[nx-1] = center*mid[nx-1] + off*d
+	if nx < 6 {
+		for ix := 1; ix < nx-1; ix++ {
+			out[ix] = center*mid[ix] + off*stencil27Sum(lines, centre, ix)
+		}
+		return
+	}
+	for ix := 1; ix < nx-1; ix += 4 {
+		ix = min(ix, nx-5)
+		var a, b, c, d float64
+		for k, l := range lines {
+			w := l[ix-1 : ix+5]
+			if k == centre {
+				a += w[0]
+				a += w[2]
+				b += w[1]
+				b += w[3]
+				c += w[2]
+				c += w[4]
+				d += w[3]
+				d += w[5]
+				continue
+			}
+			a += w[0]
+			a += w[1]
+			a += w[2]
+			b += w[1]
+			b += w[2]
+			b += w[3]
+			c += w[2]
+			c += w[3]
+			c += w[4]
+			d += w[3]
+			d += w[4]
+			d += w[5]
+		}
+		m, o := mid[ix:ix+4], out[ix:ix+4]
+		o[0] = center*m[0] + off*a
+		o[1] = center*m[1] + off*b
+		o[2] = center*m[2] + off*c
+		o[3] = center*m[3] + off*d
+	}
+}
+
+// stencil27Sum is the neighbour sum of point ix, any point of the row.
+func stencil27Sum(lines [][]float64, centre, ix int) float64 {
+	lo, hi := max(ix-1, 0), min(ix+1, len(lines[0])-1)
+	var nb float64
+	for k, l := range lines {
+		for j := lo; j <= hi; j++ {
+			if k != centre || j != ix {
+				nb += l[j]
+			}
+		}
+	}
+	return nb
 }
 
 // Stencil7Work returns the cost of a 7-point stencil over n elements.
@@ -93,19 +189,70 @@ func Stencil7Work(n int) perf.Work {
 
 // Stencil7Range applies the 7-point stencil out = center*in + off*(6
 // face neighbors) to interior planes [z0, z1) (AMG's 7-point operator).
+// in and out must be distinct slabs. It allocates nothing.
+//
+// Every output is bit for bit that of the reference formula over Slab.at,
+// whose neighbour sum starts from its first term rather than from +0: a
+// neighbour outside the x/y domain is added as a literal +0 in its place.
 func Stencil7Range(in, out *Slab, center, off float64, z0, z1 int) perf.Work {
 	nx, ny := in.Nx, in.Ny
+	p := nx * ny
+	v := in.V
 	for iz := z0; iz < z1; iz++ {
 		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				nb := in.at(ix-1, iy, iz) + in.at(ix+1, iy, iz) +
-					in.at(ix, iy-1, iz) + in.at(ix, iy+1, iz) +
-					in.at(ix, iy, iz-1) + in.at(ix, iy, iz+1)
-				out.V[(iz+1)*nx*ny+iy*nx+ix] = center*in.at(ix, iy, iz) + off*nb
+			r := (iz+1)*p + iy*nx
+			var dn, up []float64 // nil outside the y domain
+			if iy > 0 {
+				dn = v[r-nx : r]
 			}
+			if iy < ny-1 {
+				up = v[r+nx : r+2*nx]
+			}
+			stencil7Line(out.V[r:r+nx], v[r:r+nx], dn, up, v[r-p:r-p+nx], v[r+p:r+p+nx], center, off)
 		}
 	}
 	return Stencil7Work((z1 - z0) * nx * ny)
+}
+
+// stencil7Line computes one output row from its own input line and the
+// lines on its four faces. Away from the x/y boundaries, points go two at
+// a time, their sums independent; the last pair is moved back to end at
+// the last such point, so it may recompute one output to the same bits.
+func stencil7Line(out, mid, dn, up, below, above []float64, center, off float64) {
+	nx := len(out)
+	point := func(ix int) {
+		var left, right, d, u float64
+		if ix > 0 {
+			left = mid[ix-1]
+		}
+		if ix < nx-1 {
+			right = mid[ix+1]
+		}
+		if dn != nil {
+			d = dn[ix]
+		}
+		if up != nil {
+			u = up[ix]
+		}
+		nb := left + right + d + u + below[ix] + above[ix]
+		out[ix] = center*mid[ix] + off*nb
+	}
+	if dn == nil || up == nil || nx < 4 {
+		for ix := range out {
+			point(ix)
+		}
+		return
+	}
+	point(0)
+	point(nx - 1)
+	for ix := 1; ix < nx-1; ix += 2 {
+		ix = min(ix, nx-3)
+		m := mid[ix-1 : ix+3]
+		a := m[0] + m[2] + dn[ix] + up[ix] + below[ix] + above[ix]
+		b := m[1] + m[3] + dn[ix+1] + up[ix+1] + below[ix+1] + above[ix+1]
+		out[ix] = center*m[1] + off*a
+		out[ix+1] = center*m[2] + off*b
+	}
 }
 
 // RestrictWork returns the cost of restricting n fine elements.
