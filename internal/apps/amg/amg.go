@@ -171,38 +171,9 @@ func (a *app) setup() {
 func (a *app) exchangeHalo(lvl int, s *kernels.Slab) error {
 	var err error
 	a.clock.Track("halo", func() {
-		rank, size := a.rt.LogicalRank(), a.rt.LogicalSize()
-		plane := s.Nx * s.Ny
-		wire := int64(float64(8*plane) * a.cfg.PlaneScale)
+		wire := int64(float64(8*s.Nx*s.Ny) * a.cfg.PlaneScale)
 		tag := tagHaloBase + 2*lvl
-		if rank > 0 {
-			if e := a.rt.SendSized(rank-1, tag, s.Plane(0), wire); e != nil {
-				err = e
-				return
-			}
-		}
-		if rank < size-1 {
-			if e := a.rt.SendSized(rank+1, tag+1, s.Plane(s.Nz-1), wire); e != nil {
-				err = e
-				return
-			}
-		}
-		if rank > 0 {
-			data, e := a.rt.Recv(rank-1, tag+1)
-			if e != nil {
-				err = e
-				return
-			}
-			copy(s.Plane(-1), data)
-		}
-		if rank < size-1 {
-			data, e := a.rt.Recv(rank+1, tag)
-			if e != nil {
-				err = e
-				return
-			}
-			copy(s.Plane(s.Nz), data)
-		}
+		err = apputil.ExchangeZHalo(a.rt, tag, tag+1, s.Plane(0), s.Plane(s.Nz-1), s.Plane(-1), s.Plane(s.Nz), wire)
 	})
 	return err
 }

@@ -61,6 +61,41 @@ func (c *Clock) Names() []string {
 	return names
 }
 
+// ExchangeZHalo swaps boundary z planes with the logical neighbors of a
+// slab decomposed along z: it sends bottom to rank-1 with tagUp and top to
+// rank+1 with tagDown, then fills belowHalo from rank-1 and aboveHalo from
+// rank+1. Every message is modeled as wire payload bytes; the first and
+// last rank skip their missing neighbor. The order (both sends, then both
+// receives) is part of the op trace every replica follows.
+func ExchangeZHalo(rt core.Runner, tagUp, tagDown int, bottom, top, belowHalo, aboveHalo []float64, wire int64) error {
+	rank, size := rt.LogicalRank(), rt.LogicalSize()
+	if rank > 0 {
+		if err := rt.SendSized(rank-1, tagUp, bottom, wire); err != nil {
+			return err
+		}
+	}
+	if rank < size-1 {
+		if err := rt.SendSized(rank+1, tagDown, top, wire); err != nil {
+			return err
+		}
+	}
+	if rank > 0 {
+		data, err := rt.Recv(rank-1, tagDown)
+		if err != nil {
+			return err
+		}
+		copy(belowHalo, data)
+	}
+	if rank < size-1 {
+		data, err := rt.Recv(rank+1, tagUp)
+		if err != nil {
+			return err
+		}
+		copy(aboveHalo, data)
+	}
+	return nil
+}
+
 // TaskBounds splits n items into nTasks contiguous ranges; range i is
 // [lo, hi). It distributes remainders evenly like the paper's n/N split.
 func TaskBounds(n, nTasks, i int) (lo, hi int) {

@@ -1,6 +1,7 @@
 package apputil
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,5 +77,36 @@ func TestClockTracksWallAndNames(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestExchangeZHalo(t *testing.T) {
+	const n, wire = 3, 1000
+	e := sim.New()
+	net := simnet.New(e, simnet.InfiniBand20G, n)
+	w := mpi.NewWorld(e, net, n, perf.Grid5000, nil)
+	below, above := make([]float64, n), make([]float64, n)
+	w.LaunchAll("p", func(r *mpi.Rank) {
+		me := float64(r.Rank())
+		if err := ExchangeZHalo(core.NewNative(r), 7, 8, []float64{10*me + 1}, []float64{10*me + 2},
+			below[r.Rank():r.Rank()+1], above[r.Rank():r.Rank()+1], wire); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Each halo holds the facing boundary plane of the neighbor; the first
+	// and last rank leave their outer halo alone.
+	if want := []float64{0, 2, 12}; !slices.Equal(below, want) {
+		t.Errorf("below halos = %v, want %v", below, want)
+	}
+	if want := []float64{11, 21, 0}; !slices.Equal(above, want) {
+		t.Errorf("above halos = %v, want %v", above, want)
+	}
+	for rank, msgs := range []int64{1, 2, 1} {
+		if got := w.StatsOf(rank).BytesSent; got != msgs*(64+wire) {
+			t.Errorf("rank %d sent %d bytes, want %d messages of %d modeled payload bytes", rank, got, msgs, wire)
+		}
 	}
 }

@@ -174,36 +174,9 @@ func (s *solver) cg() (*Result, error) {
 func (s *solver) exchangeHalo(v []float64) error {
 	var err error
 	s.clock.Track("halo", func() {
-		rank, size := s.rt.LogicalRank(), s.rt.LogicalSize()
 		wire := int64(float64(8*s.plane) * s.cfg.PlaneScale)
-		if rank > 0 {
-			if e := s.rt.SendSized(rank-1, tagHaloUp, v[:s.plane], wire); e != nil {
-				err = e
-				return
-			}
-		}
-		if rank < size-1 {
-			if e := s.rt.SendSized(rank+1, tagHaloDown, v[s.rows-s.plane:s.rows], wire); e != nil {
-				err = e
-				return
-			}
-		}
-		if rank > 0 {
-			data, e := s.rt.Recv(rank-1, tagHaloDown)
-			if e != nil {
-				err = e
-				return
-			}
-			copy(v[s.rows:s.rows+s.plane], data)
-		}
-		if rank < size-1 {
-			data, e := s.rt.Recv(rank+1, tagHaloUp)
-			if e != nil {
-				err = e
-				return
-			}
-			copy(v[s.rows+s.plane:], data)
-		}
+		err = apputil.ExchangeZHalo(s.rt, tagHaloUp, tagHaloDown, v[:s.plane], v[s.rows-s.plane:s.rows],
+			v[s.rows:s.rows+s.plane], v[s.rows+s.plane:], wire)
 	})
 	return err
 }

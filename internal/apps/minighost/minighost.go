@@ -112,37 +112,9 @@ func Run(rt core.Runner, cfg Config) (*Result, error) {
 func (a *app) exchangeHalo(s *kernels.Slab) error {
 	var err error
 	a.clock.Track("halo", func() {
-		rank, size := a.rt.LogicalRank(), a.rt.LogicalSize()
-		plane := a.cfg.Nx * a.cfg.Ny
-		wire := int64(float64(8*plane) * a.cfg.PlaneScale)
-		if rank > 0 {
-			if e := a.rt.SendSized(rank-1, tagHaloUp, s.Plane(0), wire); e != nil {
-				err = e
-				return
-			}
-		}
-		if rank < size-1 {
-			if e := a.rt.SendSized(rank+1, tagHaloDown, s.Plane(a.cfg.Nz-1), wire); e != nil {
-				err = e
-				return
-			}
-		}
-		if rank > 0 {
-			data, e := a.rt.Recv(rank-1, tagHaloDown)
-			if e != nil {
-				err = e
-				return
-			}
-			copy(s.Plane(-1), data)
-		}
-		if rank < size-1 {
-			data, e := a.rt.Recv(rank+1, tagHaloUp)
-			if e != nil {
-				err = e
-				return
-			}
-			copy(s.Plane(a.cfg.Nz), data)
-		}
+		wire := int64(float64(8*a.cfg.Nx*a.cfg.Ny) * a.cfg.PlaneScale)
+		err = apputil.ExchangeZHalo(a.rt, tagHaloUp, tagHaloDown,
+			s.Plane(0), s.Plane(a.cfg.Nz-1), s.Plane(-1), s.Plane(a.cfg.Nz), wire)
 	})
 	return err
 }

@@ -83,7 +83,6 @@ type Runner interface {
 type comm interface {
 	logicalRank() int
 	logicalSize() int
-	send(dst, tag int, data []float64) error
 	sendSized(dst, tag int, data []float64, payloadBytes int64) error
 	recv(src, tag int) ([]float64, error)
 	allreduce(op mpi.ReduceOp, data []float64) error
@@ -95,11 +94,8 @@ type mpiComm struct{ r *mpi.Rank }
 
 func (c mpiComm) logicalRank() int { return c.r.Rank() }
 func (c mpiComm) logicalSize() int { return c.r.Size() }
-func (c mpiComm) send(dst, tag int, data []float64) error {
-	return c.r.Send(c.r.World(), dst, tag, data, nil)
-}
 func (c mpiComm) sendSized(dst, tag int, data []float64, payloadBytes int64) error {
-	return c.r.Wait(c.r.IsendSized(c.r.World(), dst, tag, data, nil, payloadBytes))
+	return c.r.SendSized(c.r.World(), dst, tag, data, nil, payloadBytes)
 }
 func (c mpiComm) recv(src, tag int) ([]float64, error) {
 	msg, err := c.r.Recv(c.r.World(), src, tag)
@@ -118,9 +114,6 @@ type replComm struct{ p *replication.Proc }
 
 func (c replComm) logicalRank() int { return c.p.Logical }
 func (c replComm) logicalSize() int { return c.p.LogicalSize() }
-func (c replComm) send(dst, tag int, data []float64) error {
-	return c.p.Send(dst, tag, data, nil)
-}
 func (c replComm) sendSized(dst, tag int, data []float64, payloadBytes int64) error {
 	return c.p.SendSized(dst, tag, data, nil, payloadBytes)
 }
@@ -187,8 +180,7 @@ func (r *R) Mode() string { return r.engine.mode() }
 
 // Send performs a logical send.
 func (r *R) Send(dst, tag int, data []float64) error {
-	r.rec.comm(traceSend, dst, tag, 8*int64(len(data)))
-	return r.send(dst, tag, data)
+	return r.SendSized(dst, tag, data, 8*int64(len(data)))
 }
 
 // SendSized performs a logical send with an explicit modeled payload size.

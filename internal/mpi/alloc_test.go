@@ -99,10 +99,9 @@ func collAllocs(t *testing.T, n, rounds int, op func(r *Rank, buf []float64) err
 
 // TestCollectiveAllocBudgets pins the pooled collective state machines:
 // once the scratch pools are warm, a whole barrier, broadcast or allreduce
-// must cost at most a handful of allocations per rank per operation. The
-// blocking pre-refactor implementation spent hundreds per allreduce-64;
-// the budget of 8 allocs/op (the acceptance bar for allreduce-64) keeps
-// the event-driven rewrite honest at both ends of the size range.
+// must cost at most one allocation per rank per operation. The blocking
+// pre-refactor implementation spent hundreds per allreduce-64; the budget
+// keeps the event-driven rewrite honest at both ends of the size range.
 func TestCollectiveAllocBudgets(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")

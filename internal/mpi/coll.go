@@ -19,7 +19,7 @@ type collSM struct {
 	st *rankState
 	c  *Comm
 
-	op  int // public operation code (opBarrier..opGather), for park reasons
+	op  int // public operation code (opBarrier..opAllreduce), for park reasons
 	sub int // algorithm currently running (allreduce chains reduce→bcast)
 	tag int
 
@@ -28,14 +28,9 @@ type collSM struct {
 	phase int
 	dist  int // dissemination barrier distance
 	mask  int // binomial tree mask (bcast/reduce)
-	step  int // allgather ring step
-	idx   int // gather receive index
-	elems int // per-member block length (allgather/gather)
 
-	data    []float64 // caller buffer (bcast/reduce/allreduce)
-	contrib []float64 // caller contribution (gather non-root)
-	out     []float64 // caller output (allgather/gather root)
-	rop     ReduceOp
+	data []float64 // caller buffer (bcast/reduce/allreduce)
+	rop  ReduceOp
 
 	sreq, rreq *Request
 	blockedAt  sim.Time
@@ -73,9 +68,6 @@ func (r *Rank) startColl(c *Comm, op int) *collSM {
 	sm.vrank = 0
 	sm.dist = 0
 	sm.mask = 0
-	sm.step = 0
-	sm.idx = 0
-	sm.elems = 0
 	return sm
 }
 
@@ -99,8 +91,6 @@ func (r *Rank) runColl(sm *collSM) error {
 func (sm *collSM) release() {
 	sm.c = nil
 	sm.data = nil
-	sm.contrib = nil
-	sm.out = nil
 	sm.rop = nil
 	sm.sreq = nil
 	sm.rreq = nil
@@ -138,10 +128,6 @@ func (sm *collSM) advance() {
 			blocked = sm.stepBcast()
 		case opReduce:
 			blocked = sm.stepReduce()
-		case opAllgather:
-			blocked = sm.stepAllgather()
-		case opGather:
-			blocked = sm.stepGather()
 		}
 		if blocked || sm.done {
 			return
@@ -215,8 +201,8 @@ func (sm *collSM) stepBarrier() bool {
 			if sm.dist >= sm.n {
 				return sm.finish(nil)
 			}
-			sm.sreq = st.isendColl(sm.c, (sm.me+sm.dist)%sm.n, sm.tag, nil)
-			sm.rreq = st.irecvColl(sm.c, (sm.me-sm.dist+sm.n)%sm.n, sm.tag)
+			sm.sreq = st.isend(sm.c, (sm.me+sm.dist)%sm.n, sm.tag, nil, nil, 0)
+			sm.rreq = st.irecv(sm.c, (sm.me-sm.dist+sm.n)%sm.n, sm.tag)
 			sm.phase = 1
 		case 1:
 			if sm.yield(sm.rreq) {
@@ -261,7 +247,7 @@ func (sm *collSM) stepBcast() bool {
 			}
 			sm.mask = mask
 			parent := (sm.vrank - mask + sm.n) % sm.n
-			sm.rreq = st.irecvColl(sm.c, (parent+sm.root)%sm.n, sm.tag)
+			sm.rreq = st.irecv(sm.c, (parent+sm.root)%sm.n, sm.tag)
 			sm.phase = 1
 		case 1:
 			if sm.yield(sm.rreq) {
@@ -277,7 +263,7 @@ func (sm *collSM) stepBcast() bool {
 				return sm.finish(nil)
 			}
 			if child := sm.vrank + sm.mask; child < sm.n {
-				sm.sreq = st.isendColl(sm.c, (child+sm.root)%sm.n, sm.tag, sm.data)
+				sm.sreq = st.isend(sm.c, (child+sm.root)%sm.n, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
 				sm.phase = 3
 			}
 		case 3:
@@ -304,12 +290,12 @@ func (sm *collSM) stepReduce() bool {
 			}
 			if sm.vrank&sm.mask != 0 {
 				parent := sm.vrank - sm.mask
-				sm.sreq = st.isendColl(sm.c, (parent+sm.root)%sm.n, sm.tag, sm.data)
+				sm.sreq = st.isend(sm.c, (parent+sm.root)%sm.n, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
 				sm.phase = 2
 				continue
 			}
 			if child := sm.vrank + sm.mask; child < sm.n {
-				sm.rreq = st.irecvColl(sm.c, (child+sm.root)%sm.n, sm.tag)
+				sm.rreq = st.irecv(sm.c, (child+sm.root)%sm.n, sm.tag)
 				sm.phase = 1
 				continue
 			}
@@ -333,88 +319,6 @@ func (sm *collSM) stepReduce() bool {
 				return true
 			}
 			return sm.finish(sm.takeSend())
-		}
-	}
-}
-
-// stepAllgather: ring. In step s every rank forwards the block originated
-// by (me-s) to its right neighbour and receives block (me-s-1) from its
-// left neighbour.
-func (sm *collSM) stepAllgather() bool {
-	st := sm.st
-	k := sm.elems
-	for {
-		switch sm.phase {
-		case 0:
-			if sm.step >= sm.n-1 {
-				return sm.finish(nil)
-			}
-			blk := (sm.me - sm.step + sm.n) % sm.n
-			right := (sm.me + 1) % sm.n
-			left := (sm.me - 1 + sm.n) % sm.n
-			sm.sreq = st.isendColl(sm.c, right, sm.tag, sm.out[blk*k:(blk+1)*k])
-			sm.rreq = st.irecvColl(sm.c, left, sm.tag)
-			sm.phase = 1
-		case 1:
-			if sm.yield(sm.rreq) {
-				return true
-			}
-			inBlk := (sm.me - sm.step - 1 + sm.n) % sm.n
-			if err := sm.takeRecv(sm.out[inBlk*k : (inBlk+1)*k]); err != nil {
-				return sm.finish(err)
-			}
-			sm.phase = 2
-		case 2:
-			if sm.yield(sm.sreq) {
-				return true
-			}
-			if err := sm.takeSend(); err != nil {
-				return sm.finish(err)
-			}
-			sm.step++
-			sm.phase = 0
-		}
-	}
-}
-
-// stepGather: non-root ranks send their contribution to the root with a
-// blocking send; the root receives from each member in rank order.
-func (sm *collSM) stepGather() bool {
-	st := sm.st
-	for {
-		switch sm.phase {
-		case 0:
-			if sm.me != sm.root {
-				sm.sreq = st.isendColl(sm.c, sm.root, sm.tag, sm.contrib)
-				sm.phase = 1
-				continue
-			}
-			sm.phase = 2
-		case 1:
-			if sm.yield(sm.sreq) {
-				return true
-			}
-			return sm.finish(sm.takeSend())
-		case 2:
-			if sm.idx >= sm.n {
-				return sm.finish(nil)
-			}
-			if sm.idx == sm.root {
-				sm.idx++
-				continue
-			}
-			sm.rreq = st.irecvColl(sm.c, sm.idx, sm.tag)
-			sm.phase = 3
-		case 3:
-			if sm.yield(sm.rreq) {
-				return true
-			}
-			k := sm.elems
-			if err := sm.takeRecv(sm.out[sm.idx*k : (sm.idx+1)*k]); err != nil {
-				return sm.finish(err)
-			}
-			sm.idx++
-			sm.phase = 2
 		}
 	}
 }

@@ -41,8 +41,6 @@ const (
 	opBcast
 	opReduce
 	opAllreduce
-	opAllgather
-	opGather
 )
 
 func errNotMember(rank, comm int) string {
@@ -120,45 +118,4 @@ func (r *Rank) AllreduceScalar(c *Comm, op ReduceOp, v float64) (float64, error)
 		return 0, err
 	}
 	return st.scalar[0], nil
-}
-
-// Allgather concatenates each member's equally-sized contribution into out
-// (length = len(contrib) * comm size) on every member, using a ring.
-func (r *Rank) Allgather(c *Comm, contrib, out []float64) error {
-	sm := r.startColl(c, opAllgather)
-	k := len(contrib)
-	if len(out) != sm.n*k {
-		n := sm.n
-		sm.release()
-		return fmt.Errorf("mpi: allgather out length %d, want %d", len(out), n*k)
-	}
-	copy(out[sm.me*k:(sm.me+1)*k], contrib)
-	if sm.n == 1 {
-		sm.release()
-		return nil
-	}
-	sm.elems = k
-	sm.out = out
-	return r.runColl(sm)
-}
-
-// Gather collects each member's equally-sized contribution at root into out
-// (length = len(contrib) * comm size at root; ignored elsewhere).
-func (r *Rank) Gather(c *Comm, root int, contrib, out []float64) error {
-	sm := r.startColl(c, opGather)
-	sm.root = root
-	if sm.me != root {
-		sm.contrib = contrib
-		return r.runColl(sm)
-	}
-	k := len(contrib)
-	if len(out) != sm.n*k {
-		n := sm.n
-		sm.release()
-		return fmt.Errorf("mpi: gather out length %d, want %d", len(out), n*k)
-	}
-	copy(out[sm.me*k:(sm.me+1)*k], contrib)
-	sm.elems = k
-	sm.out = out
-	return r.runColl(sm)
 }

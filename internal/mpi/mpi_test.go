@@ -332,56 +332,6 @@ func TestAllreduceMaxMin(t *testing.T) {
 	run(t, e)
 }
 
-func TestAllgather(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 7} {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			e, w := collectiveWorld(t, n)
-			bad := false
-			w.LaunchAll("p", func(r *Rank) {
-				contrib := []float64{float64(r.Rank()), float64(r.Rank() * 10)}
-				out := make([]float64, 2*n)
-				if err := r.Allgather(r.World(), contrib, out); err != nil {
-					t.Errorf("allgather: %v", err)
-				}
-				for i := 0; i < n; i++ {
-					if out[2*i] != float64(i) || out[2*i+1] != float64(i*10) {
-						bad = true
-					}
-				}
-			})
-			run(t, e)
-			if bad {
-				t.Fatal("wrong allgather result")
-			}
-		})
-	}
-}
-
-func TestGather(t *testing.T) {
-	e, w := collectiveWorld(t, 4)
-	var rootOut []float64
-	w.LaunchAll("p", func(r *Rank) {
-		contrib := []float64{float64(r.Rank())}
-		var out []float64
-		if r.Rank() == 2 {
-			out = make([]float64, 4)
-		}
-		if err := r.Gather(r.World(), 2, contrib, out); err != nil {
-			t.Errorf("gather: %v", err)
-		}
-		if r.Rank() == 2 {
-			rootOut = out
-		}
-	})
-	run(t, e)
-	for i, v := range rootOut {
-		if v != float64(i) {
-			t.Fatalf("gather out = %v", rootOut)
-		}
-	}
-}
-
 func TestReduce(t *testing.T) {
 	e, w := collectiveWorld(t, 6)
 	var rootVal float64
@@ -519,6 +469,41 @@ func TestSendToDeadRankIsDropped(t *testing.T) {
 	})
 	e.At(sim.Millisecond, func() { w.Kill(0) })
 	run(t, e)
+}
+
+// TestSendToDeadRankReleasesNICOnSenderCrash pins that a message to an
+// already-crashed rank is an ordinary in-flight transfer: when its sender
+// crashes before TxDone the transfer is canceled and the receiving node's
+// NIC reservation rolled back, so later traffic into that node does not
+// queue behind a message nobody will ever receive.
+func TestSendToDeadRankReleasesNICOnSenderCrash(t *testing.T) {
+	e, w := testWorld(t, 12) // 4 ranks per node: ranks 4 and 5 share node 1
+	var arrived sim.Time
+	w.Launch("sender", 0, func(r *Rank) {
+		r.Compute(sim.Micros(1))
+		// 1 MB to the dead rank 4 holds node 1's receive side for 1 ms.
+		r.Wait(r.Isend(r.World(), 4, 0, make([]float64, 125_000), nil))
+	})
+	w.Launch("dead", 4, func(r *Rank) { r.Compute(sim.Second) })
+	w.Launch("late", 8, func(r *Rank) {
+		r.Compute(sim.Micros(600))
+		if err := r.Send(r.World(), 5, 0, []float64{1}, nil); err != nil {
+			t.Errorf("send: %v", err)
+		}
+	})
+	w.Launch("recv", 5, func(r *Rank) {
+		if _, err := r.Recv(r.World(), 8, 0); err != nil {
+			t.Errorf("recv: %v", err)
+		}
+		arrived = r.Now()
+	})
+	e.At(0, func() { w.Kill(4) })
+	e.At(sim.Micros(500), func() { w.Kill(0) })
+	run(t, e)
+	// 600 us + 1 us latency + 72 bytes at 1 GB/s, with node 1's NIC free.
+	if want := sim.Micros(601.072); arrived != want {
+		t.Fatalf("float arrived at %v, want %v", arrived, want)
+	}
 }
 
 func TestOnDeathHook(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/perf"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 // Rank is the process-facing handle for one MPI rank. It is only valid
@@ -59,8 +58,9 @@ func (r *Rank) Dead(rank int) bool { return r.st.w.ranks[rank].dead }
 
 // Request is a handle on a nonblocking operation. The completion future is
 // embedded by value and send completion is scheduled with the request
-// itself as the typed timer, so posting an operation costs exactly one
-// allocation: the Request.
+// itself as the typed timer, so posting an operation schedules no closure.
+// Requests are drawn from the world pool; the blocking calls, WaitallOwned
+// and the collective state machines hand theirs back.
 type Request struct {
 	id     uint64
 	st     *rankState
@@ -124,45 +124,46 @@ func sortRequests(reqs []*Request) {
 }
 
 // envelopeBytes models per-message protocol overhead on the wire, on top
-// of eight bytes per float64 payload element (or the explicit modeled size
-// for IsendSized).
+// of the modeled payload: eight bytes per float64 element, or the explicit
+// size the Sized variants take.
 const envelopeBytes = 64
 
-// Isend posts a nonblocking send of data (which is copied, so the caller
-// may reuse the buffer immediately) to dst on communicator c. meta must be
-// immutable. The request completes when the local NIC finishes
-// transmitting, which is what overlapping update transfers wait on.
+// Isend posts a nonblocking send of data to dst on communicator c. The
+// payload is copied (see Message), so the caller may reuse the buffer
+// immediately; meta must be immutable. The request completes when the
+// local NIC finishes transmitting, which is what overlapping update
+// transfers wait on.
 func (r *Rank) Isend(c *Comm, dst, tag int, data []float64, meta any) *Request {
-	buf := make([]float64, len(data))
-	copy(buf, data)
-	return r.IsendOwned(c, dst, tag, buf, meta)
-}
-
-// IsendOwned is Isend without the defensive copy: ownership of data
-// transfers to the runtime. Use when the caller has already cloned.
-func (r *Rank) IsendOwned(c *Comm, dst, tag int, data []float64, meta any) *Request {
-	return r.st.isendOwned(c, dst, tag, data, meta)
+	return r.st.isend(c, dst, tag, data, meta, 8*int64(len(data)))
 }
 
 // IsendSized is Isend with an explicit modeled payload size in bytes,
 // used by scaled experiment runs where the in-memory arrays are a fraction
-// of the modeled problem (data is still copied; the envelope is added on
-// top of payloadBytes).
+// of the modeled problem (the envelope is added on top of payloadBytes).
 func (r *Rank) IsendSized(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
-	buf := make([]float64, len(data))
-	copy(buf, data)
-	return r.st.isendSized(c, dst, tag, buf, meta, payloadBytes)
+	return r.st.isend(c, dst, tag, data, meta, payloadBytes)
+}
+
+// Send is a blocking send: it returns once the local NIC has finished
+// transmitting (buffered send semantics with completion timing).
+func (r *Rank) Send(c *Comm, dst, tag int, data []float64, meta any) error {
+	return r.SendSized(c, dst, tag, data, meta, 8*int64(len(data)))
+}
+
+// SendSized is the blocking IsendSized. The request handle never escapes,
+// so it returns to the world pool.
+func (r *Rank) SendSized(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) error {
+	rq := r.st.isend(c, dst, tag, data, meta, payloadBytes)
+	err := r.Wait(rq)
+	r.st.w.putRequest(rq)
+	return err
 }
 
 // AsyncSend posts a send on behalf of rank src from engine context (no
 // process blocks on it). Used by the replication layer to replay a send
-// log when a replica crashes. Ownership of data transfers to the runtime.
+// log when a replica crashes; data is copied like any other send.
 func (w *World) AsyncSend(src int, c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) {
-	w.ranks[src].isendSized(c, dst, tag, data, meta, payloadBytes)
-}
-
-func (st *rankState) isendOwned(c *Comm, dst, tag int, data []float64, meta any) *Request {
-	return st.isendSized(c, dst, tag, data, meta, 8*int64(len(data)))
+	w.ranks[src].isend(c, dst, tag, data, meta, payloadBytes)
 }
 
 // sendSeqFor returns the per-channel send sequence for the next message on
@@ -178,68 +179,13 @@ func (st *rankState) sendSeqFor(c *Comm, tag int) uint64 {
 	return sendCh.sendSeq
 }
 
-func (st *rankState) isendSized(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
-	w := st.w
-	worldDst := c.WorldRank(dst)
-	key := matchKey{src: st.rank, tag: tag, comm: c.id}
-	msg := &Message{
-		Src:   st.rank,
-		Dst:   worldDst,
-		Tag:   tag,
-		Data:  data,
-		Meta:  meta,
-		Bytes: envelopeBytes + payloadBytes,
-		seq:   st.sendSeqFor(c, tag),
-	}
-	req := newRequest(st, false, matchKey{})
-	st.stats.MsgsSent++
-	st.stats.BytesSent += msg.Bytes
-	dstState := w.ranks[worldDst]
-	if dstState.dead {
-		// Crash-stop destination: the message vanishes. Model the local NIC
-		// cost anyway (the sender cannot know). The no-op delivery event is
-		// still scheduled so the engine's event sequence — and with it every
-		// same-timestamp tie-break — is identical to the live-receiver path.
-		//
-		// Known modeling gap (pre-dating this path's rewrite, kept for
-		// output stability): this transfer is not tracked in st.outgoing,
-		// so if the sender also crashes before TxDone the receiver-node
-		// rxFree reservation is never rolled back.
-		var tr simnet.Transfer
-		w.net.SendInto(&tr, st.node, dstState.node, msg.Bytes, nopTimer{})
-		w.e.AtTimer(tr.TxDone(), req)
-		return req
-	}
-	dstCh := dstState.chanFor(key)
-	dstCh.inflight++
-	om := w.getOutMsg()
-	om.srcSt = st
-	om.dstSt = dstState
-	om.dstCh = dstCh
-	om.msg = msg
-	om.dst = worldDst
-	om.key = key
-	w.net.SendInto(&om.tr, st.node, dstState.node, msg.Bytes, om)
-	st.outgoing = append(st.outgoing, om)
-	st.pruneOutgoing()
-	w.e.AtTimer(om.tr.TxDone(), req)
-	return req
-}
-
-// isendColl posts a collective send: like isendOwned, but the request,
-// message and payload buffer all come from the world pools (the matching
-// collective receive recycles them), so steady-state collectives allocate
-// nothing. Collective messages carry no Meta.
-func (st *rankState) isendColl(c *Comm, dst, tag int, data []float64) *Request {
-	return st.isendPooled(c, dst, tag, data, nil, 8*int64(len(data)))
-}
-
-// isendPooled is the pooled-message send: payload is copied into a pooled
-// buffer and the Message itself comes from the world pool. Timing-wise it is
-// exactly isendSized; the only difference is allocation discipline, so it is
-// reserved for traffic whose receiver consumes the message and hands it back
-// (mpi-level collectives, the replication layer's internal trees).
-func (st *rankState) isendPooled(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
+// isend is the one send implementation. The payload is copied into a
+// pooled Message, the transfer is booked on both NICs and tracked in
+// st.outgoing until it is delivered, so a sender crash before TxDone
+// cancels it and releases the receiving NIC's reservation. A message to a
+// crashed rank takes the same path (the sender cannot know), and deliver
+// drops it.
+func (st *rankState) isend(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
 	w := st.w
 	worldDst := c.WorldRank(dst)
 	key := matchKey{src: st.rank, tag: tag, comm: c.id}
@@ -248,15 +194,6 @@ func (st *rankState) isendPooled(c *Comm, dst, tag int, data []float64, meta any
 	req := newRequest(st, false, matchKey{})
 	st.stats.MsgsSent++
 	st.stats.BytesSent += bytes
-	dstState := w.ranks[worldDst]
-	if dstState.dead {
-		// Same modeling as isendSized's dead-destination path (which see),
-		// minus the message object nobody would ever observe.
-		var tr simnet.Transfer
-		w.net.SendInto(&tr, st.node, dstState.node, bytes, nopTimer{})
-		w.e.AtTimer(tr.TxDone(), req)
-		return req
-	}
 	msg := w.getMessage(len(data))
 	copy(msg.Data, data)
 	msg.Src = st.rank
@@ -265,6 +202,7 @@ func (st *rankState) isendPooled(c *Comm, dst, tag int, data []float64, meta any
 	msg.Meta = meta
 	msg.Bytes = bytes
 	msg.seq = seq
+	dstState := w.ranks[worldDst]
 	dstCh := dstState.chanFor(key)
 	dstCh.inflight++
 	om := w.getOutMsg()
@@ -281,34 +219,17 @@ func (st *rankState) isendPooled(c *Comm, dst, tag int, data []float64, meta any
 	return req
 }
 
-// IsendPooled is IsendSized with pooled-message allocation discipline: the
-// payload is copied into a pooled buffer and the Message comes from the
-// world pool. Use only for traffic whose receiver fully consumes the message
-// and returns it via RecycleMessage (or drops it — the pool then simply does
-// not grow); a receiver that retains msg.Data must not see pooled sends.
-func (r *Rank) IsendPooled(c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) *Request {
-	return r.st.isendPooled(c, dst, tag, data, meta, payloadBytes)
-}
-
-// RecycleMessage returns a fully consumed message (payload buffer included)
-// to the world pool. Callers must drop every reference to the message and
-// its Data.
+// RecycleMessage returns a received message the caller holds the only
+// reference to (payload buffer included) to the world pool; see Message.
 func (w *World) RecycleMessage(m *Message) { w.putMessage(m) }
 
-// irecvColl posts a collective receive; the state machine recycles the
-// request on consumption.
-func (st *rankState) irecvColl(c *Comm, src, tag int) *Request {
+// irecv posts a receive. Irecv hands the request to the caller; the
+// collective state machines recycle theirs on consumption.
+func (st *rankState) irecv(c *Comm, src, tag int) *Request {
 	req := newRequest(st, true, matchKey{src: c.WorldRank(src), tag: tag, comm: c.id})
 	st.postRecv(req)
 	return req
 }
-
-// nopTimer is a zero-size sim.Timer for events that only exist to keep the
-// engine's event sequence aligned (e.g. the vanished delivery of a message
-// to a crashed rank).
-type nopTimer struct{}
-
-func (nopTimer) Fire() {}
 
 // pruneDelivered is the garbage threshold for pruneOutgoing: once this many
 // transfers have been delivered since the last prune, the next send compacts
@@ -346,7 +267,8 @@ func (st *rankState) pruneOutgoing() {
 // receives, or queues it as unexpected. Messages stay in send order.
 func (st *rankState) deliver(key matchKey, ch *chanState, msg *Message) {
 	if st.dead {
-		return // arrived after the receiver crashed
+		st.w.putMessage(msg) // arrived after the receiver crashed: nobody can see it
+		return
 	}
 	if reqs := ch.pending; len(reqs) > 0 {
 		rq := reqs[0]
@@ -375,11 +297,7 @@ func (st *rankState) deliver(key matchKey, ch *chanState, msg *Message) {
 }
 
 // Irecv posts a nonblocking receive matching (src, tag) on c.
-func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
-	req := newRequest(r.st, true, matchKey{src: c.WorldRank(src), tag: tag, comm: c.id})
-	r.st.postRecv(req)
-	return req
-}
+func (r *Rank) Irecv(c *Comm, src, tag int) *Request { return r.st.irecv(c, src, tag) }
 
 // postRecv matches a freshly posted receive against the unexpected queue,
 // fails it if the source is dead with nothing in flight, or parks it on the
@@ -465,24 +383,9 @@ func (r *Rank) WaitallOwned(reqs []*Request) error {
 	return first
 }
 
-// Send is a blocking send: it returns once the local NIC has finished
-// transmitting (buffered send semantics with completion timing). The
-// request handle never escapes, so it returns to the world pool, and the
-// payload is copied into a pooled message (timing-identical to the Isend
-// path). The receiver owns the delivered message as usual; one that fully
-// consumes it may hand it back via RecycleMessage so the round trip stays
-// allocation-free, and one that retains msg.Data simply keeps it — the pool
-// then does not grow.
-func (r *Rank) Send(c *Comm, dst, tag int, data []float64, meta any) error {
-	rq := r.st.isendPooled(c, dst, tag, data, meta, 8*int64(len(data)))
-	err := r.Wait(rq)
-	r.st.w.putRequest(rq)
-	return err
-}
-
 // Recv blocks until a message matching (src, tag) arrives. The request
 // handle never escapes, so it returns to the world pool; the message is
-// owned by the caller.
+// the caller's (see Message).
 func (r *Rank) Recv(c *Comm, src, tag int) (*Message, error) {
 	rq := r.Irecv(c, src, tag)
 	err := r.Wait(rq)

@@ -2,9 +2,9 @@
 // the discrete-event simulator.
 //
 // It provides ranks, communicators, tagged point-to-point messaging
-// (blocking and nonblocking, with Wait/Waitall), and the collectives used
-// by the paper's applications (Barrier, Bcast, Reduce, Allreduce,
-// Allgather). It stands in for Open MPI 1.7 in the original evaluation.
+// (blocking and nonblocking, with Wait/Waitall) and the collectives Barrier,
+// Bcast, Reduce and Allreduce. It stands in for Open MPI 1.7 in the
+// original evaluation.
 //
 // Failure semantics are crash-stop: when a rank is killed, messages it
 // fully transmitted are still delivered, in-flight transmissions are lost,
@@ -49,7 +49,7 @@ type World struct {
 }
 
 // Scratch is the bundle of free lists a world draws from: requests,
-// collective messages (with their payload buffers), outMsg transfer nodes
+// messages (with their payload buffers), outMsg transfer nodes
 // and single-shot channel states. By default every world owns a private
 // scratch, so independent worlds stay independent without locking. A harness
 // that builds many short-lived worlds in sequence on one goroutine — the
@@ -232,9 +232,8 @@ func (w *World) getMessage(n int) *Message {
 	return m
 }
 
-// putMessage recycles a consumed collective message, payload buffer and
-// all. Only collective receives call it: point-to-point messages are owned
-// by their receiver indefinitely.
+// putMessage recycles a message, payload buffer and all. The caller must
+// hold the only reference to it (see Message for who does).
 func (w *World) putMessage(m *Message) {
 	m.Meta = nil
 	w.sc.msgFree = append(w.sc.msgFree, m)
@@ -308,6 +307,14 @@ func (w *World) Reclaim() {
 }
 
 // Message is a delivered point-to-point message.
+//
+// Ownership: every send copies its payload into a pooled Message, and the
+// receiver owns the message it receives. It may hand it back with
+// World.RecycleMessage once it holds no other reference to the message or
+// its Data; a receiver that keeps msg.Data simply never returns it. No
+// application receive buffer is recycled: only the collectives, the
+// replication layer's duplicate and tree receives, Reclaim, canceled
+// transfers and deliveries to a crashed rank return messages to the pool.
 type Message struct {
 	Src, Dst int // world ranks
 	Tag      int

@@ -81,17 +81,6 @@ func (p *Proc) SendSized(dst, tag int, data []float64, meta any, payloadBytes in
 	return p.R.WaitallOwned(p.reqbuf)
 }
 
-// Isend is the nonblocking variant of Send. The returned requests complete
-// when the local NIC finishes transmitting each lane's copy.
-func (p *Proc) Isend(dst, tag int, data []float64, meta any) []*mpi.Request {
-	return p.IsendSized(dst, tag, data, meta, 8*int64(len(data)))
-}
-
-// IsendSized is Isend with an explicit modeled payload size.
-func (p *Proc) IsendSized(dst, tag int, data []float64, meta any, payloadBytes int64) []*mpi.Request {
-	return p.isendInto(nil, dst, tag, data, meta, payloadBytes)
-}
-
 func (p *Proc) isendInto(reqs []*mpi.Request, dst, tag int, data []float64, meta any, payloadBytes int64) []*mpi.Request {
 	// Collective tags (negative, minted fresh per round by collTag) are
 	// single-shot: each (src, dst, tag) pair carries at most one message,
@@ -123,7 +112,7 @@ func (p *Proc) isendInto(reqs []*mpi.Request, dst, tag int, data []float64, meta
 			p.s.deadDrops++
 			continue // the lane-l replica of dst is dead; its cover has its own feed
 		}
-		reqs = append(reqs, p.R.IsendPooled(p.s.w.World(), p.s.PhysRank(dst, l), tag, data, p.s.getHdr(seq, meta), payloadBytes))
+		reqs = append(reqs, p.R.IsendSized(p.s.w.World(), p.s.PhysRank(dst, l), tag, data, p.s.getHdr(seq, meta), payloadBytes))
 	}
 	return reqs
 }
@@ -137,10 +126,8 @@ func (p *Proc) replayTo(l int) {
 			continue
 		}
 		p.s.replayMsgs++
-		buf := make([]float64, ent.n)
-		copy(buf, p.logArena[ent.off:ent.off+ent.n])
-		p.s.w.AsyncSend(p.s.PhysRank(p.Logical, p.Lane), p.s.w.World(),
-			p.s.PhysRank(ent.dst, l), ent.tag, buf, p.s.getHdr(ent.seq, ent.meta), ent.bytes)
+		p.s.w.AsyncSend(p.s.PhysRank(p.Logical, p.Lane), p.s.w.World(), p.s.PhysRank(ent.dst, l),
+			ent.tag, p.logArena[ent.off:ent.off+ent.n], p.s.getHdr(ent.seq, ent.meta), ent.bytes)
 	}
 }
 
