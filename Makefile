@@ -43,7 +43,10 @@ validate-scenarios:
 
 # Every *.md file doc.go and README.md name, and every cmd/<name> and
 # examples/<name> directory the docs name, must exist. Brace lists such as
-# cmd/{sweep,hpccg} name each of their entries.
+# cmd/{sweep,hpccg} name each of their entries. Every documented
+# `go run ./cmd/sweep` command built from -app flags must pass -validate,
+# which expands and binds its points without simulating: backslash
+# continuations are joined, and comments and redirections dropped.
 DOCS = README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 
 check-docs:
@@ -53,4 +56,12 @@ check-docs:
 	for d in $$(grep -ohE '(cmd|examples)/(\{[a-z0-9_,-]+\}|[a-z0-9_-]+)' $(DOCS) | \
 		awk -F/ '{ n = split($$2, e, /[{},]/); for (i = 1; i <= n; i++) if (e[i] != "") print $$1 "/" e[i] }' | sort -u); do \
 		if [ ! -d "$$d" ]; then echo "missing $$d (referenced from $(DOCS))"; missing=1; fi; \
-	done; exit $$missing
+	done; \
+	tmp=$$(mktemp -d); $(GO) build -o $$tmp/sweep ./cmd/sweep || exit 1; \
+	awk '/\\$$/ { sub(/\\$$/, ""); line = line $$0; next } { print line $$0; line = "" }' $(DOCS) | \
+		grep -oE 'go run \./cmd/sweep [^#>|`]*' | grep -e ' -app ' | sort -u > $$tmp/cmds; \
+	while read -r cmd; do \
+		if ! $$tmp/sweep $${cmd#go run ./cmd/sweep } -validate > /dev/null; then \
+			echo "documented command fails -validate: $$cmd"; missing=1; \
+		fi; \
+	done < $$tmp/cmds; rm -rf $$tmp; exit $$missing

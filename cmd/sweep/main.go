@@ -23,12 +23,15 @@
 //	sweep -spec scenarios/smoke.json -json
 //	sweep -spec scenarios/campaign-mtbf.json -mode campaign
 //	sweep -spec scenarios/fig5b.json -validate   # check without running
+//	sweep -mode campaign -app hpccg -procs 12 -degrees 2,3 -validate
 //
 // Campaign mode layers Monte Carlo failure injection over the grid: per
 // scenario point it runs -trials seeded simulations with crash schedules
 // drawn from an exponential per-replica MTBF, and aggregates makespan,
 // efficiency and survival statistics with confidence intervals next to the
-// analytic §II checkpoint/restart model:
+// analytic §II checkpoint/restart model. The grid flags stand for the
+// scenario list a campaign file would hold (the grid crossed with the
+// -mtbf axis), and both take the same path:
 //
 //	sweep -mode campaign -app hpccg -procs 16 -mtbf 0.05,0.2,1
 //	sweep -mode campaign -app gtc -modes intra -trials 200 -seed 7 -json
@@ -156,7 +159,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON instead of tables")
 	list := flag.Bool("list", false, "list registered apps, figures, nets and machines, then exit")
 	specFile := flag.String("spec", "", "run a scenario file (see scenarios/)")
-	validate := flag.Bool("validate", false, "with -spec: load, validate and expand the file and bind every point to its app, but do not run it")
+	validate := flag.Bool("validate", false, "with -spec or an -app grid: validate and expand the scenarios (campaign and explore points included) and bind every point to its app, but do not run it")
 	modeFlag := flag.String("mode", "", "'campaign' runs Monte Carlo failure injection over the -app grid or the -spec file; 'jobstream' runs a workload -spec file as an open-load cluster service")
 	trials := flag.Int("trials", 100, "campaign/jobstream: seeded trials per point or cell (jobstream default 5)")
 	seed := flag.Int64("seed", 1, "campaign/jobstream: master seed (jobstream default: the workload's own)")
@@ -188,6 +191,11 @@ func main() {
 		return
 	}
 
+	switch *modeFlag {
+	case "", "campaign", "explore", "jobstream":
+	default:
+		fail("unknown -mode %q (campaign | explore | jobstream)", *modeFlag)
+	}
 	if *modeFlag != "campaign" && *modeFlag != "explore" {
 		for _, flagName := range []string{"mtbf", "horizon", "ckpt-delta", "ckpt-restart", "ckpt-tau", "ft"} {
 			if setFlags[flagName] {
@@ -302,9 +310,10 @@ func main() {
 		}()
 	}
 
+	// Every input but -figures becomes a scenario file: -spec loads one,
+	// and the grid flags build the one a file would hold.
+	var f *scenario.File
 	switch {
-	case *validate && *specFile == "":
-		fail("-validate needs a -spec file")
 	case *specFile != "":
 		for _, flagName := range []string{"figures", "app", "modes", "procs", "degrees",
 			"iters", "tasks", "net", "machine", "mtbf", "ft"} {
@@ -312,88 +321,33 @@ func main() {
 				fail("-%s conflicts with -spec: the scenario file is the whole grid", flagName)
 			}
 		}
-		f, err := scenario.Load(*specFile)
-		if err != nil {
+		var err error
+		if f, err = scenario.Load(*specFile); err != nil {
 			fail("%v", err)
-		}
-		if *validate {
-			msg, err := validateSpec(f)
-			if err != nil {
-				fail("%v", err)
-			}
-			fmt.Println(msg)
-			return
-		}
-		if f.Workload != nil && *modeFlag != "jobstream" {
-			fail("%s is a workload file: run it with -mode jobstream", *specFile)
-		}
-		switch *modeFlag {
-		case "":
-			if err := runSpecFile(os.Stdout, f, *workers, *jsonOut, sctx); err != nil {
-				fail("%v", err)
-			}
-		case "campaign":
-			if err := runCampaignSpec(os.Stdout, f, ccfg, *jsonOut, sctx); err != nil {
-				fail("%v", err)
-			}
-		case "explore":
-			if err := runExploreSpec(os.Stdout, f, ecfg, *jsonOut, sctx); err != nil {
-				fail("%v", err)
-			}
-		case "jobstream":
-			if f.Workload == nil {
-				fail("-mode jobstream needs a workload file (%s has no workload section)", *specFile)
-			}
-			if err := runJobStream(os.Stdout, f, jcfg, *jsonOut, sctx); err != nil {
-				fail("%v", err)
-			}
-		default:
-			fail("unknown -mode %q (campaign | explore | jobstream)", *modeFlag)
 		}
 	case *modeFlag == "jobstream":
 		fail("-mode jobstream needs a -spec workload file")
-	case *modeFlag == "campaign":
+	case *modeFlag == "campaign" || *modeFlag == "explore":
 		if *figures != "" {
-			fail("-mode campaign uses the -app grid, not -figures")
+			fail("-mode %s uses the -app grid, not -figures", *modeFlag)
 		}
 		if *app == "" {
-			fail("-mode campaign needs an -app grid or a -spec file")
+			fail("-mode %s needs an -app grid or a -spec file", *modeFlag)
 		}
 		modes := *modesFlag
 		if !setFlags["modes"] {
 			modes = "classic,intra" // campaigns need replicas to crash
 		}
-		scs, err := campaignGrid(*app, modes, *procsFlag, *degreesFlag, *iters, *tasks,
-			*netName, *machineName, *mtbfFlag, measureCCR)
+		g := gridFromFlags(*app, modes, *procsFlag, *degreesFlag, *iters, *tasks, *netName, *machineName)
+		scs, err := campaignScenarios(g, parseFloats(*mtbfFlag), measureCCR)
 		if err != nil {
 			fail("%v", err)
 		}
-		if err := runCampaign(os.Stdout, ccfg, scs, *netName, *machineName, *jsonOut, sctx); err != nil {
-			fail("%v", err)
-		}
-	case *modeFlag == "explore":
-		if *figures != "" {
-			fail("-mode explore uses the -app grid, not -figures")
-		}
-		if *app == "" {
-			fail("-mode explore needs an -app grid or a -spec file")
-		}
-		modes := *modesFlag
-		if !setFlags["modes"] {
-			modes = "classic,intra"
-		}
-		scs, err := campaignGrid(*app, modes, *procsFlag, *degreesFlag, *iters, *tasks,
-			*netName, *machineName, *mtbfFlag, measureCCR)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := runExplore(os.Stdout, ecfg, scs, *netName, *machineName, *jsonOut, sctx); err != nil {
-			fail("%v", err)
-		}
-	case *modeFlag != "":
-		fail("unknown -mode %q (campaign | explore | jobstream)", *modeFlag)
+		f = &scenario.File{Scenarios: scs}
 	case *figures != "" && *app != "":
 		fail("use either -figures or -app, not both")
+	case *validate && *app == "":
+		fail("-validate needs a -spec file or an -app grid")
 	case *figures != "":
 		for _, gridOnly := range []string{"modes", "degrees", "tasks", "net", "machine"} {
 			if setFlags[gridOnly] {
@@ -407,11 +361,38 @@ func main() {
 		runFigures(*figures, procsOverride, *iters, *jsonOut)
 	case *app != "":
 		g := gridFromFlags(*app, *modesFlag, *procsFlag, *degreesFlag, *iters, *tasks, *netName, *machineName)
-		if err := runGrid(os.Stdout, g, *workers, *jsonOut, sctx); err != nil {
-			fail("%v", err)
-		}
+		f = &scenario.File{Grid: &g}
 	default:
 		fail("nothing to do: pass -figures, -app or -spec (see -h and -list)")
+	}
+
+	if f != nil {
+		if *validate {
+			msg, err := validateSpec(f)
+			if err != nil {
+				fail("%v", err)
+			}
+			fmt.Println(msg)
+			return
+		}
+		if f.Workload != nil && *modeFlag != "jobstream" {
+			fail("%s is a workload file: run it with -mode jobstream", *specFile)
+		}
+		var err error
+		switch *modeFlag {
+		case "":
+			err = runSpecFile(os.Stdout, f, *workers, *jsonOut, sctx)
+		case "jobstream":
+			if f.Workload == nil {
+				fail("-mode jobstream needs a workload file (%s has no workload section)", *specFile)
+			}
+			err = runJobStream(os.Stdout, f, jcfg, *jsonOut, sctx)
+		default:
+			err = runFailures(os.Stdout, *modeFlag, f, ccfg, ecfg, *jsonOut, sctx)
+		}
+		if err != nil {
+			fail("%v", err)
+		}
 	}
 
 	if sctx.st != nil {
@@ -748,88 +729,60 @@ func runSpecFile(w io.Writer, f *scenario.File, workers int, jsonOut bool, sctx 
 	return runScenarios(w, "spec", label, scs, workers, jsonOut, sctx)
 }
 
-// campaignGrid builds the campaign scenario grid from the grid flags and
-// the MTBF axis, using each app's registered paper protocol. With
-// measureCCR, every (app, procs) point additionally gets a measured
-// coordinated checkpoint/restart series over the same MTBF axis at the
-// native budget — the paper's Fig. 1 comparison. For weak-scaling apps
-// both sides occupy the same -procs physical budget; fixed-size apps
-// keep the grid convention (replicated points add replica resources,
-// phys = procs×degree) and rely on resource-normalized efficiency.
-func campaignGrid(apps, modesFlag, procsFlag, degreesFlag string, iters, tasks int,
-	netName, machineName, mtbfFlag string, measureCCR bool) ([]campaign.Scenario, error) {
-	modes := parseModes(modesFlag)
-	procs := parseInts(procsFlag)
-	degrees := parseInts(degreesFlag)
-	mtbfs := parseFloats(mtbfFlag)
-
-	var out []campaign.Scenario
-	for _, appName := range splitList(apps) {
-		ent, err := scenario.AppByName(appName)
-		if err != nil {
-			return nil, err
+// campaignScenarios is the campaign file the grid flags stand for: the
+// grid expanded under each app's paper protocol — under -ft ccr with a ccr
+// point per process count ahead of the replicated modes, the §II
+// checkpoint/restart side at the native budget — and every point crossed
+// with the MTBF axis as its fault model. Weak-scaling apps share the -procs
+// physical budget across the sides; fixed-size apps put replicas on extra
+// resources (phys = procs×degree) and rely on resource-normalized
+// efficiency. Point names keep the CLI's app/ccr/pN/mtbfM spelling of the
+// ccr series.
+func campaignScenarios(g scenario.Grid, mtbfs []float64, measureCCR bool) ([]scenario.Scenario, error) {
+	for _, mode := range g.Modes {
+		if !mode.Replicated() {
+			return nil, fmt.Errorf("campaign mode %s has no replicas to crash (use classic and/or intra; -ft ccr adds the checkpoint/restart side)", mode)
 		}
-		if ent.Paper == nil {
-			return nil, fmt.Errorf("app %q has no paper grid binding", appName)
-		}
-		for _, p := range procs {
-			if measureCCR {
-				// The ccr series runs the app unreplicated on the full
-				// physical budget; checkpoint parameters come from the
-				// -ckpt-* flags (campaign.Config) or their defaults.
-				for _, m := range mtbfs {
-					out = append(out, campaign.Scenario{
-						MTBF: sim.Seconds(m),
-						Point: scenario.Scenario{
-							Name: fmt.Sprintf("%s/ccr/p%d/mtbf%g", appName, p, m),
-							App:  appName, Config: scenario.MustRaw(ent.Paper(iters, tasks)),
-							Mode: scenario.CCR, Logical: p,
-							Net: netName, Machine: machineName,
-						},
-					})
-				}
-			}
-			for _, mode := range modes {
-				if !mode.Replicated() {
-					return nil, fmt.Errorf("campaign mode %s has no replicas to crash (use classic and/or intra; -ft ccr adds the checkpoint/restart side)", mode)
-				}
-				for _, d := range degrees {
-					for _, m := range mtbfs {
-						logical := p
-						cfg := ent.Paper(iters, tasks)
-						if ent.GrowPerDegree != nil {
-							ent.GrowPerDegree(cfg, d)
-						}
-						sc := campaign.Scenario{MTBF: sim.Seconds(m)}
-						if ent.WeakScaling {
-							if p%d != 0 {
-								return nil, fmt.Errorf("-procs %d is not divisible by degree %d", p, d)
-							}
-							logical = p / d
-							// The native reference runs the full physical
-							// budget on the ungrown per-rank problem.
-							sc.Native = &scenario.Scenario{
-								App: appName, Config: scenario.MustRaw(ent.Paper(iters, tasks)),
-								Mode: scenario.Native, Logical: p,
-								Net: netName, Machine: machineName,
-							}
-						}
-						if logical < 1 {
-							return nil, fmt.Errorf("%d processes cannot host degree %d replication", p, d)
-						}
-						sc.Point = scenario.Scenario{
-							Name: fmt.Sprintf("%s/%s/p%d/d%d/mtbf%g", appName, mode, p, d, m),
-							App:  appName, Config: scenario.MustRaw(cfg),
-							Mode: mode, Logical: logical, Degree: d,
-							Net: netName, Machine: machineName,
-						}
-						out = append(out, sc)
-					}
-				}
-			}
+	}
+	if measureCCR {
+		g.Modes = append([]scenario.Mode{scenario.CCR}, g.Modes...)
+	}
+	points, err := g.Expand()
+	if err != nil {
+		return nil, err
+	}
+	var out []scenario.Scenario
+	for _, sc := range points {
+		name := strings.Replace(sc.Name, "/"+scenario.CCR.String()+"/", "/"+scenario.CCR.Name()+"/", 1)
+		for _, m := range mtbfs {
+			sc.Name = fmt.Sprintf("%s/mtbf%g", name, m)
+			sc.Fault = &scenario.FaultSpec{MTBFSeconds: m}
+			out = append(out, sc)
 		}
 	}
 	return out, nil
+}
+
+// runFailures lifts a scenario file whose points carry MTBF fault models
+// into campaign points — the one path flag-built and file-built campaigns
+// share — and runs them as a campaign or, with mode "explore", adaptively.
+func runFailures(w io.Writer, mode string, f *scenario.File, ccfg campaign.Config, ecfg explore.Config,
+	jsonOut bool, sctx storeCtx) error {
+	scs, err := f.Expand()
+	if err != nil {
+		return err
+	}
+	camp := make([]campaign.Scenario, len(scs))
+	for i, sc := range scs {
+		if camp[i], err = campaign.FromScenario(sc); err != nil {
+			return err
+		}
+	}
+	netLabel, machineLabel := scenario.PlatformLabels(scs)
+	if mode == "explore" {
+		return runExplore(w, ecfg, camp, netLabel, machineLabel, jsonOut, sctx)
+	}
+	return runCampaign(w, ccfg, camp, netLabel, machineLabel, jsonOut, sctx)
 }
 
 // runCampaign executes the campaign grid and reports the aggregates. With
@@ -898,24 +851,6 @@ func runJobStream(w io.Writer, f *scenario.File, cfg jobstream.Config, jsonOut b
 	return nil
 }
 
-// runCampaignSpec runs a scenario file whose points carry MTBF fault
-// models as a campaign.
-func runCampaignSpec(w io.Writer, f *scenario.File, cfg campaign.Config, jsonOut bool, sctx storeCtx) error {
-	scs, err := f.Expand()
-	if err != nil {
-		return err
-	}
-	camp := make([]campaign.Scenario, len(scs))
-	for i, sc := range scs {
-		camp[i], err = campaign.FromScenario(sc)
-		if err != nil {
-			return err
-		}
-	}
-	netLabel, machineLabel := scenario.PlatformLabels(scs)
-	return runCampaign(w, cfg, camp, netLabel, machineLabel, jsonOut, sctx)
-}
-
 // runExplore drives the adaptive explorer over a campaign grid and reports
 // the refined points, measured crossover brackets and tau searches. The
 // stdout report is a pure function of (config, grid) — store-backed,
@@ -941,23 +876,6 @@ func runExplore(w io.Writer, cfg explore.Config, scs []campaign.Scenario,
 	}
 	fmt.Fprintln(w, res.Table().String())
 	return nil
-}
-
-// runExploreSpec runs a scenario file's MTBF-carrying points adaptively.
-func runExploreSpec(w io.Writer, f *scenario.File, cfg explore.Config, jsonOut bool, sctx storeCtx) error {
-	scs, err := f.Expand()
-	if err != nil {
-		return err
-	}
-	camp := make([]campaign.Scenario, len(scs))
-	for i, sc := range scs {
-		camp[i], err = campaign.FromScenario(sc)
-		if err != nil {
-			return err
-		}
-	}
-	netLabel, machineLabel := scenario.PlatformLabels(scs)
-	return runExplore(w, cfg, camp, netLabel, machineLabel, jsonOut, sctx)
 }
 
 func emitJSON(w io.Writer, v any) {

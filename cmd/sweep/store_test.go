@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/explore"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
@@ -107,7 +108,7 @@ func TestShardedCampaignSpecMerge(t *testing.T) {
 	}
 	cfg := campaign.Config{Trials: 3, Seed: 9, Workers: 2}
 	var plain bytes.Buffer
-	if err := runCampaignSpec(&plain, f, cfg, true, storeCtx{}); err != nil {
+	if err := runFailures(&plain, "campaign", f, cfg, explore.Config{}, true, storeCtx{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +119,7 @@ func TestShardedCampaignSpecMerge(t *testing.T) {
 		sh := store.Shard{Index: i, Count: shards}
 		st := openStore(t, dir, sh.String())
 		var buf bytes.Buffer
-		if err := runCampaignSpec(&buf, f, cfg, true, storeCtx{st: st, shard: sh}); err != nil {
+		if err := runFailures(&buf, "campaign", f, cfg, explore.Config{}, true, storeCtx{st: st, shard: sh}); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), `"shard": "`+sh.String()+`"`) {
@@ -133,7 +134,7 @@ func TestShardedCampaignSpecMerge(t *testing.T) {
 	defer st.Close()
 	var merged bytes.Buffer
 	// merge: true exercises the CLI's aggregate verification path too.
-	if err := runCampaignSpec(&merged, f, cfg, true, storeCtx{st: st, merge: true}); err != nil {
+	if err := runFailures(&merged, "campaign", f, cfg, explore.Config{}, true, storeCtx{st: st, merge: true}); err != nil {
 		t.Fatal(err)
 	}
 	if merged.String() != plain.String() {

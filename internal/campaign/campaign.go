@@ -513,18 +513,26 @@ func planReferences(cfg Config, scenarios []Scenario) (base, templates []experim
 	return base, templates, nil
 }
 
-// maxHorizonDoublings bounds the ccr draw-window growth; past it the
-// remaining tail of an effectively-stalled operating point (expected
-// makespan > ~10^6 fault-free walls) is truncated rather than drawn.
-const maxHorizonDoublings = 20
+// The ccr draw window stops growing after maxHorizonDoublings doublings
+// (an expected makespan > ~10^6 fault-free walls), and before a doubling
+// whose window would be expected to hold more than maxWindowFailures
+// failures: every trace is redrawn whole, so memory grows with the
+// failures a window holds. Either bound marks an effectively-stalled
+// operating point, and the trial reports a truncated makespan: the replay
+// of the last window's failures followed by a failure-free finish of the
+// remaining work, a lower bound on the true makespan.
+const (
+	maxHorizonDoublings = 20
+	maxWindowFailures   = 1 << 20
+)
 
 // ccrTrial draws one unclamped failure trace and replays the work under
 // it. With grow set (the defaulted-horizon case) it doubles the draw
 // window until it covers the failure-stretched makespan — the unclamped
 // draw extends a trace without disturbing the failures already inside
-// it, so growth refines the same trial rather than redrawing it. With an
-// explicit horizon the window is a hard cap, exactly as it is for
-// replicated draws.
+// it, so growth refines the same trial rather than redrawing it — up to
+// the bounds above. With an explicit horizon the window is a hard cap,
+// exactly as it is for replicated draws.
 func ccrTrial(work float64, p ckptsim.Params, nodes int, mtbf, horizon sim.Time, grow bool, seed int64) ckptsim.Trial {
 	h := horizon
 	for doublings := 0; ; doublings++ {
@@ -539,7 +547,8 @@ func ccrTrial(work float64, p ckptsim.Params, nodes int, mtbf, horizon sim.Time,
 		if err != nil {
 			panic(fmt.Sprintf("campaign: ccr replay: %v", err))
 		}
-		if !grow || tr.Makespan <= h.Seconds() || doublings >= maxHorizonDoublings {
+		if !grow || tr.Makespan <= h.Seconds() || doublings >= maxHorizonDoublings ||
+			float64(nodes)*float64(2*h)/float64(mtbf) > maxWindowFailures {
 			return tr
 		}
 		h *= 2

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/apps/hpccg"
 	"repro/internal/campaign"
+	"repro/internal/ckptsim"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -267,6 +268,39 @@ func ccrPoint(name string, mtbf sim.Time) campaign.Scenario {
 	pt := smallPoint(name, scenario.CCR)
 	pt.Ckpt = &scenario.CkptOptions{TauSeconds: 0.002, DeltaSeconds: 0.0005, RestartSeconds: 0.0005}
 	return campaign.Scenario{Point: pt, MTBF: mtbf}
+}
+
+// TestCCRStalledPointBounded: at a stalled operating point — GTC on 8
+// nodes at a 0.01 s node MTBF, where a checkpoint costs more than the
+// system MTBF — the defaulted horizon stops growing before its window is
+// expected to hold more than 2^20 failures. The trial, and the tau
+// search's replay trace, return a truncated makespan instead of drawing
+// about 50 million failures (several GB of trace).
+func TestCCRStalledPointBounded(t *testing.T) {
+	const failureCap = 1 << 20
+	scs, err := scenario.Grid{Apps: []string{"gtc"}, Modes: []scenario.Mode{scenario.CCR}, Procs: []int{8}}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := scs[0]
+	pt.Fault = &scenario.FaultSpec{MTBFSeconds: 0.01}
+	sc, err := campaign.FromScenario(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := campaign.PreparePoints(campaign.Config{Trials: 1, Seed: 1, Workers: 1}, []campaign.Scenario{sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pts[0]
+	for _, tr := range []ckptsim.Trial{p.CCRTrial(0), p.ReplayTrace(1, 0, p.Params)} {
+		if tr.Failures == 0 || tr.Failures >= failureCap {
+			t.Fatalf("stalled trial hit by %d failures, want (0, %d)", tr.Failures, failureCap)
+		}
+		if tr.Makespan < 1000*p.NativeWall {
+			t.Fatalf("point is not stalled: makespan %g s, native wall %g s", tr.Makespan, p.NativeWall)
+		}
+	}
 }
 
 // TestCampaignCCRMeasuredVsAnalytic is the acceptance property of the

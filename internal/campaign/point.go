@@ -164,10 +164,6 @@ func (p *Point) IsCCR() bool { return p.Scenario.Point.Mode == scenario.CCR }
 // reference + MTBF + horizon), the basis of its seed and store keys.
 func (p *Point) Fingerprint() string { return p.fp }
 
-// NativeFingerprint identifies the shared native baseline, the pairing key
-// for crossover series.
-func (p *Point) NativeFingerprint() string { return p.nativeFP }
-
 // TrialSpec lays out replicated trial t as a sweep spec (panics on ccr
 // points, which have no replicated execution). The draw is returned for
 // crash accounting.

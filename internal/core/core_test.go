@@ -407,43 +407,30 @@ func TestDegree3DeathSelfExecution(t *testing.T) {
 }
 
 func TestSchedulersCoverAllTasksExactlyOnce(t *testing.T) {
-	for _, sched := range []struct {
-		name string
-		fn   Scheduler
-	}{{"block", BlockScheduler}, {"rr", RoundRobinScheduler}} {
-		sched := sched
-		t.Run(sched.name, func(t *testing.T) {
-			prop := func(nRaw, lRaw uint8) bool {
-				n := int(nRaw)%64 + 1
-				l := int(lRaw)%4 + 1
-				lanes := make([]int, l)
-				for i := range lanes {
-					lanes[i] = i
-				}
-				owner := sched.fn(n, lanes)
-				if len(owner) != n {
+	t.Run("block", func(t *testing.T) {
+		prop := func(nRaw, lRaw uint8) bool {
+			n := int(nRaw)%64 + 1
+			l := int(lRaw)%4 + 1
+			lanes := make([]int, l)
+			for i := range lanes {
+				lanes[i] = i
+			}
+			owner := BlockScheduler(n, lanes)
+			if len(owner) != n {
+				return false
+			}
+			for i, o := range owner {
+				// Every task has one lane, and lanes own contiguous runs.
+				if o < 0 || o >= l || i > 0 && o < owner[i-1] {
 					return false
 				}
-				for _, o := range owner {
-					if o < 0 || o >= l {
-						return false
-					}
-				}
-				// Block scheduler must give contiguous runs.
-				if sched.name == "block" {
-					for i := 1; i < n; i++ {
-						if owner[i] < owner[i-1] {
-							return false
-						}
-					}
-				}
-				return true
 			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestBlockSchedulerMatchesPaperSplit(t *testing.T) {
@@ -835,23 +822,6 @@ func TestIntraDegreeOneRunsLocally(t *testing.T) {
 		checkWaxpby(t, w, "degree1")
 		if rt.Stats().TasksRun != 4 || rt.Stats().UpdateBytes != 0 {
 			t.Errorf("stats: %+v", rt.Stats())
-		}
-	})
-	h.run(t)
-}
-
-func TestRoundRobinSchedulerWorksEndToEnd(t *testing.T) {
-	h := newHarness(t, 1, 2)
-	h.sys.Launch("app", func(p *replication.Proc) {
-		rt := NewIntra(p, Options{Sched: RoundRobinScheduler})
-		w, err := runWaxpbySection(rt, 32, 8)
-		if err != nil {
-			t.Errorf("section: %v", err)
-			return
-		}
-		checkWaxpby(t, w, "rr")
-		if rt.Stats().TasksRun != 4 {
-			t.Errorf("rr split wrong: %+v", rt.Stats())
 		}
 	})
 	h.run(t)

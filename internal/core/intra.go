@@ -38,33 +38,20 @@ func (m InoutMode) String() string {
 	return "copy"
 }
 
-// Scheduler assigns each of a section's tasks to one of the given lanes.
-// Assignments are computed over the full (configured) lane set on every
-// replica, so they are identical everywhere by construction — replicas
-// never need to agree dynamically on ownership. Tasks assigned to a lane
-// that turns out to be dead are executed locally by every surviving
+// BlockScheduler assigns each of a section's tasks to one of the given
+// lanes by the paper's static policy (§V-A): with L lanes the first n/L
+// launched tasks go to the first lane, the next n/L to the second, and so
+// on. Assignments are computed over the full (configured) lane set on
+// every replica, so they are identical everywhere by construction —
+// replicas never need to agree dynamically on ownership. Tasks assigned to
+// a lane that turns out to be dead are executed locally by every surviving
 // replica that is missing their results (the "execute the task locally"
 // option of §III-B2).
-type Scheduler func(nTasks int, lanes []int) []int
-
-// BlockScheduler is the paper's static policy (§V-A): with L lanes the
-// first n/L launched tasks go to the first lane, the next n/L to the
-// second, and so on.
 func BlockScheduler(nTasks int, lanes []int) []int {
 	owner := make([]int, nTasks)
 	l := len(lanes)
 	for i := range owner {
 		owner[i] = lanes[i*l/nTasks]
-	}
-	return owner
-}
-
-// RoundRobinScheduler deals tasks to lanes cyclically; an alternative used
-// by the scheduling ablation.
-func RoundRobinScheduler(nTasks int, lanes []int) []int {
-	owner := make([]int, nTasks)
-	for i := range owner {
-		owner[i] = lanes[i%len(lanes)]
 	}
 	return owner
 }
@@ -84,7 +71,6 @@ type Hooks struct {
 // Options configures the intra engine.
 type Options struct {
 	Mode  InoutMode
-	Sched Scheduler // defaults to BlockScheduler
 	Hooks Hooks
 	// CostScale multiplies the modeled size of task arguments for update
 	// transfers and inout copies, so scaled-down arrays are charged at the
@@ -105,9 +91,6 @@ func (en *intraEngine) mode() string { return "intra" }
 
 // NewIntra creates a Runner for one replica under intra-parallelization.
 func NewIntra(p *replication.Proc, opts Options) *R {
-	if opts.Sched == nil {
-		opts.Sched = BlockScheduler
-	}
 	if opts.CostScale <= 0 {
 		opts.CostScale = 1
 	}
@@ -155,7 +138,7 @@ func (en *intraEngine) runSection(r *R) error {
 	}
 	rc := en.p.ReplicaComm()
 	sys := en.p.System()
-	owner := en.opts.Sched(len(r.tasks), en.allLanes)
+	owner := BlockScheduler(len(r.tasks), en.allLanes)
 	for {
 		if len(en.p.AliveLanes()) == 0 {
 			return &replication.LogicalRankLostError{Rank: en.p.Logical}

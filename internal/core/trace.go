@@ -50,9 +50,6 @@ type Trace struct {
 	total sim.Time // the recording main's returned in-app total
 }
 
-// Ops returns the number of recorded operations (diagnostics and tests).
-func (tr *Trace) Ops() int { return len(tr.ops) }
-
 func (tr *Trace) compute(d sim.Time) {
 	if tr == nil {
 		return

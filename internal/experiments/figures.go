@@ -16,13 +16,6 @@ import (
 // configs live (see apputil.SizeDivisor).
 const SizeDivisor = apputil.SizeDivisor
 
-// HPCCGPaperConfig returns the paper's HPCCG setup (§V-C) for the mode:
-// per-logical problem 128^3 in native runs, doubled (z-extent 256) under
-// replication.
-func HPCCGPaperConfig(mode Mode, iters int, intraWaxpby bool) hpccg.Config {
-	return hpccg.PaperConfig(mode.Replicated(), iters, intraWaxpby)
-}
-
 // Fig6aConfig is the AMG 27-point PCG problem of Figure 6a.
 func Fig6aConfig() amg.Config { return amg.PaperPCGConfig() }
 

@@ -9,9 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/apps/apputil"
-	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -177,43 +174,6 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 	}
 }
 
-// TestPopulateStoreUnkeyedSpecs: a spec the memo cannot fingerprint is
-// skipped by every shard (its result cannot outlive the process) and
-// simulated by the merge run instead.
-func TestPopulateStoreUnkeyedSpecs(t *testing.T) {
-	unkeyed := Spec{Name: "hooked", Mode: Intra, Logical: 1,
-		Opts: core.Options{Hooks: core.Hooks{BeforeTaskExec: func(int, int) {}}},
-		App: App{Name: "x", key: "same", main: func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
-			return rt.Now(), nil, core.Stats{}, nil
-		}}}
-	specs := append(smallSpecs(), unkeyed)
-	dir := t.TempDir()
-	for i := 0; i < 2; i++ {
-		sh := store.Shard{Index: i, Count: 2}
-		st := openStore(t, dir, sh.String())
-		_, owned, err := PopulateStore(1, st, sh, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owned[len(specs)-1] {
-			t.Fatalf("shard %v must skip the unkeyed spec: owned=%v", sh, owned)
-		}
-	}
-	st := openStore(t, dir, "merge")
-	res, err := SweepStore(1, st, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(specs) || res[len(specs)-1].Name != "hooked" {
-		t.Fatalf("merge run lost the unkeyed spec: %+v", res)
-	}
-	// The merge run simulated exactly the unkeyed point: no store misses
-	// (unkeyed specs never consult it), no puts.
-	if s := st.Stats(); s.Misses != 0 || s.Puts != 0 {
-		t.Fatalf("unkeyed spec leaked into the store: %+v", s)
-	}
-}
-
 // TestStoreCorruptionResimulated closes the loop from disk damage to
 // correct output: corrupt one stored record and the next sweep must
 // detect it, re-simulate exactly that point, and emit results identical
@@ -263,7 +223,10 @@ func TestStoreCorruptionResimulated(t *testing.T) {
 	dir2 := t.TempDir()
 	bad := openStore(t, dir2, "bad")
 	specs := smallSpecs()[:1]
-	uniq, keys, _ := dedupe(specs)
+	uniq, keys, _, err := dedupe(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := bad.Put(resultKind, store.Key(keys[0]), map[string]any{"result": map[string]any{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +250,10 @@ func TestStoreCorruptionResimulated(t *testing.T) {
 func TestStaleRecordReplaced(t *testing.T) {
 	dir := t.TempDir()
 	specs := smallSpecs()[:1]
-	_, keys, _ := dedupe(specs)
+	_, keys, _, err := dedupe(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr := store.Key(keys[0])
 	st := openStore(t, dir, "stale")
 	if err := st.Put(resultKind, addr, map[string]any{"result": map[string]any{}}); err != nil {

@@ -22,7 +22,8 @@ func RecordTraces(s Spec) (*core.TraceSet, error) {
 	}
 	c, err := NewCluster(ClusterConfig{
 		Logical: s.Logical, Mode: s.Mode, Degree: s.Degree,
-		Net: s.Net, Machine: s.Machine, IntraOpts: s.Opts,
+		Net: s.Net, Machine: s.Machine,
+		IntraOpts: core.Options{Mode: s.Inout, CostScale: s.CostScale},
 	})
 	if err != nil {
 		return nil, err

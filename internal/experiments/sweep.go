@@ -76,16 +76,23 @@ func MiniGhost(cfg minighost.Config) App { return mustApp("minighost", &cfg) }
 
 // Spec is one sweep point: a platform, a fault-tolerance mode, and an
 // application. The zero values of Degree, Net and Machine select the
-// paper's defaults (degree 2, InfiniBand 20G, Grid'5000 node).
+// paper's defaults (degree 2, InfiniBand 20G, Grid'5000 node). A spec is
+// plain data: its content key (Key) covers every field but the Name label
+// and the Replay strategy, so equal specs are one simulation in the memo
+// and one record in the store.
 type Spec struct {
 	Name    string // label carried into the Result
 	Mode    Mode
 	Logical int // logical MPI ranks
 	Degree  int // replication degree (0 = default 2)
-	Opts    core.Options
-	Net     simnet.Config
-	Machine perf.Machine
-	App     App
+	// Inout and CostScale are the intra engine's settings, the two a
+	// scenario can express (scenario.IntraOptions); the zero values are
+	// copy-restore and a cost scale of 1.
+	Inout     core.InoutMode
+	CostScale float64
+	Net       simnet.Config
+	Machine   perf.Machine
+	App       App
 
 	// Fault, when non-nil and non-empty, arms the crash schedule on the
 	// cluster before launch (replicated modes only). Schedules participate
@@ -105,15 +112,13 @@ type Spec struct {
 	Replay *core.TraceSet
 }
 
-// key returns the memo fingerprint of the spec — the canonical JSON
-// encoding of every semantic field — or "" when the spec is not memoizable
-// (custom scheduler or hooks carry code the key cannot see, and an unknown
-// mode cannot be encoded).
-func (s Spec) key() string {
-	o := s.Opts
-	if s.App.key == "" || o.Sched != nil ||
-		o.Hooks.BeforeTaskExec != nil || o.Hooks.AfterTaskExec != nil || o.Hooks.AfterArgSend != nil {
-		return ""
+// Key returns the spec's canonical content fingerprint — the canonical
+// JSON encoding of every semantic field, and the memo and store key. A
+// spec without an application or with an unknown mode has no key; it
+// could never run, so the sweep reports it before simulating anything.
+func (s Spec) Key() (string, error) {
+	if s.App.key == "" {
+		return "", fmt.Errorf("spec %q has no application", s.Name)
 	}
 	// Normalize the degree the same way the cluster resolves it, so a
 	// degree-0 (default) spec memo-hits its spelled-out twin and native
@@ -141,18 +146,13 @@ func (s Spec) key() string {
 		Machine   perf.Machine   `json:"machine"`
 		Fault     string         `json:"fault"`
 		App       string         `json:"app"`
-	}{mode, s.Logical, degree, o.Mode, o.CostScale, s.Net, s.Machine,
+	}{mode, s.Logical, degree, s.Inout, s.CostScale, s.Net, s.Machine,
 		s.Fault.Fingerprint(), s.App.key})
 	if err != nil {
-		return ""
+		return "", fmt.Errorf("spec %q: %w", s.Name, err)
 	}
-	return string(k)
+	return string(k), nil
 }
-
-// Key returns the spec's canonical content fingerprint — the memo and
-// store key — or "" when the spec is not memoizable. Exported for layers
-// that memoize per-spec simulations themselves (the jobstream runner).
-func (s Spec) Key() string { return s.key() }
 
 // SpecFor converts a validated Scenario into a runnable sweep point: the
 // thin adapter every scenario consumer (CLIs, figures, scenario files,
@@ -182,7 +182,8 @@ func SpecFor(sc scenario.Scenario) (Spec, error) {
 	}
 	return Spec{
 		Name: sc.Name, Mode: sc.Mode, Logical: sc.Logical, Degree: sc.Degree,
-		Opts: opts, Net: net, Machine: machine, App: app,
+		Inout: opts.Mode, CostScale: opts.CostScale,
+		Net: net, Machine: machine, App: app,
 		Fault: sc.Fault.Schedule(),
 	}, nil
 }
@@ -275,30 +276,31 @@ func SweepN(workers int, specs []Spec) ([]Result, error) {
 }
 
 // dedupe maps each spec to the unique run that serves it: uniq is the
-// distinct-simulation list, keys its memo fingerprints ("" = not
-// memoizable), and uniqOf[i] the index into uniq serving specs[i].
-// Deduplicating up front (rather than racing a singleflight) keeps memo
-// behavior independent of worker scheduling — and, because the keys are
-// content fingerprints, every process sweeping the same spec list derives
-// the identical uniq list, which is what lets shards partition it by
-// index with no coordination.
-func dedupe(specs []Spec) (uniq []Spec, keys []string, uniqOf []int) {
+// distinct-simulation list, keys its content keys, and uniqOf[i] the index
+// into uniq serving specs[i]. Deduplicating up front (rather than racing a
+// singleflight) keeps memo behavior independent of worker scheduling —
+// and, because the keys are content fingerprints, every process sweeping
+// the same spec list derives the identical uniq list, which is what lets
+// shards partition it by index with no coordination. The first spec
+// without a key is the error.
+func dedupe(specs []Spec) (uniq []Spec, keys []string, uniqOf []int, err error) {
 	firstIdx := map[string]int{}
 	uniqOf = make([]int, len(specs))
 	for i, s := range specs {
-		k := s.key()
-		if k != "" {
-			if j, ok := firstIdx[k]; ok {
-				uniqOf[i] = j
-				continue
-			}
-			firstIdx[k] = len(uniq)
+		k, err := s.Key()
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		if j, ok := firstIdx[k]; ok {
+			uniqOf[i] = j
+			continue
+		}
+		firstIdx[k] = len(uniq)
 		uniqOf[i] = len(uniq)
 		uniq = append(uniq, s)
 		keys = append(keys, k)
 	}
-	return uniq, keys, uniqOf
+	return uniq, keys, uniqOf, nil
 }
 
 // ForEach calls fn(worker, i) once for every i in [0, n), fanned out over
@@ -375,22 +377,23 @@ func SweepStore(workers int, st *store.Store, specs []Spec) ([]Result, error) {
 // PopulateStore is SweepStore restricted to the unique points shard sh
 // owns: the build phase of a multi-process sweep. Every shard derives the
 // identical deduplicated point list (the memo key is content-addressed)
-// and claims the keyed unique points whose index it owns — an exact
-// partition, so N shards together simulate each unique point exactly once
-// and their merged store lets a final plain run emit the single-process
-// JSON with zero simulations. Unkeyed points are claimed by no shard
-// (their results cannot outlive the process) and left to the merge run.
-// An inactive shard owns every point.
+// and claims the unique points whose index it owns — an exact partition,
+// so N shards together simulate each unique point exactly once and their
+// merged store lets a final plain run emit the single-process JSON with
+// zero simulations. An inactive shard owns every point.
 //
 // It returns the results in spec order alongside an ownership mask:
 // owned[i] reports whether specs[i] resolved to an owned unique point,
 // and results of unowned specs are left zero.
 func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (out []Result, owned []bool, err error) {
-	uniq, keys, uniqOf := dedupe(specs)
+	uniq, keys, uniqOf, err := dedupe(specs)
+	if err != nil {
+		return nil, nil, err
+	}
 	claimed := make([]bool, len(uniq))
 	var todo []int // the claimed unique points
-	for j, key := range keys {
-		if claimed[j] = !sh.Active() || key != "" && sh.Owns(j); claimed[j] {
+	for j := range uniq {
+		if claimed[j] = !sh.Active() || sh.Owns(j); claimed[j] {
 			todo = append(todo, j)
 		}
 	}
@@ -401,7 +404,7 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 		defer Progress.Done()
 		j := todo[k]
 		addr := ""
-		if st != nil && keys[j] != "" {
+		if st != nil {
 			addr = store.Key(keys[j])
 		}
 		w, _, err := store.GetOrCompute(st, resultKind, addr, func() (resultWire, error) {
@@ -453,9 +456,6 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 // identical either way — reuse recycles event nodes, goroutines and message
 // buffers, never state the simulation can observe.
 func runSpec(eng *sim.Engine, sc *mpi.Scratch, s Spec) (Result, error) {
-	if s.App.main == nil {
-		return Result{}, fmt.Errorf("spec %q has no application", s.Name)
-	}
 	main := s.App.main
 	if s.Replay != nil {
 		main = replayMain(s.Replay)
@@ -470,9 +470,10 @@ func runSpec(eng *sim.Engine, sc *mpi.Scratch, s Spec) (Result, error) {
 	start := time.Now()
 	c, err := NewCluster(ClusterConfig{
 		Logical: s.Logical, Mode: s.Mode, Degree: s.Degree,
-		Net: s.Net, Machine: s.Machine, IntraOpts: s.Opts,
-		SendLog: crashes > 0,
-		Engine:  eng, Scratch: sc,
+		Net: s.Net, Machine: s.Machine,
+		IntraOpts: core.Options{Mode: s.Inout, CostScale: s.CostScale},
+		SendLog:   crashes > 0,
+		Engine:    eng, Scratch: sc,
 	})
 	if err != nil {
 		return Result{}, err

@@ -207,8 +207,8 @@ func TestFingerprintMatchesMemoKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if keys[i] = spec.key(); keys[i] == "" {
-			t.Fatalf("scenario %d is unexpectedly not memoizable", i)
+		if keys[i], err = spec.Key(); err != nil {
+			t.Fatalf("scenario %d: %v", i, err)
 		}
 	}
 	for i := range scs {
@@ -218,27 +218,6 @@ func TestFingerprintMatchesMemoKey(t *testing.T) {
 					i, j, fps[i] == fps[j], keys[i] == keys[j])
 			}
 		}
-	}
-}
-
-// TestSweepNoMemoForHookedSpecs checks that specs carrying code the key
-// cannot fingerprint (hooks, custom schedulers) are never deduplicated.
-func TestSweepNoMemoForHookedSpecs(t *testing.T) {
-	var runs atomic.Int32
-	app := App{Name: "x", key: "same", main: func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
-		runs.Add(1)
-		return rt.Now(), nil, core.Stats{}, nil
-	}}
-	hooked := core.Options{Hooks: core.Hooks{BeforeTaskExec: func(int, int) {}}}
-	_, err := Sweep([]Spec{
-		{Name: "h1", Mode: Intra, Logical: 1, Opts: hooked, App: app},
-		{Name: "h2", Mode: Intra, Logical: 1, Opts: hooked, App: app},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runs.Load(); got != 4 { // 2 specs x 1 logical x 2 replicas
-		t.Fatalf("hooked specs ran %d bodies, want 4 (no dedup)", got)
 	}
 }
 
@@ -303,9 +282,16 @@ func TestSweepErrorPropagation(t *testing.T) {
 			t.Fatalf("workers=%d: error should name the spec and cause: %v", workers, err)
 		}
 	}
-	// A spec with no application is an immediate, named error.
-	if _, err := Sweep([]Spec{{Name: "empty", Mode: Native, Logical: 1}}); err == nil {
-		t.Fatal("expected an error for a spec without an application")
+	// A spec without a content key (no application, an unknown mode) could
+	// never run: it is a named error before anything is simulated.
+	for _, bad := range []Spec{
+		{Name: "empty", Mode: Native, Logical: 1},
+		{Name: "unknown-mode", Mode: Mode(7), Logical: 1, App: boom},
+	} {
+		if _, err := Sweep([]Spec{bad, specs[1]}); err == nil ||
+			!strings.Contains(err.Error(), `"`+bad.Name+`"`) || strings.Contains(err.Error(), "injected") {
+			t.Fatalf("%s: want a named error before the sweep, got %v", bad.Name, err)
+		}
 	}
 }
 

@@ -33,9 +33,9 @@ func newMemoRunner(st *store.Store) *memoRunner {
 }
 
 func (r *memoRunner) Run(spec experiments.Spec) (experiments.Result, error) {
-	key := spec.Key()
-	if key == "" {
-		return r.sweep(spec)
+	key, err := spec.Key()
+	if err != nil {
+		return experiments.Result{}, err
 	}
 	r.mu.Lock()
 	e := r.memo[key]

@@ -522,10 +522,6 @@ func (e *Engine) Unblock(p *Proc) {
 	e.resume(p)
 }
 
-// Current returns the process currently executing, or nil when in pure
-// engine context.
-func (e *Engine) Current() *Proc { return e.cur }
-
 // Stats is a snapshot of engine-level counters, taken after a run for
 // harness-level reporting (e.g. the experiment sweep results).
 type Stats struct {
