@@ -59,15 +59,16 @@
 // The persistent result store extends that memo across processes: -store
 // DIR backs the run with a content-addressed on-disk cache (points already
 // present are served without simulating; fresh ones are appended), -shard
-// i/N turns the run into one shard of a multi-process campaign (it
-// simulates and persists only the unique points with index ≡ i mod N, and
-// reports one populate summary instead of results: the shard and its store
-// traffic, {"shard": "i/N", …, "hits", "misses", "puts"}), and the merge
-// subcommand re-runs the same grid against the merged store — every point
-// a cache hit, so the output is byte-identical to a single-process run —
-// then verifies any stored campaign aggregates, compacts the store to one
-// canonical file and reports hits/misses on stderr (a warm run shows
-// misses=0):
+// i/N turns the run into one shard of a multi-process run (it simulates
+// and persists only the work items with index ≡ i mod N: a sweep's unique
+// points, a campaign's trials of every point — replicated and ccr alike,
+// by trial index — or a jobstream's cells; and it reports one populate
+// summary instead of results: the shard and its store traffic, {"shard":
+// "i/N", …, "hits", "misses", "puts"}), and the merge subcommand re-runs
+// the same grid against the merged store — every point a cache hit, so the
+// output is byte-identical to a single-process run — then verifies any
+// stored campaign aggregates, compacts the store to one canonical file and
+// reports hits/misses on stderr (a warm run shows misses=0):
 //
 //	sweep -spec scenarios/smoke.json -json -store results -shard 0/3
 //	sweep -spec scenarios/smoke.json -json -store results -shard 1/3
@@ -160,15 +161,15 @@ func main() {
 	list := flag.Bool("list", false, "list registered apps, figures, nets and machines, then exit")
 	specFile := flag.String("spec", "", "run a scenario file (see scenarios/)")
 	validate := flag.Bool("validate", false, "with -spec or an -app grid: validate and expand the scenarios (campaign and explore points included) and bind every point to its app, but do not run it")
-	modeFlag := flag.String("mode", "", "'campaign' runs Monte Carlo failure injection over the -app grid or the -spec file; 'jobstream' runs a workload -spec file as an open-load cluster service")
+	modeFlag := flag.String("mode", "", "'campaign' runs Monte Carlo failure injection over the -app grid or the -spec file; 'explore' spends an adaptive trial budget over the same points; 'jobstream' runs a workload -spec file as an open-load cluster service")
 	trials := flag.Int("trials", 100, "campaign/jobstream: seeded trials per point or cell (jobstream default 5)")
-	seed := flag.Int64("seed", 1, "campaign/jobstream: master seed (jobstream default: the workload's own)")
-	mtbfFlag := flag.String("mtbf", "0.2", "campaign: comma-separated per-replica MTBF values in virtual seconds")
-	horizon := flag.Float64("horizon", 0, "campaign: crash-window in virtual seconds (0 = fault-free wall time; crashes drawn past a run's completion are no-ops)")
-	ckptDelta := flag.Float64("ckpt-delta", 0, "campaign: checkpoint cost in seconds, analytic and measured ccr (0 = 5% of fault-free wall)")
-	ckptRestart := flag.Float64("ckpt-restart", 0, "campaign: restart cost in seconds, analytic and measured ccr (0 = ckpt-delta)")
-	ckptTau := flag.Float64("ckpt-tau", 0, "campaign: ccr checkpoint interval in seconds (0 = Daly's optimal interval per point)")
-	ft := flag.String("ft", "replication", "campaign: fault-tolerance sides to measure — 'replication' (the -modes grid) or 'ccr' (adds a measured checkpoint/restart series at the native budget next to it)")
+	seed := flag.Int64("seed", 1, "campaign/explore/jobstream: master seed (jobstream default: the workload's own)")
+	mtbfFlag := flag.String("mtbf", "0.2", "campaign/explore: comma-separated per-replica MTBF values in virtual seconds")
+	horizon := flag.Float64("horizon", 0, "campaign/explore: crash-window in virtual seconds (0 = fault-free wall time; crashes drawn past a run's completion are no-ops)")
+	ckptDelta := flag.Float64("ckpt-delta", 0, "campaign/explore: checkpoint cost in seconds, analytic and measured ccr (0 = 5% of fault-free wall)")
+	ckptRestart := flag.Float64("ckpt-restart", 0, "campaign/explore: restart cost in seconds, analytic and measured ccr (0 = ckpt-delta)")
+	ckptTau := flag.Float64("ckpt-tau", 0, "campaign/explore: ccr checkpoint interval in seconds (0 = Daly's optimal interval per point)")
+	ft := flag.String("ft", "replication", "campaign/explore: fault-tolerance sides to measure — 'replication' (the -modes grid) or 'ccr' (adds a measured checkpoint/restart series at the native budget next to it)")
 	budget := flag.Int("budget", 0, "explore: global adaptive trial budget (0 = default 4000)")
 	round := flag.Int("round", 0, "explore: trials per point per allocation round (0 = default 10)")
 	targetCI := flag.Float64("target-ci", 0, "explore: refinement target — widest acceptable relative CI95 per point (0 = default 0.05)")
@@ -593,7 +594,7 @@ func sweepScenarios(w io.Writer, scs []scenario.Scenario, workers int, jsonOut b
 	if err != nil {
 		return nil, false, err
 	}
-	res, _, err = experiments.PopulateStore(workers, sctx.st, sctx.shard, specs)
+	res, err = experiments.PopulateStore(workers, sctx.st, sctx.shard, specs)
 	if err != nil || !sctx.shard.Active() {
 		return res, false, err
 	}

@@ -137,20 +137,13 @@ type aggWire struct {
 	SumSq []float64 `json:"sumsq"` // exact sum-of-squares partials
 }
 
-func (a *Agg) wire() aggWire {
-	return aggWire{Count: a.count, Min: a.min, Max: a.max,
-		Sum: a.sum.partials, SumSq: a.sumsq.partials}
-}
-
-func (w aggWire) agg() Agg {
-	return Agg{count: w.Count, min: w.Min, max: w.Max,
-		sum: expansion{partials: w.Sum}, sumsq: expansion{partials: w.SumSq}}
-}
-
 // MarshalJSON encodes the aggregate in its exact wire form, so persisted
 // aggregates round-trip losslessly (same partials, bit for bit) and two
 // runs that folded the same trials in the same order compare byte-equal.
-func (a Agg) MarshalJSON() ([]byte, error) { return json.Marshal(a.wire()) }
+func (a Agg) MarshalJSON() ([]byte, error) {
+	return json.Marshal(aggWire{Count: a.count, Min: a.min, Max: a.max,
+		Sum: a.sum.partials, SumSq: a.sumsq.partials})
+}
 
 // UnmarshalJSON restores an aggregate from its wire form.
 func (a *Agg) UnmarshalJSON(b []byte) error {
@@ -158,6 +151,7 @@ func (a *Agg) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	*a = w.agg()
+	*a = Agg{count: w.Count, min: w.Min, max: w.Max,
+		sum: expansion{partials: w.Sum}, sumsq: expansion{partials: w.SumSq}}
 	return nil
 }

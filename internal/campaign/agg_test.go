@@ -5,11 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/apps/hpccg"
-	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // TestAggMergeMatchesPooled is the CI-math-under-merge property: for
@@ -44,15 +39,15 @@ func TestAggMergeMatchesPooled(t *testing.T) {
 		for _, s := range rng.Perm(shards) {
 			// Round-trip through the stored form: persisted partials must
 			// merge exactly like in-memory ones.
-			raw, err := json.Marshal(parts[s].wire())
+			raw, err := json.Marshal(parts[s])
 			if err != nil {
 				t.Fatal(err)
 			}
-			var w aggWire
-			if err := json.Unmarshal(raw, &w); err != nil {
+			var stored Agg
+			if err := json.Unmarshal(raw, &stored); err != nil {
 				t.Fatal(err)
 			}
-			merged.Merge(w.agg())
+			merged.Merge(stored)
 		}
 		if merged.Count() != n {
 			t.Fatalf("round %d: merged %d trials, want %d", round, merged.Count(), n)
@@ -125,107 +120,5 @@ func TestExpansionExactness(t *testing.T) {
 		if v := e.value(); v != 2 {
 			t.Fatalf("round %d: exact sum = %v, want 2", round, v)
 		}
-	}
-}
-
-// TestVerifyStoredAggregatesMismatch: a stored aggregate that disagrees
-// with the pooled trials must fail verification — the guard against a
-// shard having aggregated different trials than the merge pooled.
-func TestVerifyStoredAggregatesMismatch(t *testing.T) {
-	scs := verifyScenarios()
-	cfg := Config{Trials: 4, Seed: 9, Workers: 1}
-	res, err := Run(cfg, scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := store.Open(t.TempDir(), "doctored")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var bad Agg
-	for k := 0; k < 4; k++ {
-		bad.Add(1.0 + float64(k)) // not the campaign's makespans
-	}
-	if err := persistAggregates(st, store.Shard{}, cfg, 4, scs, [][3]Agg{{bad, bad, bad}}); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Store = st
-	if _, err := VerifyStoredAggregates(cfg, scs, res); err == nil {
-		t.Fatal("doctored aggregate record passed verification")
-	}
-}
-
-// verifyScenarios is the one-point grid of the aggregate-verification
-// tests.
-func verifyScenarios() []Scenario {
-	return []Scenario{{
-		Point: scenario.Scenario{
-			Name: "p", App: "hpccg",
-			Config: scenario.MustRaw(hpccg.Config{
-				Nx: 8, Ny: 8, Nz: 8, Iters: 2, Tasks: 8,
-				Scale: 64, PlaneScale: 16,
-				IntraDdot: true, IntraSparsemv: true,
-			}),
-			Mode: scenario.Intra, Logical: 2,
-		},
-		MTBF: 100 * sim.Millisecond,
-	}}
-}
-
-// TestVerifyStoredAggregatesSkipsOtherStream: aggregate records stored
-// under the key layout of grid-position trial seeds (the campaign
-// fingerprint without its trial-stream name) are not candidates for
-// verification. A merge over a store populated that way re-simulates and
-// verifies its own records instead of reporting the old ones — here
-// doctored, so any comparison would fail — as divergent.
-func TestVerifyStoredAggregatesSkipsOtherStream(t *testing.T) {
-	scs := verifyScenarios()
-	cfg := Config{Trials: 4, Seed: 9, Workers: 1}
-	st, err := store.Open(t.TempDir(), "old-stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	oldFP, err := json.Marshal(struct {
-		Seed        int64    `json:"seed"`
-		Trials      int      `json:"trials"`
-		Horizon     sim.Time `json:"horizon"`
-		CkptDelta   float64  `json:"ckpt_delta"`
-		CkptRestart float64  `json:"ckpt_restart"`
-		CkptTau     float64  `json:"ckpt_tau"`
-	}{cfg.Seed, cfg.Trials, cfg.Horizon, cfg.CkptDelta, cfg.CkptRestart, cfg.CkptTau})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfp, err := scenarioFingerprint(scs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A complete whole-campaign record and a complete 2-shard scheme.
-	for _, sh := range []store.Shard{{}, {Index: 0, Count: 2}, {Index: 1, Count: 2}} {
-		n := cfg.Trials / max(sh.Count, 1)
-		var bad Agg
-		for k := 0; k < n; k++ {
-			bad.Add(1.0 + float64(k))
-		}
-		rec := aggRecord{Shard: sh.String(), Trials: n, Makespan: bad.wire(), Slowdown: bad.wire(), Efficiency: bad.wire()}
-		if err := st.Put(aggKind, aggKey(string(oldFP), sfp, sh), rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	cfg.Store = st
-	res, err := Run(cfg, scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verified, err := VerifyStoredAggregates(cfg, scs, res)
-	if err != nil {
-		t.Fatalf("record under the old stream's key reported as divergent: %v", err)
-	}
-	if verified != 1 {
-		t.Fatalf("verified %d schemes, want 1 (the run's own whole-campaign record)", verified)
 	}
 }

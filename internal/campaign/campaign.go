@@ -170,11 +170,14 @@ type Config struct {
 	// Store, when non-nil, backs the references and replicated trials with
 	// the persistent result cache: points already present are served
 	// without simulating, fresh ones are appended (ccr replays are cheap
-	// and always recomputed). Each run also appends its per-scenario
-	// aggregates as mergeable count/sum/sumsq records under its shard
-	// label — 0/1 for Run, i/N for Populate. Those are written, never
-	// served: only VerifyStoredAggregates reads them back. The aggregate
-	// output is byte-identical with or without a store.
+	// and always recomputed). Each run also stores every point's
+	// aggregate as a mergeable count/sum/sumsq record (PersistTally),
+	// keyed by the trial count and the shard — 0/1 for Run, i/N for
+	// Populate, whose shard i owns trial t of every point when t ≡ i mod
+	// N. A record already stored is byte-verified, not appended again.
+	// Aggregates are never served: only VerifyStoredAggregates reads them
+	// back. The aggregate output is byte-identical with or without a
+	// store.
 	Store *store.Store
 }
 
@@ -381,11 +384,11 @@ func Run(cfg Config, scenarios []Scenario) (*Result, error) {
 
 // Populate is Run restricted to the trials shard sh owns, the build phase
 // of a multi-process campaign. The references run in full on every shard
-// (store-backed, so later shards hit the first one's records); replicated
-// trials are partitioned by unique sweep point, exactly as
-// experiments.PopulateStore partitions them, and ccr trials by trial
-// index. The returned Result aggregates only this shard's trials, and the
-// same partial aggregates are persisted as one mergeable record per
+// (store-backed, so later shards hit the first one's records); trials,
+// replicated and ccr alike, are partitioned by trial index: shard i of N
+// owns trial t of every point when t ≡ i mod N, whatever grid the point
+// sits in. The returned Result aggregates only this shard's trials, and
+// the same partial aggregates are persisted as one mergeable record per
 // scenario. After every shard of the scheme has run, Run against the
 // merged store performs zero simulations and reproduces the
 // single-process campaign byte for byte, and VerifyStoredAggregates
@@ -417,20 +420,18 @@ func run(cfg Config, scenarios []Scenario, sh store.Shard) (*Result, error) {
 	experiments.Progress.SetStatus("campaign: aggregating")
 
 	out := &Result{Seed: cfg.Seed, Trials: trials}
-	aggs := make([][3]Agg, len(tallies))
-	for i, tl := range tallies {
-		aggs[i] = tl.Aggs
+	for _, tl := range tallies {
 		out.Scenarios = append(out.Scenarios, tl.scenarioResult())
-	}
-	out.Crossovers = crossovers(pts, out.Scenarios)
-	// A store-backed run persists its aggregates under its shard label, so
-	// a later merge can cross-check any complete scheme against the pooled
-	// statistics.
-	if cfg.Store != nil {
-		if err := persistAggregates(cfg.Store, sh, cfg, trials, scenarios, aggs); err != nil {
-			return nil, err
+		// A store-backed run persists its aggregates under its shard label,
+		// so a later merge can cross-check any complete scheme against the
+		// pooled statistics.
+		if cfg.Store != nil {
+			if _, err := PersistTally(cfg, tl, trials, sh); err != nil {
+				return nil, err
+			}
 		}
 	}
+	out.Crossovers = crossovers(pts, out.Scenarios)
 	return out, nil
 }
 

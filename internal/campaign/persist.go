@@ -10,28 +10,29 @@ import (
 	"repro/internal/store"
 )
 
-// aggKind namespaces per-scenario campaign aggregates in the store.
+// aggKind namespaces the aggregate records of campaign and explore runs.
 const aggKind = "campaign-agg"
 
 // trialStream names how trial seeds derive from the master seed (see
 // PointSeed). It is part of every aggregate key, so records drawn under
-// another derivation are store misses that get re-simulated, never
-// compared against this campaign's trials and reported as divergent.
+// another derivation are never compared against this stream's trials and
+// reported as divergent.
 const trialStream = "point-seed"
 
-// campaignFingerprint canonically encodes every campaign knob that shapes
-// the trial set (Workers deliberately excluded: the fan-out cannot change
-// the numbers). Aggregates from different campaigns never collide.
-func campaignFingerprint(cfg Config, trials int) string {
+// StreamFingerprint canonically encodes everything but the point that
+// shapes what trial t of a point measures: the trial-stream tag, the
+// master seed, the horizon and the checkpoint knobs. Trials and Workers
+// are left out: a record's key carries its trial count, and the fan-out
+// cannot change a trial.
+func (cfg Config) StreamFingerprint() string {
 	b, err := json.Marshal(struct {
 		Stream      string   `json:"stream"`
 		Seed        int64    `json:"seed"`
-		Trials      int      `json:"trials"`
 		Horizon     sim.Time `json:"horizon"`
 		CkptDelta   float64  `json:"ckpt_delta"`
 		CkptRestart float64  `json:"ckpt_restart"`
 		CkptTau     float64  `json:"ckpt_tau"`
-	}{trialStream, cfg.Seed, trials, cfg.Horizon, cfg.CkptDelta, cfg.CkptRestart, cfg.CkptTau})
+	}{trialStream, cfg.Seed, cfg.Horizon, cfg.CkptDelta, cfg.CkptRestart, cfg.CkptTau})
 	if err != nil {
 		panic(fmt.Sprintf("campaign: fingerprint: %v", err)) // struct of scalars cannot fail
 	}
@@ -62,42 +63,41 @@ func scenarioFingerprint(sc Scenario) (string, error) {
 	return string(b), nil
 }
 
-// aggKey is the content address of one (campaign, scenario, shard)
-// aggregate record.
-func aggKey(campaignFP, scenarioFP string, sh store.Shard) string {
-	return store.Key(campaignFP + "|" + scenarioFP + "|shard:" + sh.String())
+// aggKey is the content address of one point's aggregate over the trials
+// of [0, trials) that shard sh owns: the key determines the trial set.
+func aggKey(streamFP, pointFP string, trials int, sh store.Shard) string {
+	return store.Key(fmt.Sprintf("%s|%s|trials:%d|shard:%s", streamFP, pointFP, trials, sh))
 }
 
-// aggRecord is the stored form of one shard's partial aggregates for one
-// scenario: the mergeable count/sum/sumsq (exact partials) of the three
-// reported metrics. N such records, one per shard, merge into the pooled
-// campaign aggregate; VerifyStoredAggregates checks they do.
+// aggRecord is the stored form of one tally: its exact partial
+// aggregates, which round-trip bit for bit, so N shards' records merge
+// into the pooled aggregate (VerifyStoredAggregates checks they do) and a
+// recomputation compares byte-equal.
 type aggRecord struct {
-	Shard      string  `json:"shard"`  // "i/N"
-	Trials     int     `json:"trials"` // trials this shard owns
-	Makespan   aggWire `json:"makespan"`
-	Slowdown   aggWire `json:"slowdown"`
-	Efficiency aggWire `json:"efficiency"`
+	Shard      string `json:"shard"`  // "i/N"
+	Trials     int    `json:"trials"` // trials folded: those the shard owns
+	Crashes    int    `json:"crashes"`
+	Makespan   Agg    `json:"makespan"`
+	Slowdown   Agg    `json:"slowdown"`
+	Efficiency Agg    `json:"efficiency"`
 }
 
-// persistAggregates writes one aggregate record per scenario under the
-// given shard label.
-func persistAggregates(st *store.Store, sh store.Shard, cfg Config, trials int, scenarios []Scenario, aggs [][3]Agg) error {
-	cfp := campaignFingerprint(cfg, trials)
-	for i, sc := range scenarios {
-		sfp, err := scenarioFingerprint(sc)
-		if err != nil {
-			return err
-		}
-		rec := aggRecord{
-			Shard: sh.String(), Trials: aggs[i][0].Count(),
-			Makespan: aggs[i][0].wire(), Slowdown: aggs[i][1].wire(), Efficiency: aggs[i][2].wire(),
-		}
-		if err := st.Put(aggKind, aggKey(cfp, sfp, sh), rec); err != nil {
-			return err
-		}
+// PersistTally stores the aggregate record of a tally over the trials of
+// [0, trials) that shard sh owns, in cfg.Store, or byte-verifies the
+// record already there (store.PutOrVerify; verified reports it). Run and
+// Populate persist every point this way, and the explorer every cell at
+// its trial count, so an unsharded campaign of T trials and an
+// exploration that gave a point T trials share the point's record.
+func PersistTally(cfg Config, tl *Tally, trials int, sh store.Shard) (verified bool, err error) {
+	rec := aggRecord{
+		Shard: sh.String(), Trials: tl.N, Crashes: tl.Crashes.Total,
+		Makespan: tl.Aggs[0], Slowdown: tl.Aggs[1], Efficiency: tl.Aggs[2],
 	}
-	return nil
+	key := aggKey(cfg.StreamFingerprint(), tl.Point.Fingerprint(), trials, sh)
+	if verified, err = cfg.Store.PutOrVerify(aggKind, key, rec); err != nil {
+		return false, fmt.Errorf("campaign: scenario %q: %w", tl.Point.Scenario.Point.Name, err)
+	}
+	return verified, nil
 }
 
 // ulpEq reports whether two float64s are equal to within one unit in the
@@ -116,18 +116,21 @@ func statUlpEq(a, b Stat) bool {
 }
 
 // VerifyStoredAggregates cross-checks a campaign result against the
-// mergeable aggregate records in the store: for every shard scheme N
-// whose records are complete (all N shards present, trial counts summing
-// to the campaign's), the merged count/sum/sumsq statistics must equal
-// the pooled statistics in res to 1 ulp, CI95 included. It returns the
-// number of complete schemes verified; a mismatch is an error — it means
-// a shard aggregated different trials than the merged run pooled.
+// aggregate records in the store: for every shard scheme N whose records
+// are complete (shards 0/N … N-1/N present for every scenario), the
+// merged count/sum/sumsq statistics must equal the pooled statistics in
+// res to 1 ulp, CI95 included. It returns the number of schemes verified.
+// A mismatch is an error, and so is a complete scheme whose trial counts
+// do not add up to the campaign's: the key fixes each record's trial set,
+// so either means a shard aggregated different trials than the merged run
+// pooled. Records are read from one scan, never looked up, so the store's
+// hit/miss counters still describe the run alone.
 func VerifyStoredAggregates(cfg Config, scenarios []Scenario, res *Result) (int, error) {
 	st := cfg.Store
 	if st == nil {
 		return 0, fmt.Errorf("campaign: VerifyStoredAggregates needs Config.Store")
 	}
-	cfp := campaignFingerprint(cfg, res.Trials)
+	stream := cfg.StreamFingerprint()
 	sfps := make([]string, len(scenarios))
 	for i, sc := range scenarios {
 		sfp, err := scenarioFingerprint(sc)
@@ -139,8 +142,10 @@ func VerifyStoredAggregates(cfg Config, scenarios []Scenario, res *Result) (int,
 	// Candidate schemes: every shard count appearing in any aggregate
 	// record. The key is a hash, so records bind to scenarios by re-deriving
 	// the expected key per (scenario, shard).
+	stored := map[string]json.RawMessage{}
 	schemes := map[int]bool{}
 	for _, rec := range st.Records(aggKind) {
+		stored[rec.Key] = rec.Payload
 		var r aggRecord
 		if err := json.Unmarshal(rec.Payload, &r); err != nil {
 			continue // foreign or damaged payload: simply not a candidate
@@ -157,12 +162,12 @@ func VerifyStoredAggregates(cfg Config, scenarios []Scenario, res *Result) (int,
 
 	verified := 0
 	for _, n := range counts {
-		complete := true
 		merged := make([][3]Agg, len(scenarios))
-		for i := range scenarios {
-			for s := 0; s < n && complete; s++ {
-				raw, okGet := st.Get(aggKind, aggKey(cfp, sfps[i], store.Shard{Index: s, Count: n}))
-				if !okGet {
+		complete := true
+		for i := 0; i < len(scenarios) && complete; i++ {
+			for s := 0; s < n; s++ {
+				raw, ok := stored[aggKey(stream, sfps[i], res.Trials, store.Shard{Index: s, Count: n})]
+				if !ok {
 					complete = false
 					break
 				}
@@ -170,19 +175,19 @@ func VerifyStoredAggregates(cfg Config, scenarios []Scenario, res *Result) (int,
 				if err := json.Unmarshal(raw, &r); err != nil {
 					return verified, fmt.Errorf("campaign: aggregate record %d/%d for scenario %q: %w", s, n, scenarios[i].Point.Name, err)
 				}
-				merged[i][0].Merge(r.Makespan.agg())
-				merged[i][1].Merge(r.Slowdown.agg())
-				merged[i][2].Merge(r.Efficiency.agg())
-			}
-			if !complete || merged[i][0].Count() != res.Trials {
-				complete = false
-				break
+				merged[i][0].Merge(r.Makespan)
+				merged[i][1].Merge(r.Slowdown)
+				merged[i][2].Merge(r.Efficiency)
 			}
 		}
 		if !complete {
 			continue // partial populate: nothing to verify yet
 		}
 		for i, sr := range res.Scenarios {
+			if got := merged[i][0].Count(); got != res.Trials {
+				return verified, fmt.Errorf("campaign: scenario %q: the %d-shard aggregate records fold %d trials, want %d",
+					sr.Name, n, got, res.Trials)
+			}
 			for m, name := range []string{"makespan", "slowdown", "efficiency"} {
 				got := merged[i][m].Stat()
 				want := [3]Stat{sr.Makespan, sr.Slowdown, sr.Efficiency}[m]

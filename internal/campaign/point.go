@@ -265,61 +265,54 @@ func RunTrials(workers int, st *store.Store, tallies []*Tally, counts []int) err
 	return runTrials(workers, st, store.Shard{}, tallies, counts)
 }
 
-// runTrials is RunTrials folding only the trials shard sh owns: replicated
-// trials by the sweep's ownership mask (unique sweep point index, see
-// experiments.PopulateStore), ccr trials by trial index. A sharded tally
-// therefore counts this shard's trials rather than a stream prefix.
+// runTrials is RunTrials folding only the trials shard sh owns: trial t
+// of every point, replicated or ccr, when sh.Owns(t). Unowned trials are
+// never drawn, and a sharded tally counts this shard's trials rather than
+// a stream prefix.
 func runTrials(workers int, st *store.Store, sh store.Shard, tallies []*Tally, counts []int) error {
+	type trial struct{ tally, t, at int } // at: index into specs or replays
+	var owned []trial
 	var specs []experiments.Spec
 	var draws []fault.Draw
-	type replay struct{ tally, trial int }
-	var replays []replay
+	var replays []trial
 	for i, tl := range tallies {
 		for t := tl.N; t < tl.N+counts[i]; t++ {
-			if tl.Point.IsCCR() {
-				if sh.Owns(t) {
-					replays = append(replays, replay{i, t})
-				}
+			switch {
+			case !sh.Owns(t):
 				continue
+			case tl.Point.IsCCR():
+				owned = append(owned, trial{i, t, len(replays)})
+				replays = append(replays, trial{tally: i, t: t})
+			default:
+				owned = append(owned, trial{i, t, len(specs)})
+				spec, d := tl.Point.TrialSpec(t)
+				specs = append(specs, spec)
+				draws = append(draws, d)
 			}
-			spec, d := tl.Point.TrialSpec(t)
-			specs = append(specs, spec)
-			draws = append(draws, d)
 		}
 	}
-	res, owned, err := experiments.PopulateStore(workers, st, sh, specs)
+	res, err := experiments.SweepStore(workers, st, specs)
 	if err != nil {
 		return fmt.Errorf("campaign trials: %w", err)
 	}
 	ccr := make([]ckptsim.Trial, len(replays))
 	experiments.ForEach(workers, len(replays), func(_, j int) {
-		ccr[j] = tallies[replays[j].tally].Point.CCRTrial(replays[j].trial)
+		ccr[j] = tallies[replays[j].tally].Point.CCRTrial(replays[j].t)
 	})
-	next, nextCCR := 0, 0
-	for i, tl := range tallies {
-		first := tl.N // fold advances N
-		for t := first; t < first+counts[i]; t++ {
-			if tl.Point.IsCCR() {
-				if sh.Owns(t) {
-					tr := ccr[nextCCR]
-					nextCCR++
-					tl.fold(tr.Makespan, tr.Failures)
-				}
-				continue
-			}
-			r, d, ok := res[next], draws[next], owned[next]
-			next++
-			if !ok {
-				continue
-			}
-			tl.fold(r.Measure.Wall.Seconds(), r.Crashes)
-			if d.Suppressed > 0 {
-				tl.Crashes.SuppressedKills += d.Suppressed
-				tl.Crashes.InterruptedDraws++
-			}
-			if r.Memoized {
-				tl.MemoHits++
-			}
+	for _, tr := range owned {
+		tl := tallies[tr.tally]
+		if tl.Point.IsCCR() {
+			tl.fold(ccr[tr.at].Makespan, ccr[tr.at].Failures)
+			continue
+		}
+		r, d := res[tr.at], draws[tr.at]
+		tl.fold(r.Measure.Wall.Seconds(), r.Crashes)
+		if d.Suppressed > 0 {
+			tl.Crashes.SuppressedKills += d.Suppressed
+			tl.Crashes.InterruptedDraws++
+		}
+		if r.Memoized {
+			tl.MemoHits++
 		}
 	}
 	return nil

@@ -125,7 +125,7 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 		for _, i := range rng.Perm(shards) {
 			sh := store.Shard{Index: i, Count: shards}
 			st := openStore(t, dir, sh.String())
-			res, owned, err := PopulateStore(2, st, sh, specs)
+			res, err := PopulateStore(2, st, sh, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,16 +135,16 @@ func TestPopulateStoreShardsPartitionAndMerge(t *testing.T) {
 				t.Fatalf("shard %v store traffic: %+v", sh, s)
 			}
 			puts += st.Stats().Puts
-			for j, ok := range owned {
-				if !ok {
-					continue
+			for j, r := range res {
+				if r.Name == "" {
+					continue // resolved to a point another shard owns
 				}
 				if ownedBy[j] != -1 {
 					t.Fatalf("spec %d claimed by shards %d and %d", j, ownedBy[j], i)
 				}
 				ownedBy[j] = i
-				if res[j].Name != specs[j].Name {
-					t.Fatalf("owned result %d misnamed: %q", j, res[j].Name)
+				if r.Name != specs[j].Name {
+					t.Fatalf("owned result %d misnamed: %q", j, r.Name)
 				}
 			}
 			if err := st.Close(); err != nil {

@@ -370,8 +370,7 @@ func forEachPooled(workers, n int, fn func(eng *sim.Engine, sc *mpi.Scratch, j i
 // originally simulated it (the memo overlay below is applied after store
 // lookup, so Memoized flags are untouched by store warmth).
 func SweepStore(workers int, st *store.Store, specs []Spec) ([]Result, error) {
-	out, _, err := PopulateStore(workers, st, store.Shard{}, specs)
-	return out, err
+	return PopulateStore(workers, st, store.Shard{}, specs)
 }
 
 // PopulateStore is SweepStore restricted to the unique points shard sh
@@ -382,13 +381,12 @@ func SweepStore(workers int, st *store.Store, specs []Spec) ([]Result, error) {
 // merged store lets a final plain run emit the single-process JSON with
 // zero simulations. An inactive shard owns every point.
 //
-// It returns the results in spec order alongside an ownership mask:
-// owned[i] reports whether specs[i] resolved to an owned unique point,
-// and results of unowned specs are left zero.
-func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (out []Result, owned []bool, err error) {
+// It returns the results in spec order; a spec that resolves to a unique
+// point the shard does not own is left zero.
+func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) ([]Result, error) {
 	uniq, keys, uniqOf, err := dedupe(specs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	claimed := make([]bool, len(uniq))
 	var todo []int // the claimed unique points
@@ -421,12 +419,11 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 	// whatever the worker count.
 	for i, s := range specs {
 		if err := errs[uniqOf[i]]; err != nil {
-			return nil, nil, fmt.Errorf("sweep %q: %w", s.Name, err)
+			return nil, fmt.Errorf("sweep %q: %w", s.Name, err)
 		}
 	}
 
-	out = make([]Result, len(specs))
-	owned = make([]bool, len(specs))
+	out := make([]Result, len(specs))
 	seen := make([]bool, len(uniq))
 	for i, s := range specs {
 		j := uniqOf[i]
@@ -445,9 +442,8 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 		}
 		seen[j] = true
 		out[i] = r
-		owned[i] = true
 	}
-	return out, owned, nil
+	return out, nil
 }
 
 // runSpec simulates one sweep point. eng, when non-nil, is a Reset pooled

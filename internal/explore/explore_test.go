@@ -169,9 +169,17 @@ func TestBisectSynthetic(t *testing.T) {
 // design: each point's adaptive aggregate is byte-identical to a fixed
 // campaign.Run at the same seed over the same trial count — the
 // round-by-round allocation leaves no trace in the numbers, because both
-// drivers draw trials from the same per-point stream.
+// drivers draw trials from the same per-point stream. Over one store the
+// two drivers share each point's record: the campaign finds every trial
+// stored and byte-verifies the explorer's aggregate record, so it stores
+// nothing.
 func TestAdaptivePrefixIdentity(t *testing.T) {
-	cfg := Config{Budget: 60, Round: 4, TargetCI: 0.01, Seed: 11, Workers: 3}
+	st, err := store.Open(t.TempDir(), "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := Config{Budget: 60, Round: 4, TargetCI: 0.01, Seed: 11, Workers: 3, Store: st}
 	scs := []campaign.Scenario{
 		{Point: smallPoint("intra/low", scenario.Intra), MTBF: 100 * sim.Millisecond},
 		ccrScen("ccr/low", 50*sim.Millisecond),
@@ -187,9 +195,14 @@ func TestAdaptivePrefixIdentity(t *testing.T) {
 		if got.Trials == 0 {
 			t.Fatalf("point %d got no trials", i)
 		}
-		fixed, err := campaign.Run(campaign.Config{Trials: got.Trials, Seed: cfg.Seed, Workers: 2}, scs[i:i+1])
+		before := st.Stats()
+		fixed, err := campaign.Run(campaign.Config{Trials: got.Trials, Seed: cfg.Seed, Workers: 2, Store: st}, scs[i:i+1])
 		if err != nil {
 			t.Fatal(err)
+		}
+		if after := st.Stats(); after.Puts != before.Puts || after.Misses != before.Misses {
+			t.Fatalf("point %d: campaign.Run over %d trials stored %d records (%d misses) beside the explorer's",
+				i, got.Trials, after.Puts-before.Puts, after.Misses-before.Misses)
 		}
 		want := fixed.Scenarios[0]
 		for m, pair := range [][2]campaign.Stat{

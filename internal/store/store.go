@@ -17,7 +17,9 @@
 //     the first valid record per key, so the merged view is deterministic
 //     in the file set, not in who wrote what when. The one exception is a
 //     record whose payload its reader cannot decode: GetOrCompute treats
-//     it as a miss and lets the fresh payload replace it in the view.
+//     it as a miss and lets the fresh payload replace it in the view. A
+//     record a run derives instead of looking up goes through
+//     PutOrVerify: appended once, byte-verified by every later run.
 //   - Compact rewrites the merged view as a single canonical file with
 //     records sorted by (kind, key): byte-identical however many shard
 //     files it was merged from and in whatever order they were written.
@@ -271,19 +273,58 @@ func (s *Store) Put(kind, key string, payload any) error {
 	return s.put(kind, key, payload, false)
 }
 
-// put is Put; with replace set, the appended payload also replaces the
-// view's record at (kind, key), which GetOrCompute found undecodable.
-func (s *Store) put(kind, key string, payload any, replace bool) error {
-	raw, err := json.Marshal(payload)
+// PutOrVerify is the store step for records a run derives rather than
+// looks up (aggregates, search outcomes): a record absent at (kind, key)
+// is appended as by Put, and a present one is byte-compared with
+// payload's encoding instead of appended again; verified reports the
+// match. A mismatch is an error: the recomputation was not deterministic,
+// or the store is damaged. Neither path touches the hit/miss counters,
+// which count lookups: a merge that derives a record nobody stored yet
+// has still simulated nothing.
+func (s *Store) PutOrVerify(kind, key string, payload any) (verified bool, err error) {
+	raw, line, err := encodeRecord(kind, key, payload)
 	if err != nil {
-		return fmt.Errorf("store: encode %s record: %w", kind, err)
-	}
-	line, err := encodeLine(Record{Kind: kind, Key: key, Payload: raw})
-	if err != nil {
-		return fmt.Errorf("store: encode %s record: %w", kind, err)
+		return false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if prev, ok := s.mem[kind][key]; ok {
+		if !bytes.Equal(prev, raw) {
+			return false, fmt.Errorf("store: %s record %s diverges from the stored one: the recomputation is not deterministic, or the store is damaged", kind, key)
+		}
+		return true, nil
+	}
+	return false, s.appendLocked(kind, key, raw, line, false)
+}
+
+// put is Put; with replace set, the appended payload also replaces the
+// view's record at (kind, key), which GetOrCompute found undecodable.
+func (s *Store) put(kind, key string, payload any, replace bool) error {
+	raw, line, err := encodeRecord(kind, key, payload)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(kind, key, raw, line, replace)
+}
+
+// encodeRecord serializes payload and renders its record line.
+func encodeRecord(kind, key string, payload any) (json.RawMessage, []byte, error) {
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: encode %s record: %w", kind, err)
+	}
+	line, err := encodeLine(Record{Kind: kind, Key: key, Payload: raw})
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: encode %s record: %w", kind, err)
+	}
+	return raw, line, nil
+}
+
+// appendLocked appends one encoded record line and adds it to the view
+// (replacing the view's record with replace set); the caller holds mu.
+func (s *Store) appendLocked(kind, key string, raw json.RawMessage, line []byte, replace bool) error {
 	if s.file == nil {
 		name := filepath.Join(s.dir, "shard-"+sanitize(s.label)+".jsonl")
 		f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -14,7 +14,7 @@ type payload struct {
 	S string `json:"s"`
 }
 
-func put(t *testing.T, s *Store, kind, fp string, p payload) string {
+func put(t testing.TB, s *Store, kind, fp string, p payload) string {
 	t.Helper()
 	key := Key(fp)
 	if err := s.Put(kind, key, p); err != nil {
@@ -58,7 +58,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // shardFile returns the single shard file of a store directory.
-func shardFile(t *testing.T, dir string) string {
+func shardFile(t testing.TB, dir string) string {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil || len(names) != 1 {
@@ -69,7 +69,7 @@ func shardFile(t *testing.T, dir string) string {
 
 // writeStore builds a store directory holding n records and returns the
 // keys in insertion order.
-func writeStore(t *testing.T, dir string, n int) []string {
+func writeStore(t testing.TB, dir string, n int) []string {
 	t.Helper()
 	s, err := Open(dir, "w")
 	if err != nil {
@@ -242,6 +242,30 @@ func TestGetOrCompute(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Misses != 0 || st.Puts != 0 || st.Dupes != 0 {
 		t.Fatalf("stats after compaction %+v", st)
+	}
+}
+
+// TestPutOrVerify pins the derived-record step: an absent record is put, a
+// present one is byte-compared and never appended again, a different
+// payload at its key is an error, and no path counts a hit or a miss.
+func TestPutOrVerify(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	key := Key("derived")
+	for i, want := range []bool{false, true} {
+		verified, err := s.PutOrVerify("agg", key, payload{N: 1, S: "v"})
+		if err != nil || verified != want {
+			t.Fatalf("call %d: verified=%v err=%v, want verified=%v", i, verified, err, want)
+		}
+	}
+	if _, err := s.PutOrVerify("agg", key, payload{N: 2, S: "v"}); err == nil {
+		t.Fatal("a different payload at a stored key verified")
+	}
+	if st := s.Stats(); st.Puts != 1 || st.Hits != 0 || st.Misses != 0 || st.Records != 1 {
+		t.Fatalf("stats %+v, want one put and no lookups", st)
+	}
+	if st := openT(t, dir).Stats(); st.Records != 1 || st.Dupes != 0 {
+		t.Fatalf("reopened store %+v, want the record once", st)
 	}
 }
 
