@@ -11,7 +11,7 @@ test:
 # Allocation budgets skip under -race (the detector itself allocates), so
 # they get a dedicated non-race invocation.
 test-alloc:
-	$(GO) test -run Alloc ./internal/sim ./internal/simnet ./internal/mpi ./internal/replication ./internal/store ./internal/jobstream ./internal/experiments ./internal/kernels
+	$(GO) test -run Alloc ./internal/sim ./internal/simnet ./internal/mpi ./internal/replication ./internal/store ./internal/jobstream ./internal/experiments ./internal/kernels ./internal/campaign
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -228,6 +228,9 @@ func main() {
 		fail("unknown -ft %q (replication | ccr)", *ft)
 	}
 
+	if err := sim.CheckSeconds("-horizon", *horizon); err != nil {
+		fail("%v", err)
+	}
 	ccfg := campaign.Config{
 		Trials: *trials, Seed: *seed, Workers: *workers,
 		Horizon:   sim.Seconds(*horizon),

@@ -481,8 +481,16 @@ func planReferences(cfg Config, scenarios []Scenario) (base, templates []experim
 	if len(scenarios) == 0 {
 		return nil, nil, fmt.Errorf("campaign: no scenarios")
 	}
-	if cfg.CkptDelta < 0 || cfg.CkptRestart < 0 || cfg.CkptTau < 0 {
-		return nil, nil, fmt.Errorf("campaign: negative checkpoint parameter")
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{{"checkpoint cost", cfg.CkptDelta}, {"restart cost", cfg.CkptRestart}, {"checkpoint interval", cfg.CkptTau}} {
+		if !(c.v >= 0) || math.IsInf(c.v, 1) {
+			return nil, nil, fmt.Errorf("campaign: %s %g s must be finite and non-negative", c.name, c.v)
+		}
+	}
+	if cfg.Horizon < 0 {
+		return nil, nil, fmt.Errorf("campaign: negative horizon %g s", cfg.Horizon.Seconds())
 	}
 	for _, sc := range scenarios {
 		if !sc.Point.Mode.Replicated() && sc.Point.Mode != scenario.CCR {
@@ -491,6 +499,9 @@ func planReferences(cfg Config, scenarios []Scenario) (base, templates []experim
 		}
 		if sc.MTBF <= 0 {
 			return nil, nil, fmt.Errorf("campaign: scenario %q: MTBF must be positive", sc.Point.Name)
+		}
+		if sc.Horizon < 0 {
+			return nil, nil, fmt.Errorf("campaign: scenario %q: negative horizon %g s", sc.Point.Name, sc.Horizon.Seconds())
 		}
 		if f := sc.Point.Fault; f != nil && (f.MTBFSeconds > 0 || len(f.Crashes) > 0) {
 			return nil, nil, fmt.Errorf("campaign: scenario %q: carry the fault model in Scenario.MTBF, not the point", sc.Point.Name)
@@ -514,46 +525,52 @@ func planReferences(cfg Config, scenarios []Scenario) (base, templates []experim
 	return base, templates, nil
 }
 
-// The ccr draw window stops growing after maxHorizonDoublings doublings
-// (an expected makespan > ~10^6 fault-free walls), and before a doubling
-// whose window would be expected to hold more than maxWindowFailures
-// failures: every trace is redrawn whole, so memory grows with the
-// failures a window holds. Either bound marks an effectively-stalled
+// The defaulted ccr window doubles from the fault-free wall time until it
+// covers the failure-stretched makespan, for at most maxHorizonDoublings
+// doublings (an expected makespan > ~10^6 fault-free walls), and stops
+// before a doubling whose window would be expected to hold more than
+// maxWindowFailures failures. Either bound marks an effectively-stalled
 // operating point, and the trial reports a truncated makespan: the replay
 // of the last window's failures followed by a failure-free finish of the
-// remaining work, a lower bound on the true makespan.
+// remaining work, a lower bound on the true makespan. The trace is pulled
+// as the replay consumes it, so the bounds cap a trial's time, not its
+// memory.
 const (
 	maxHorizonDoublings = 20
 	maxWindowFailures   = 1 << 20
 )
 
-// ccrTrial draws one unclamped failure trace and replays the work under
-// it. With grow set (the defaulted-horizon case) it doubles the draw
-// window until it covers the failure-stretched makespan — the unclamped
-// draw extends a trace without disturbing the failures already inside
-// it, so growth refines the same trial rather than redrawing it — up to
-// the bounds above. With an explicit horizon the window is a hard cap,
-// exactly as it is for replicated draws.
+// ccrTrial replays the work under one unclamped failure trace. With an
+// explicit horizon the trace is cut there, a hard cap exactly as for
+// replicated draws. With grow set (the defaulted horizon) it is cut at the
+// last window the doubling would reach (ccrWindow): the replay stops
+// pulling failures at completion, and a completed replay ignores every
+// failure past its makespan, so any window that covers the makespan gives
+// the result the first covering one would.
 func ccrTrial(work float64, p ckptsim.Params, nodes int, mtbf, horizon sim.Time, grow bool, seed int64) ckptsim.Trial {
-	h := horizon
-	for doublings := 0; ; doublings++ {
-		d := fault.ExponentialDrawUnclamped(nodes, 1, mtbf, h, seed)
-		times := make([]float64, len(d.Schedule.Crashes))
-		for i, c := range d.Schedule.Crashes {
-			times[i] = c.Time.Seconds()
-		}
-		// params were validated in PreparePoints; with work >= 0 the
-		// replay cannot fail.
-		tr, err := ckptsim.Replay(work, p, times)
-		if err != nil {
-			panic(fmt.Sprintf("campaign: ccr replay: %v", err))
-		}
-		if !grow || tr.Makespan <= h.Seconds() || doublings >= maxHorizonDoublings ||
-			float64(nodes)*float64(2*h)/float64(mtbf) > maxWindowFailures {
-			return tr
-		}
+	if grow {
+		horizon = ccrWindow(nodes, mtbf, horizon)
+	}
+	// params were validated in PreparePoints; with work >= 0 the replay
+	// cannot fail.
+	r, err := ckptsim.NewReplayer(work, p)
+	if err != nil {
+		panic(fmt.Sprintf("campaign: ccr replay: %v", err))
+	}
+	s := fault.NewStream(nodes, 1, mtbf, horizon, seed)
+	for c, ok := s.Next(); ok && r.Fail(c.Time.Seconds()); c, ok = s.Next() {
+	}
+	return r.Trial
+}
+
+// ccrWindow is the last window the doubling from h reaches under the
+// bounds above, stopping short of overflowing sim.Time.
+func ccrWindow(nodes int, mtbf, h sim.Time) sim.Time {
+	for d := 0; d < maxHorizonDoublings && h <= fault.Never/2 &&
+		float64(nodes)*float64(2*h)/float64(mtbf) <= maxWindowFailures; d++ {
 		h *= 2
 	}
+	return h
 }
 
 // crossovers reports, for every replicated/ccr series pairing, where the

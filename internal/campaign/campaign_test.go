@@ -184,6 +184,30 @@ func TestCampaignRejectsBadScenarios(t *testing.T) {
 	if _, err := campaign.Run(campaign.Config{Trials: 1}, nil); err == nil {
 		t.Fatal("empty grid must error")
 	}
+	// A negative window or a non-finite checkpoint setting is refused
+	// before anything runs; each used to run as a fault-free campaign or
+	// into NaN rows.
+	ok := []campaign.Scenario{{Point: smallPoint("ok", scenario.Intra), MTBF: sim.Second}}
+	for _, c := range []struct {
+		cfg  campaign.Config
+		want string
+	}{
+		{campaign.Config{Horizon: -sim.Second}, "negative horizon -1 s"},
+		{campaign.Config{CkptTau: math.Inf(1)}, "checkpoint interval +Inf s"},
+		{campaign.Config{CkptDelta: math.NaN()}, "checkpoint cost NaN s"},
+		{campaign.Config{CkptRestart: math.Inf(1)}, "restart cost +Inf s"},
+	} {
+		c.cfg.Trials = 1
+		if _, err := campaign.Run(c.cfg, ok); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want an error naming %q", c.cfg, err, c.want)
+		}
+	}
+	neg := ok[0]
+	neg.Horizon = -sim.Second
+	if _, err := campaign.Run(campaign.Config{Trials: 1}, []campaign.Scenario{neg}); err == nil ||
+		!strings.Contains(err.Error(), "negative horizon -1 s") {
+		t.Fatalf("negative scenario horizon: got %v", err)
+	}
 	// A point that carries its own fault model conflicts with the
 	// campaign's draws.
 	faulty := smallPoint("bad", scenario.Intra)

@@ -44,8 +44,10 @@ type Point struct {
 	Params  ckptsim.Params
 	Delta   float64
 	Restart float64
-	// Horizon is the crash-draw window; Grow marks the defaulted ccr
-	// window that doubles per trial until it covers the stretched makespan.
+	// Horizon is the crash-draw window. Grow marks the defaulted ccr
+	// window, which trials extend to the last window doubling it would
+	// reach (see ccrTrial), so that it covers the failure-stretched
+	// makespan of every point that is not stalled.
 	Horizon sim.Time
 	Grow    bool
 	// Seed is the fingerprint-derived trial-stream seed: trial t draws
@@ -191,11 +193,12 @@ func (p *Point) CCRTrial(t int) ckptsim.Trial {
 		fault.TrialSeed(p.Seed, 0, t))
 }
 
-// ReplayTrace draws auxiliary failure-trace stream `stream` >= 1, index k,
-// for the point's system — the optimal-tau search's common random numbers.
-// The window doubles from the point's horizon until the replayed makespan
-// at the given params fits (the unclamped draw extends prefix-stably), so
-// one trace serves every candidate interval.
+// ReplayTrace replays auxiliary failure-trace stream `stream` >= 1, index
+// k, for the point's system — the optimal-tau search's common random
+// numbers. The trace is extended from the point's horizon like a
+// defaulted ccr window, whatever the point's own horizon, and pulled only
+// as far as the replay at the given params consumes it; every candidate
+// interval replays a prefix of the same trace.
 func (p *Point) ReplayTrace(stream, k int, params ckptsim.Params) ckptsim.Trial {
 	if !p.IsCCR() {
 		panic("campaign: ReplayTrace on a replicated point")

@@ -36,16 +36,20 @@ type Params struct {
 	Restart float64 // cost of restarting after a failure
 }
 
-// Validate rejects parameter combinations the replay cannot execute.
+// Validate rejects parameter combinations the replay cannot execute:
+// every parameter must be finite, the interval positive and the costs
+// non-negative.
 func (p Params) Validate() error {
-	if p.Tau <= 0 {
-		return fmt.Errorf("ckptsim: checkpoint interval %g must be positive", p.Tau)
+	if !(p.Tau > 0) || math.IsInf(p.Tau, 1) {
+		return fmt.Errorf("ckptsim: checkpoint interval %g must be positive and finite", p.Tau)
 	}
-	if p.Delta < 0 || p.Restart < 0 {
-		return fmt.Errorf("ckptsim: negative checkpoint (%g) or restart (%g) cost", p.Delta, p.Restart)
+	if !finiteNonNegative(p.Delta) || !finiteNonNegative(p.Restart) {
+		return fmt.Errorf("ckptsim: checkpoint (%g) and restart (%g) costs must be finite and non-negative", p.Delta, p.Restart)
 	}
 	return nil
 }
+
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Trial is one replay outcome.
 type Trial struct {
@@ -88,29 +92,70 @@ func (p Params) secured(t, remaining, f float64) float64 {
 // against an absolute failure trace (seconds, ascending — the order
 // fault.ExponentialDrawUnclamped emits). Failures at or after the
 // completion time are ignored; a failure during a restart restarts the
-// restart. The trace must cover the returned makespan for the result to
-// be exact — the campaign layer grows the draw window until it does.
+// restart. The trace must cover the returned makespan for the result to be
+// exact; past a trace's end the run is failure-free. It is a Replayer's
+// loop over a slice, with the replay state held in locals.
 func Replay(work float64, p Params, failures []float64) (Trial, error) {
-	if err := p.Validate(); err != nil {
+	r, err := NewReplayer(work, p)
+	if err != nil {
 		return Trial{}, err
 	}
-	if work < 0 {
-		return Trial{}, fmt.Errorf("ckptsim: negative work %g", work)
-	}
-	var tr Trial
-	t, done := 0.0, 0.0
+	tr, t, done := r.Trial, 0.0, 0.0
 	for _, f := range failures {
-		if f >= p.finish(t, work-done) {
-			break // completed before this failure
+		if f >= tr.Makespan {
+			break
 		}
-		if f > t {
-			done += p.secured(t, work-done, f)
-		}
-		// f <= t: the failure hit during the restart we are already paying;
-		// no progress was made, the restart just starts over.
+		t, done = p.rollback(work, t, done, f)
+		tr.Makespan = p.finish(t, work-done)
 		tr.Failures++
-		t = f + p.Restart
 	}
-	tr.Makespan = p.finish(t, work-done)
 	return tr, nil
+}
+
+// Replayer is one replay in progress, for a trace drawn as it is consumed:
+// feed it failures in ascending order through Fail until it refuses one.
+// Its Trial is the outcome of the failures fed so far, the rest of the run
+// failure-free.
+type Replayer struct {
+	Trial
+	p       Params
+	work    float64
+	t, done float64 // start of the current attempt; work secured before it
+}
+
+// NewReplayer starts a replay of `work` seconds of progress under p.
+func NewReplayer(work float64, p Params) (Replayer, error) {
+	if err := p.Validate(); err != nil {
+		return Replayer{}, err
+	}
+	if !finiteNonNegative(work) {
+		return Replayer{}, fmt.Errorf("ckptsim: work %g must be finite and non-negative", work)
+	}
+	return Replayer{Trial: Trial{Makespan: p.finish(0, work)}, p: p, work: work}, nil
+}
+
+// Fail applies a failure at absolute time f, at or after every earlier
+// one, and reports whether it hit the run. False means the run completed
+// before f, so every later failure misses it too.
+func (r *Replayer) Fail(f float64) bool {
+	if f >= r.Makespan {
+		return false
+	}
+	r.t, r.done = r.p.rollback(r.work, r.t, r.done, f)
+	r.Makespan = r.p.finish(r.t, r.work-r.done)
+	r.Failures++
+	return true
+}
+
+// rollback is the replay step both entry points take: a failure at f hits
+// the attempt started at t, with `done` work secured before it, and the run
+// restarts from its last completed checkpoint. It returns the next
+// attempt's start and the work secured before it. A failure at or before
+// the attempt's start hit the restart being paid: no progress was made,
+// and the restart starts over.
+func (p Params) rollback(work, t, done, f float64) (float64, float64) {
+	if f > t {
+		done += p.secured(t, work-done, f)
+	}
+	return f + p.Restart, done
 }

@@ -1,7 +1,9 @@
 package ckptsim_test
 
 import (
+	"encoding/binary"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -78,6 +80,25 @@ func TestReplayValidation(t *testing.T) {
 	}
 	if _, err := ckptsim.Replay(-1, ckptsim.Params{Tau: 1}, nil); err == nil {
 		t.Fatal("negative work must error")
+	}
+	// Non-finite parameters used to replay into NaN makespans.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		work float64
+		p    ckptsim.Params
+	}{
+		{10, ckptsim.Params{Tau: inf}},
+		{10, ckptsim.Params{Tau: nan}},
+		{10, ckptsim.Params{Tau: 1, Delta: nan}},
+		{10, ckptsim.Params{Tau: 1, Delta: inf}},
+		{10, ckptsim.Params{Tau: 1, Restart: inf}},
+		{10, ckptsim.Params{Tau: 1, Restart: nan}},
+		{inf, ckptsim.Params{Tau: 1}},
+		{nan, ckptsim.Params{Tau: 1}},
+	} {
+		if _, err := ckptsim.Replay(c.work, c.p, nil); err == nil {
+			t.Errorf("work %g under %+v must error", c.work, c.p)
+		}
 	}
 }
 
@@ -156,4 +177,100 @@ func TestReplayDeterministic(t *testing.T) {
 	if a.Makespan < 20 {
 		t.Fatalf("makespan %v under the raw work", a.Makespan)
 	}
+}
+
+// traceBytes encodes a failure trace the way FuzzReplay decodes it.
+func traceBytes(trace []float64) []byte {
+	b := make([]byte, 0, 8*len(trace))
+	for _, f := range trace {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+// FuzzReplay checks the replay's invariants over arbitrary machines and
+// failure traces. The domain is finite, valid parameters up to 1e9 s with
+// at most a million checkpoint intervals of work, which keeps the
+// checkpoint count ceil(work/tau) a finite, exact integer, and failure
+// times in [0, 1e12] s; out-of-domain trace entries are dropped, the rest
+// sorted.
+// For every such input:
+//   - Replay neither fails nor returns NaN;
+//   - a run no failure hits before completion takes FaultFreeMakespan;
+//   - the makespan is at least the work;
+//   - no more failures hit than the trace holds;
+//   - failures appended at or after the makespan change nothing;
+//   - a Replayer fed the trace one failure at a time agrees exactly.
+//
+// The makespan is not bounded below by the fault-free one: when
+// work/tau rounds up past an integer, the fault-free schedule counts one
+// checkpoint too many, and a failure can remove it (the last seed).
+// The other seeds are the cases of the tests above.
+func FuzzReplay(f *testing.F) {
+	for _, c := range []struct {
+		work, tau, delta, restart float64
+		trace                     []float64
+	}{
+		{35, 10, 1, 2, nil}, {7, 10, 1, 2, nil}, {20, 10, 1, 2, nil}, {0, 10, 1, 2, []float64{1}},
+		{35, 10, 1, 2, []float64{15}}, {35, 10, 1, 2, []float64{10.5}},
+		{35, 10, 1, 2, []float64{15, 16}}, {35, 10, 1, 2, []float64{100, 200}},
+		{20, 3, 0.5, 0.5, []float64{0.5, 2, 2.1, 7, 9.5, 9.5, 30}},
+		{140, 0.7999999999999999, 44.166666666666664, 2, []float64{50}},
+	} {
+		f.Add(c.work, c.tau, c.delta, c.restart, traceBytes(c.trace))
+	}
+	f.Fuzz(func(t *testing.T, work, tau, delta, restart float64, raw []byte) {
+		p := ckptsim.Params{Tau: tau, Delta: delta, Restart: restart}
+		for _, v := range []float64{work, tau, delta, restart} {
+			if !(v >= 0 && v <= 1e9) {
+				t.Skip("parameter outside the domain")
+			}
+		}
+		if !(tau > 0) || work/tau > 1e6 {
+			t.Skip("parameter outside the domain")
+		}
+		var trace []float64
+		for ; len(raw) >= 8; raw = raw[8:] {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(raw)); v >= 0 && v <= 1e12 {
+				trace = append(trace, v)
+			}
+		}
+		sort.Float64s(trace)
+
+		tr, err := ckptsim.Replay(work, p, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff := p.FaultFreeMakespan(work)
+		switch {
+		case math.IsNaN(tr.Makespan):
+			t.Fatalf("NaN makespan: %+v", tr)
+		case (len(trace) == 0 || trace[0] >= ff) && (tr.Makespan != ff || tr.Failures != 0):
+			t.Fatalf("no failure before completion at %v, yet %+v", ff, tr)
+		case tr.Makespan < work*(1-1e-12):
+			t.Fatalf("makespan %v under the work %v", tr.Makespan, work)
+		case tr.Failures > len(trace):
+			t.Fatalf("%d failures from a trace of %d", tr.Failures, len(trace))
+		}
+
+		late := append([]float64(nil), trace...)
+		late = append(late, tr.Makespan, tr.Makespan, 2*tr.Makespan+1)
+		sort.Float64s(late)
+		if got, err := ckptsim.Replay(work, p, late); err != nil || got != tr {
+			t.Fatalf("failures after the makespan changed %+v into %+v (%v)", tr, got, err)
+		}
+
+		r, err := ckptsim.NewReplayer(work, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range trace {
+			if !r.Fail(f) {
+				break
+			}
+		}
+		if r.Trial != tr {
+			t.Fatalf("Replayer %+v, Replay %+v", r.Trial, tr)
+		}
+	})
 }

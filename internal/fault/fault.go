@@ -6,6 +6,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -199,23 +200,87 @@ func ExponentialDraw(logical, degree int, mtbf, horizon sim.Time, seed int64) Dr
 // survivable (it just forces another rollback) and a restarted node can
 // fail again.
 //
-// Each slot's sub-stream derives independently from seed, so growing the
-// horizon extends a trace without disturbing the failures already drawn
-// inside the smaller window — campaigns exploit this to enlarge the draw
-// window until it covers a failure-stretched makespan. Crashes are
-// returned sorted by (time, logical, lane); Suppressed is always zero.
+// It collects a Stream: crashes come sorted by (time, logical, lane), a
+// larger horizon extends the trace without disturbing the failures
+// already inside the smaller window, and Suppressed is always zero.
+// Consumers that stop early pull from the Stream instead.
 func ExponentialDrawUnclamped(logical, degree int, mtbf, horizon sim.Time, seed int64) Draw {
 	d := Draw{Schedule: &Schedule{}}
-	for r := 0; r < logical; r++ {
-		for l := 0; l < degree; l++ {
-			rng := newRand(TrialSeed(seed, r, l))
-			for t := expStep(rng, mtbf); t < horizon; t += expStep(rng, mtbf) {
-				d.Schedule.Crashes = append(d.Schedule.Crashes, Crash{Logical: r, Lane: l, Time: t})
-			}
+	s := NewStream(logical, degree, mtbf, horizon, seed)
+	for c, ok := s.Next(); ok; c, ok = s.Next() {
+		d.Schedule.Crashes = append(d.Schedule.Crashes, c)
+	}
+	return d
+}
+
+// Never is the failure time of a slot whose next failure lies past the
+// largest representable virtual time.
+const Never = sim.Time(math.MaxInt64)
+
+// Renewal is one replica slot's failure process: exponential inter-arrival
+// times of mean mtbf (expStep) from the slot's own generator, accumulated
+// in virtual time. This sequential construction of a Poisson process needs
+// no window: a consumer draws exactly the failures it uses, and drawing
+// further never changes the ones already drawn.
+type Renewal struct {
+	rng  *rand.Rand
+	mtbf sim.Time
+	Next sim.Time // the slot's next failure, not yet consumed
+}
+
+// NewRenewal starts the failure process of slot (logical, lane) of the
+// trace seeded by seed: the slot's sub-stream is TrialSeed(seed, logical,
+// lane).
+func NewRenewal(logical, lane int, mtbf sim.Time, seed int64) Renewal {
+	r := Renewal{rng: newRand(TrialSeed(seed, logical, lane)), mtbf: mtbf}
+	r.Advance()
+	return r
+}
+
+// Advance consumes Next and draws the failure after it, saturating at
+// Never instead of overflowing.
+func (r *Renewal) Advance() {
+	dt := expStep(r.rng, r.mtbf)
+	r.Next = min(r.Next, Never-dt) + dt
+}
+
+// Stream merges the renewal processes of logical×degree replica slots into
+// one failure trace in canonical (time, logical, lane) order, cut at a
+// horizon: the crashes ExponentialDrawUnclamped collects over that
+// horizon, drawn only as they are pulled. A consumer that stops after n
+// failures has drawn n plus one per slot.
+type Stream struct {
+	degree  int
+	horizon sim.Time
+	slots   []Renewal // slot r*degree+l is (logical r, lane l)
+}
+
+// NewStream starts the unclamped failure trace seeded by seed, cut at
+// horizon (Never for an uncut one).
+func NewStream(logical, degree int, mtbf, horizon sim.Time, seed int64) Stream {
+	s := Stream{degree: degree, horizon: horizon, slots: make([]Renewal, logical*degree)}
+	for i := range s.slots {
+		s.slots[i] = NewRenewal(i/degree, i%degree, mtbf, seed)
+	}
+	return s
+}
+
+// Next pulls the earliest failure not yet pulled, false once every slot's
+// next failure lies at or past the horizon. Equal times go to the lower
+// slot, which is sortCrashes' (logical, lane) order.
+func (s *Stream) Next() (Crash, bool) {
+	best := 0
+	for i := range s.slots {
+		if s.slots[i].Next < s.slots[best].Next {
+			best = i
 		}
 	}
-	sortCrashes(d.Schedule.Crashes)
-	return d
+	if len(s.slots) == 0 || s.slots[best].Next >= s.horizon {
+		return Crash{}, false
+	}
+	c := Crash{Logical: best / s.degree, Lane: best % s.degree, Time: s.slots[best].Next}
+	s.slots[best].Advance()
+	return c, true
 }
 
 // expStep draws one exponential inter-arrival time, clamped to at least one

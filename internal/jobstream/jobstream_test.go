@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/testutil"
 
 	_ "repro/internal/apps/gtc"
 	_ "repro/internal/apps/hpccg"
@@ -66,11 +69,31 @@ func TestGenArrivalsDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenArrivalsExponential: interarrival gaps times the rate are the
+// generator's Exp(1) variates, so they pass a KS test against Exp(1) at
+// the 0.1% critical value (seed fixed).
+func TestGenArrivalsExponential(t *testing.T) {
+	w := testWorkload()
+	w.Jobs = 4000
+	const rate = 4
+	arr := genArrivals(w, rate, w.Seed, 0)
+	u := make([]float64, len(arr))
+	prev := 0.0
+	for i, a := range arr {
+		u[i] = -math.Expm1(-(a.at - prev) * rate)
+		prev = a.at
+	}
+	if ks, crit := testutil.KSUniform(u); ks > crit {
+		t.Fatalf("KS %.4f of %d interarrivals against Exp(rate) exceeds %.4f", ks, len(u), crit)
+	}
+}
+
 func TestFailTracePrefixStable(t *testing.T) {
 	const nodes, mtbf = 4, 0.5
 	grown := newFailTrace(nodes, mtbf, 42)
 	oneshot := newFailTrace(nodes, mtbf, 42)
-	oneshot.ensure(40)
+	// Each node's history is its slot of the trial's unclamped trace.
+	whole := fault.ExponentialDrawUnclamped(nodes, 1, sim.Seconds(mtbf), sim.Seconds(40), 42)
 
 	// Reading through many small windows must agree with one big draw:
 	// window growth never rewrites history.
@@ -84,6 +107,15 @@ func TestFailTracePrefixStable(t *testing.T) {
 		direct := oneshot.window(node, 0, 40)
 		if !reflect.DeepEqual(incremental, append([]float64(nil), direct...)) {
 			t.Fatalf("node %d: incremental windows %v != direct %v", node, incremental, direct)
+		}
+		var drawn []float64
+		for _, c := range whole.Schedule.Crashes {
+			if c.Logical == node {
+				drawn = append(drawn, c.Time.Seconds())
+			}
+		}
+		if !reflect.DeepEqual(drawn, incremental) {
+			t.Fatalf("node %d: windows %v != the node's slot of the whole trace %v", node, incremental, drawn)
 		}
 	}
 

@@ -56,53 +56,40 @@ func genArrivals(w *scenario.Workload, rate float64, seed int64, trial int) []ar
 }
 
 // failTrace is the trial's shared node-failure history: one exponential
-// renewal process per node (fault.ExponentialDrawUnclamped with the nodes
-// as "logical" slots), drawn lazily over a doubling horizon. Growing the
-// horizon never disturbs failures already drawn — each node's sub-stream
-// is prefix-stable — so every job can extend its own observation window
-// independently and all cells of a trial agree on every node's history.
+// renewal process per node (slot (node, 0) of the trial's unclamped
+// failure trace, as fault.ExponentialDrawUnclamped draws it). Each node is
+// drawn only as far as a window asks, and drawing further never disturbs
+// the failures already drawn, so every job can extend its own observation
+// window independently and all cells of a trial agree on every node's
+// history.
 type failTrace struct {
-	nodes   int
-	mtbf    float64 // per-node MTBF, seconds (0 = failure-free)
-	seed    int64
-	horizon float64
-	times   [][]float64 // per node, ascending absolute seconds
+	procs []fault.Renewal // nil when failure-free
+	times [][]float64     // per node, ascending absolute seconds, drawn so far
 }
 
 func newFailTrace(nodes int, mtbfSeconds float64, seed int64) *failTrace {
-	return &failTrace{nodes: nodes, mtbf: mtbfSeconds, seed: seed, times: make([][]float64, nodes)}
-}
-
-// ensure extends the drawn horizon to cover `to`.
-func (ft *failTrace) ensure(to float64) {
-	if ft.mtbf == 0 || to <= ft.horizon {
-		return
+	ft := &failTrace{}
+	if mtbfSeconds > 0 {
+		ft.procs, ft.times = make([]fault.Renewal, nodes), make([][]float64, nodes)
+		for node := range ft.procs {
+			ft.procs[node] = fault.NewRenewal(node, 0, sim.Seconds(mtbfSeconds), seed)
+		}
 	}
-	h := ft.horizon
-	if h == 0 {
-		h = ft.mtbf
-	}
-	for h < to {
-		h *= 2
-	}
-	d := fault.ExponentialDrawUnclamped(ft.nodes, 1, sim.Seconds(ft.mtbf), sim.Seconds(h), ft.seed)
-	for i := range ft.times {
-		ft.times[i] = ft.times[i][:0]
-	}
-	for _, c := range d.Schedule.Crashes {
-		ft.times[c.Logical] = append(ft.times[c.Logical], c.Time.Seconds())
-	}
-	ft.horizon = h
+	return ft
 }
 
 // window returns node's failures in [from, to), ascending. The returned
 // slice aliases the trace; callers copy what they keep.
 func (ft *failTrace) window(node int, from, to float64) []float64 {
-	if ft.mtbf == 0 {
+	if ft.procs == nil {
 		return nil
 	}
-	ft.ensure(to)
-	ts := ft.times[node]
+	p, ts := &ft.procs[node], ft.times[node]
+	for p.Next < fault.Never && p.Next.Seconds() < to {
+		ts = append(ts, p.Next.Seconds())
+		p.Advance()
+	}
+	ft.times[node] = ts
 	lo := sort.SearchFloat64s(ts, from)
 	hi := lo + sort.SearchFloat64s(ts[lo:], to)
 	return ts[lo:hi]

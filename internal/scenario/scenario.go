@@ -338,8 +338,11 @@ func (s Scenario) validateFault() error {
 	if f == nil {
 		return nil
 	}
-	if f.MTBFSeconds < 0 || f.HorizonSeconds < 0 {
-		return fmt.Errorf("scenario %q: negative MTBF or horizon", s.Name)
+	if err := sim.CheckSeconds("mtbf_seconds", f.MTBFSeconds); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	if err := sim.CheckSeconds("horizon_seconds", f.HorizonSeconds); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	if f.MTBFSeconds > 0 && !s.Mode.Replicated() && s.Mode != CCR {
 		return fmt.Errorf("scenario %q: an MTBF fault model requires a replicated or ccr mode, not %s", s.Name, s.Mode.Name())
@@ -363,8 +366,8 @@ func (s Scenario) validateFault() error {
 		if c.Lane < 0 || c.Lane >= d {
 			return fmt.Errorf("scenario %q: crash names lane %d of degree %d", s.Name, c.Lane, d)
 		}
-		if c.AtSeconds < 0 {
-			return fmt.Errorf("scenario %q: crash at negative time %g", s.Name, c.AtSeconds)
+		if err := sim.CheckSeconds("crash at_seconds", c.AtSeconds); err != nil {
+			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
 	return nil

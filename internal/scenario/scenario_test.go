@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -253,6 +254,28 @@ func TestValidateErrors(t *testing.T) {
 		"crash rank out of range": {func(s *scenario.Scenario) {
 			s.Fault.Crashes[0].Logical = 9
 		}, "rank"},
+		// Every seconds value converted to virtual time must fit it.
+		"mtbf past virtual time": {func(s *scenario.Scenario) {
+			s.Fault = &scenario.FaultSpec{MTBFSeconds: 1e10}
+		}, "mtbf_seconds 1e+10 s"},
+		"infinite mtbf": {func(s *scenario.Scenario) {
+			s.Fault = &scenario.FaultSpec{MTBFSeconds: math.Inf(1)}
+		}, "mtbf_seconds +Inf s"},
+		"negative mtbf": {func(s *scenario.Scenario) {
+			s.Fault = &scenario.FaultSpec{MTBFSeconds: -1}
+		}, "mtbf_seconds -1 s"},
+		"horizon past virtual time": {func(s *scenario.Scenario) {
+			s.Fault = &scenario.FaultSpec{MTBFSeconds: 1, HorizonSeconds: 1e10}
+		}, "horizon_seconds 1e+10 s"},
+		"NaN horizon": {func(s *scenario.Scenario) {
+			s.Fault = &scenario.FaultSpec{MTBFSeconds: 1, HorizonSeconds: math.NaN()}
+		}, "horizon_seconds NaN s"},
+		"negative horizon": {func(s *scenario.Scenario) {
+			s.Fault = &scenario.FaultSpec{MTBFSeconds: 1, HorizonSeconds: -1}
+		}, "horizon_seconds -1 s"},
+		"crash past virtual time": {func(s *scenario.Scenario) {
+			s.Fault.Crashes[0].AtSeconds = 1e10
+		}, "at_seconds 1e+10 s"},
 	}
 	for name, tc := range cases {
 		sc := smallScenario()

@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // DefaultCkptDeltaFrac is the checkpoint cost assumed by job-stream
@@ -145,8 +147,8 @@ func (w Workload) Validate() error {
 			return fmt.Errorf("workload: arrival rate %g must be positive", r)
 		}
 	}
-	if w.MTBFSeconds < 0 {
-		return fmt.Errorf("workload: negative mtbf_seconds %g", w.MTBFSeconds)
+	if err := sim.CheckSeconds("mtbf_seconds", w.MTBFSeconds); err != nil {
+		return fmt.Errorf("workload: %w", err)
 	}
 	if w.CkptDeltaFrac < 0 || w.CkptDeltaFrac >= 1 {
 		return fmt.Errorf("workload: ckpt_delta_frac %g outside [0, 1)", w.CkptDeltaFrac)

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -100,6 +101,8 @@ func TestWorkloadValidate(t *testing.T) {
 		{"empty rates", func(w *scenario.Workload) { w.Rates = nil }, "rates"},
 		{"bad rate", func(w *scenario.Workload) { w.Rates = []float64{2, -1} }, "rate"},
 		{"negative mtbf", func(w *scenario.Workload) { w.MTBFSeconds = -1 }, "mtbf"},
+		{"mtbf past virtual time", func(w *scenario.Workload) { w.MTBFSeconds = 1e10 }, "mtbf_seconds 1e+10 s"},
+		{"NaN mtbf", func(w *scenario.Workload) { w.MTBFSeconds = math.NaN() }, "mtbf_seconds NaN s"},
 		{"delta frac", func(w *scenario.Workload) { w.CkptDeltaFrac = 1 }, "ckpt_delta_frac"},
 		{"negative bound", func(w *scenario.Workload) { w.BoundSeconds = -1 }, "bound"},
 		{"empty mix", func(w *scenario.Workload) { w.Mix = nil }, "mix"},

@@ -25,6 +25,18 @@ const (
 // Seconds converts a floating-point number of seconds to a virtual Time.
 func Seconds(s float64) Time { return Time(s * 1e9) }
 
+// CheckSeconds returns an error naming the input and its value unless
+// Seconds converts s faithfully: s must be finite, non-negative and below
+// Time's range. Inputs from outside the program are checked with it before
+// they are converted; past the range the conversion's result is undefined.
+func CheckSeconds(name string, s float64) error {
+	if s >= 0 && s*1e9 < 1<<63 {
+		return nil
+	}
+	return fmt.Errorf("%s %g s is not a virtual time: it must be finite, non-negative and under %.4g s",
+		name, s, float64(1<<63)/1e9)
+}
+
 // Micros converts a floating-point number of microseconds to a virtual Time.
 func Micros(us float64) Time { return Time(us * 1e3) }
 
