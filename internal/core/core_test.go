@@ -415,7 +415,7 @@ func TestSchedulersCoverAllTasksExactlyOnce(t *testing.T) {
 			for i := range lanes {
 				lanes[i] = i
 			}
-			owner := BlockScheduler(n, lanes)
+			owner := BlockScheduler(nil, n, lanes)
 			if len(owner) != n {
 				return false
 			}
@@ -435,7 +435,7 @@ func TestSchedulersCoverAllTasksExactlyOnce(t *testing.T) {
 
 func TestBlockSchedulerMatchesPaperSplit(t *testing.T) {
 	// 8 tasks, 2 replicas: first 4 to replica 1, last 4 to replica 2 (§V-A).
-	owner := BlockScheduler(8, []int{0, 1})
+	owner := BlockScheduler(nil, 8, []int{0, 1})
 	for i := 0; i < 4; i++ {
 		if owner[i] != 0 || owner[i+4] != 1 {
 			t.Fatalf("owner = %v", owner)

@@ -38,20 +38,20 @@ func (m InoutMode) String() string {
 	return "copy"
 }
 
-// BlockScheduler assigns each of a section's tasks to one of the given
-// lanes by the paper's static policy (§V-A): with L lanes the first n/L
-// launched tasks go to the first lane, the next n/L to the second, and so
-// on. Assignments are computed over the full (configured) lane set on
+// BlockScheduler assigns each of a section's nTasks tasks to one of the
+// given lanes by the paper's static policy (§V-A): with L lanes the first
+// n/L launched tasks go to the first lane, the next n/L to the second, and
+// so on. It appends each task's lane to owner and returns the extended
+// slice. Assignments are computed over the full (configured) lane set on
 // every replica, so they are identical everywhere by construction —
 // replicas never need to agree dynamically on ownership. Tasks assigned to
 // a lane that turns out to be dead are executed locally by every surviving
 // replica that is missing their results (the "execute the task locally"
 // option of §III-B2).
-func BlockScheduler(nTasks int, lanes []int) []int {
-	owner := make([]int, nTasks)
+func BlockScheduler(owner []int, nTasks int, lanes []int) []int {
 	l := len(lanes)
-	for i := range owner {
-		owner[i] = lanes[i*l/nTasks]
+	for i := 0; i < nTasks; i++ {
+		owner = append(owner, lanes[i*l/nTasks])
 	}
 	return owner
 }
@@ -79,12 +79,18 @@ type Options struct {
 }
 
 // intraEngine implements the paper's protocol (Algorithm 1) for one
-// replica.
+// replica. The slices after allLanes are per-section scratch, kept across
+// sections so a section allocates none of them.
 type intraEngine struct {
 	p        *replication.Proc
+	w        *mpi.World
 	opts     Options
 	secSeq   int
 	allLanes []int
+	owner    []int
+	recvs    []pendingRecv
+	selfExec []*task
+	sends    []*mpi.Request
 }
 
 func (en *intraEngine) mode() string { return "intra" }
@@ -94,7 +100,7 @@ func NewIntra(p *replication.Proc, opts Options) *R {
 	if opts.CostScale <= 0 {
 		opts.CostScale = 1
 	}
-	en := &intraEngine{p: p, opts: opts}
+	en := &intraEngine{p: p, w: p.System().World(), opts: opts}
 	for l := 0; l < p.System().Config().Degree; l++ {
 		en.allLanes = append(en.allLanes, l)
 	}
@@ -108,11 +114,21 @@ func NewIntra(p *replication.Proc, opts Options) *R {
 
 // updateTag encodes (section, task, argument) into a tag on the dedicated
 // replica communicator (§V-A: updates are plain MPI messages over a
-// dedicated communicator). Tags are unique per live section: sections are
-// serialized per logical process, so the 15-bit section counter cannot
-// collide while messages are in flight.
+// dedicated communicator, which carries nothing else). Tags are unique per
+// live section: sections are serialized per logical process, so the 15-bit
+// section counter cannot collide while messages are in flight.
+//
+// Tags are negative, which mpi treats as single-shot: a task's update is
+// sent once, when the task completes, to each peer, and a receiver never
+// re-posts a receive for an argument it already has, so each (sender,
+// receiver, tag) channel carries at most one message. The sender keeps no
+// channel state and the receiver retires its channel once the message is
+// consumed. A message nobody consumes keeps its channel: its sender was
+// seen dead before the receive was posted, and a dead sender is never
+// received from again, so a stale message cannot match a later section
+// whose counter wrapped onto the same tag.
 func updateTag(section, task, arg int) int {
-	return (section&0x7fff)<<16 | (task&0x3ff)<<6 | arg&0x3f
+	return ^((section&0x7fff)<<16 | (task&0x3ff)<<6 | arg&0x3f)
 }
 
 type pendingRecv struct {
@@ -138,7 +154,8 @@ func (en *intraEngine) runSection(r *R) error {
 	}
 	rc := en.p.ReplicaComm()
 	sys := en.p.System()
-	owner := BlockScheduler(len(r.tasks), en.allLanes)
+	en.owner = BlockScheduler(en.owner[:0], len(r.tasks), en.allLanes)
+	owner := en.owner
 	for {
 		if len(en.p.AliveLanes()) == 0 {
 			return &replication.LogicalRankLostError{Rank: en.p.Logical}
@@ -146,8 +163,7 @@ func (en *intraEngine) runSection(r *R) error {
 		// Post receives for unfinished tasks owned by live peers
 		// (snapshotting their inout arguments first: Algorithm 1,
 		// receive_task_update lines 37-38).
-		var recvs []pendingRecv
-		var selfExec []*task
+		recvs, selfExec := en.recvs[:0], en.selfExec[:0]
 		for ti, t := range r.tasks {
 			if t.done || owner[ti] == en.p.Lane {
 				continue
@@ -169,7 +185,7 @@ func (en *intraEngine) runSection(r *R) error {
 
 		// Execute my own tasks, shipping each update as soon as it is
 		// ready (overlapped with the remaining computation).
-		var sends []*mpi.Request
+		sends := en.sends[:0]
 		for ti, t := range r.tasks {
 			if owner[ti] != en.p.Lane || t.done {
 				continue
@@ -183,7 +199,7 @@ func (en *intraEngine) runSection(r *R) error {
 			if h := en.opts.Hooks.AfterTaskExec; h != nil {
 				h(secID, ti)
 			}
-			sends = append(sends, en.sendUpdates(r, rc, secID, ti, t)...)
+			sends = en.sendUpdates(r, rc, sends, secID, ti, t)
 		}
 
 		// Re-execute locally the unfinished tasks of dead lanes
@@ -203,18 +219,21 @@ func (en *intraEngine) runSection(r *R) error {
 		// Collect updates for remote tasks; failures trigger another round.
 		failed := false
 		for _, pr := range recvs {
-			if err := r.rank().Wait(pr.req); err != nil {
+			msg, err := r.rank().WaitOwned(pr.req)
+			if err != nil {
 				if mpi.IsPeerDead(err) {
 					failed = true
 					continue
 				}
 				return err
 			}
-			en.applyUpdate(r, pr.t, pr.arg, pr.req.Msg().Data)
+			en.applyUpdate(pr.t, pr.arg, msg)
 		}
 		en.finishReceivedTasks(r)
 
-		if err := r.rank().Waitall(sends); err != nil {
+		err := r.rank().WaitallOwned(sends)
+		en.recvs, en.selfExec, en.sends = recvs, selfExec, sends
+		if err != nil {
 			return err
 		}
 		r.stats.UpdateWait += r.Now() - localDone
@@ -245,9 +264,9 @@ func (en *intraEngine) prepareForReceive(r *R, t *task) {
 }
 
 // sendUpdates ships every non-in argument of a completed task to all other
-// alive lanes (Algorithm 1, execute_task lines 33-34).
-func (en *intraEngine) sendUpdates(r *R, rc *mpi.Comm, secID, ti int, t *task) []*mpi.Request {
-	var reqs []*mpi.Request
+// alive lanes (Algorithm 1, execute_task lines 33-34), appending the send
+// requests to reqs.
+func (en *intraEngine) sendUpdates(r *R, rc *mpi.Comm, reqs []*mpi.Request, secID, ti int, t *task) []*mpi.Request {
 	for ai, tag := range t.def.tags {
 		if tag == In {
 			continue
@@ -271,17 +290,21 @@ func (en *intraEngine) sendUpdates(r *R, rc *mpi.Comm, secID, ti int, t *task) [
 
 // applyUpdate records one received argument update. In copy-restore mode
 // the update is written to memory immediately (like an MPI receive into
-// the application buffer); in atomic mode it is buffered.
-func (en *intraEngine) applyUpdate(r *R, t *task, arg int, data []float64) {
+// the application buffer); in atomic mode it is buffered. Once applied,
+// the message goes back to the world pool (Value.Apply copies), and so
+// does a duplicate of an update the task already has.
+func (en *intraEngine) applyUpdate(t *task, arg int, msg *mpi.Message) {
 	if t.recvd[arg] || t.done {
+		en.w.RecycleMessage(msg)
 		return
 	}
 	t.recvd[arg] = true
 	if en.opts.Mode == CopyRestore {
-		t.args[arg].Apply(data)
+		t.args[arg].Apply(msg.Data)
+		en.w.RecycleMessage(msg)
 		return
 	}
-	t.pendingD[arg] = data
+	t.pendingD[arg] = msg
 }
 
 // finishReceivedTasks marks tasks complete once every non-in argument has
@@ -310,7 +333,8 @@ func (en *intraEngine) finishReceivedTasks(r *R) {
 				d := r.machine.MemcpyDuration(r.scaledBytes(t.args[ai]))
 				r.stats.CopyTime += d
 				r.rank().Compute(d)
-				t.args[ai].Apply(t.pendingD[ai])
+				t.args[ai].Apply(t.pendingD[ai].Data)
+				en.w.RecycleMessage(t.pendingD[ai])
 				t.pendingD[ai] = nil
 			}
 		}

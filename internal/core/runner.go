@@ -155,15 +155,16 @@ type taskDef struct {
 	tags []ArgTag
 }
 
+// task is one launched task. R keeps its task records, per-argument slices
+// included, across sections and refills them on launch.
 type task struct {
 	idx      int
 	def      taskDef
 	args     []Value
 	done     bool
-	executed bool    // executed locally (vs received)
-	copies   []Value // inout snapshots (copy-restore mode)
-	recvd    []bool  // per-arg: update applied (copy mode) or buffered (atomic)
-	pendingD [][]float64
+	copies   []Value        // inout snapshots (copy-restore mode)
+	recvd    []bool         // per-arg: update applied (copy mode) or buffered (atomic)
+	pendingD []*mpi.Message // per-arg buffered update (atomic mode), applied on completion
 }
 
 // LogicalRank returns the logical MPI rank.
@@ -259,15 +260,34 @@ func (r *R) TaskLaunch(id TaskID, args ...Value) {
 		panic(fmt.Sprintf("core: task %d launched with %d args, registered with %d",
 			id, len(args), len(def.tags)))
 	}
-	t := &task{
-		idx:      len(r.tasks),
-		def:      def,
-		args:     args,
-		copies:   make([]Value, len(args)),
-		recvd:    make([]bool, len(args)),
-		pendingD: make([][]float64, len(args)),
+	// SectionBegin truncated r.tasks; the records past its length are the
+	// previous sections', ready for reuse.
+	n := len(r.tasks)
+	if n < cap(r.tasks) {
+		r.tasks = r.tasks[:n+1]
+	} else {
+		r.tasks = append(r.tasks, nil)
 	}
-	r.tasks = append(r.tasks, t)
+	t := r.tasks[n]
+	if t == nil {
+		t = new(task)
+		r.tasks[n] = t
+	}
+	t.idx, t.def, t.args, t.done = n, def, args, false
+	t.copies = cleared(t.copies, len(args))
+	t.recvd = cleared(t.recvd, len(args))
+	t.pendingD = cleared(t.pendingD, len(args))
+}
+
+// cleared returns s resized to n zero elements, reusing its backing array
+// when it is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SectionEnd completes the section under the configured engine.
@@ -313,6 +333,5 @@ func (r *R) runTaskLocally(t *task) {
 		}
 	}
 	t.def.fn(taskCtx{r: r}, t.args)
-	t.executed = true
 	r.stats.TasksRun++
 }

@@ -33,7 +33,8 @@ type Value interface {
 	// the messaging layer copies on send.
 	Encode() []float64
 	// Apply overwrites this value's backing memory from a wire
-	// representation.
+	// representation. It must not retain data: the runtime recycles the
+	// received buffer as soon as Apply returns.
 	Apply(data []float64)
 }
 

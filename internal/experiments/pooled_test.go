@@ -4,15 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
 // pooledGrid is a small mixed grid — all three engine modes plus faulty
-// classic points — shuffled with a fixed seed so the pooled engine sees
-// modes in an adversarial order (intra after classic after native, faulty
-// between clean) rather than the friendly grouped order of a real sweep.
+// classic and intra points — shuffled with a fixed seed so the pooled
+// engine sees modes in an adversarial order (intra after classic after
+// native, faulty between clean) rather than the friendly grouped order of
+// a real sweep. The faulty intra points, at degrees 2 and 3 under both
+// inout modes, run the recycled update messages, requests and retired
+// update channels through crashes mid-section and at time 0.
 func pooledGrid() []Spec {
 	cfg := smallHPCCG(3)
 	specs := []Spec{
@@ -28,6 +32,18 @@ func pooledGrid() []Spec {
 			App: HPCCG(cfg), Fault: d.Schedule,
 		})
 	}
+	for trial := 0; trial < 4; trial++ {
+		degree, inout := 2+trial%2, core.InoutMode(trial/2)
+		d := fault.ExponentialDraw(4, degree, sim.Seconds(0.01), sim.Seconds(0.05), fault.TrialSeed(11, degree, trial))
+		specs = append(specs, Spec{
+			Name: "intra-faulty", Mode: Intra, Logical: 4, Degree: degree, Inout: inout,
+			App: HPCCG(cfg), Fault: d.Schedule,
+		})
+	}
+	specs = append(specs, Spec{
+		Name: "intra-crash-at-0", Mode: Intra, Logical: 4, Inout: core.AtomicApply, App: HPCCG(cfg),
+		Fault: &fault.Schedule{Crashes: []fault.Crash{{Logical: 2, Lane: 0, Time: 0}}},
+	})
 	rng := rand.New(rand.NewSource(99))
 	rng.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
 	return specs

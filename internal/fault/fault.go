@@ -177,7 +177,7 @@ func ExponentialDraw(logical, degree int, mtbf, horizon sim.Time, seed int64) Dr
 	killed := make(map[int]int) // logical -> kills so far
 	for r := 0; r < logical; r++ {
 		for l := 0; l < degree; l++ {
-			t := sim.Time(rng.ExpFloat64() * float64(mtbf))
+			t := expVariate(rng, mtbf)
 			if t >= horizon {
 				continue
 			}
@@ -287,11 +287,18 @@ func (s *Stream) Next() (Crash, bool) {
 // virtual nanosecond so a pathologically small variate cannot stall the
 // renewal loop.
 func expStep(rng *rand.Rand, mtbf sim.Time) sim.Time {
-	dt := sim.Time(rng.ExpFloat64() * float64(mtbf))
-	if dt < 1 {
-		return 1
+	return max(expVariate(rng, mtbf), 1)
+}
+
+// expVariate draws one exponential time of mean mtbf, saturating at Never:
+// an MTBF that sim.CheckSeconds accepts can still scale a variate past
+// 2^63 ns, where converting the product to sim.Time would wrap.
+func expVariate(rng *rand.Rand, mtbf sim.Time) sim.Time {
+	x := rng.ExpFloat64() * float64(mtbf)
+	if x >= float64(Never) { // float64(Never) rounds up to 2^63
+		return Never
 	}
-	return dt
+	return sim.Time(x)
 }
 
 // TrialSeed derives the RNG seed of one campaign trial from the campaign

@@ -66,6 +66,37 @@ func TestStreamMatchesWindowDraw(t *testing.T) {
 	}
 }
 
+// TestHugeMTBFDrawsSaturate: an MTBF that sim.CheckSeconds accepts can
+// still scale a variate past 2^63 ns. Such a draw saturates at Never, so
+// it lies past every horizon; it must never wrap to a negative time or to
+// the one-nanosecond clamp.
+func TestHugeMTBFDrawsSaturate(t *testing.T) {
+	mtbf, horizon := sim.Seconds(5e9), sim.Seconds(9e9)
+	crashes, saturated := 0, 0
+	for seed := int64(0); seed < 50; seed++ {
+		for _, c := range ExponentialDraw(8, 2, mtbf, horizon, seed).Schedule.Crashes {
+			if c.Time < 0 || c.Time >= horizon {
+				t.Fatalf("seed %d: crash %+v outside [0, %v)", seed, c, horizon)
+			}
+			crashes++
+		}
+		for slot := 0; slot < 16; slot++ {
+			r := NewRenewal(slot/2, slot%2, mtbf, seed)
+			if r.Next <= 1 {
+				t.Fatalf("seed %d slot %d: first failure at %d ns", seed, slot, r.Next)
+			}
+			if r.Next == Never {
+				saturated++
+			}
+		}
+	}
+	// About 16% of the variates pass 2^63 ns at this MTBF; the rest must
+	// still be drawn.
+	if crashes == 0 || saturated == 0 {
+		t.Fatalf("%d crashes, %d saturated slots: the case misses the guard", crashes, saturated)
+	}
+}
+
 // countDispersion is the index of dispersion of per-slot failure counts,
 // sum (n_i - mean)^2 / mean: chi-square with slots-1 degrees of freedom
 // when the counts are independent Poisson variates of one mean.

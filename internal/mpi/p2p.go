@@ -59,8 +59,8 @@ func (r *Rank) Dead(rank int) bool { return r.st.w.ranks[rank].dead }
 // Request is a handle on a nonblocking operation. The completion future is
 // embedded by value and send completion is scheduled with the request
 // itself as the typed timer, so posting an operation schedules no closure.
-// Requests are drawn from the world pool; the blocking calls, WaitallOwned
-// and the collective state machines hand theirs back.
+// Requests are drawn from the world pool; the blocking calls, WaitOwned,
+// WaitallOwned and the collective state machines hand theirs back.
 type Request struct {
 	id     uint64
 	st     *rankState
@@ -77,20 +77,21 @@ func newRequest(st *rankState, isRecv bool, key matchKey) *Request {
 	// that independent worlds — e.g. one per sweep worker — never share
 	// mutable state and stay individually deterministic. Requests are drawn
 	// from the world pool; paths where the handle provably does not escape
-	// (blocking Send/Recv, the collective state machines) return them.
+	// (blocking Send/Recv, the Owned waits, the collective state machines)
+	// return them. A pool miss allocates one request, never a slab: a
+	// handle its caller drops still points at its rank, and through it at
+	// the whole world, so a slab shared with pooled siblings would keep
+	// every finished world alive for as long as the scratch lives.
 	w := st.w
 	sc := w.sc
-	n := len(sc.reqFree)
-	if n == 0 {
-		slab := make([]Request, requestSlab)
-		for i := range slab {
-			sc.reqFree = append(sc.reqFree, &slab[i])
-		}
-		n = requestSlab
+	var rq *Request
+	if n := len(sc.reqFree); n > 0 {
+		rq = sc.reqFree[n-1]
+		sc.reqFree[n-1] = nil
+		sc.reqFree = sc.reqFree[:n-1]
+	} else {
+		rq = new(Request)
 	}
-	rq := sc.reqFree[n-1]
-	sc.reqFree[n-1] = nil
-	sc.reqFree = sc.reqFree[:n-1]
 	rq.st = st
 	rq.isRecv = isRecv
 	rq.key = key
@@ -167,9 +168,11 @@ func (w *World) AsyncSend(src int, c *Comm, dst, tag int, data []float64, meta a
 }
 
 // sendSeqFor returns the per-channel send sequence for the next message on
-// (st.rank, tag, c). Collective tags (negative) are single-shot — at most
-// one message per channel — so their sequence is constantly 1 and no
-// sender-side channel state is materialized for them at all.
+// (st.rank, tag, c). Negative tags are single-shot — at most one message
+// per (sender, receiver, tag) channel: a collective round's tree hop, or an
+// intra section's update of one task argument to one peer replica — so
+// their sequence is constantly 1 and no sender-side channel state is
+// materialized for them at all.
 func (st *rankState) sendSeqFor(c *Comm, tag int) uint64 {
 	if tag < 0 {
 		return 1
@@ -367,10 +370,22 @@ func (r *Rank) Waitall(reqs []*Request) error {
 	return first
 }
 
+// WaitOwned is Wait for a request whose handle never escapes the caller:
+// the request returns to the world pool after its wait, and its message
+// (nil for a send or a failed receive) passes to the caller, who owns it
+// (see Message).
+func (r *Rank) WaitOwned(rq *Request) (*Message, error) {
+	err := r.Wait(rq)
+	msg := rq.msg
+	r.st.w.putRequest(rq)
+	return msg, err
+}
+
 // WaitallOwned is Waitall for request slices whose handles never escape
 // the caller: every request returns to the world pool after its wait, like
 // the blocking Send/Recv convenience wrappers. The replication layer's
-// blocking sends drain their scratch request slice through this.
+// blocking sends and the intra engine's updates drain their scratch
+// request slices through this.
 func (r *Rank) WaitallOwned(reqs []*Request) error {
 	var first error
 	for i, rq := range reqs {
@@ -387,14 +402,7 @@ func (r *Rank) WaitallOwned(reqs []*Request) error {
 // handle never escapes, so it returns to the world pool; the message is
 // the caller's (see Message).
 func (r *Rank) Recv(c *Comm, src, tag int) (*Message, error) {
-	rq := r.Irecv(c, src, tag)
-	err := r.Wait(rq)
-	msg := rq.msg
-	r.st.w.putRequest(rq)
-	if err != nil {
-		return nil, err
-	}
-	return msg, nil
+	return r.WaitOwned(r.Irecv(c, src, tag))
 }
 
 // TryRecv returns a queued message matching (src, tag) if one has already

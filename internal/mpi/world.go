@@ -141,12 +141,14 @@ func (st *rankState) chanFor(key matchKey) *chanState {
 	return ch
 }
 
-// retireSingleShot drops a drained collective channel from the matching map
-// and recycles its state. Collective tags (negative) are minted fresh per
-// round, so each (src, tag) channel carries at most one message ever: once
-// that message is consumed the entry is dead weight — it would bloat the
-// channel map that every death scan iterates, and cost an allocation per
-// tree hop. Application tags (>= 0) are reusable and never retired.
+// retireSingleShot drops a drained single-shot channel from the matching
+// map and recycles its state. Negative tags are single-shot (see
+// sendSeqFor): a collective round's tree hop, or one intra update, carries
+// at most one message per (src, tag) channel, so once that message is
+// consumed the entry is dead weight — it would bloat the channel map that
+// every death scan iterates, and cost an allocation per hop or update. A
+// channel whose message is never consumed keeps its entry until Reclaim.
+// Application tags (>= 0) are reusable and never retired.
 func (st *rankState) retireSingleShot(key matchKey, ch *chanState) {
 	if key.tag >= 0 || len(ch.pending) > 0 || len(ch.unexpected) > 0 || ch.inflight > 0 {
 		return
@@ -190,11 +192,10 @@ type matchKey struct {
 // putRequest returns a request whose handle did not escape to the pool.
 func (st *rankState) putRequest(rq *Request) { st.w.putRequest(rq) }
 
+// putRequest clears the request whole, its future included, so a pooled
+// request holds nothing of the world that last used it.
 func (w *World) putRequest(rq *Request) {
-	rq.st = nil
-	rq.ch = nil
-	rq.msg = nil
-	rq.err = nil
+	*rq = Request{}
 	w.sc.reqFree = append(w.sc.reqFree, rq)
 }
 
@@ -202,12 +203,12 @@ func (w *World) putRequest(rq *Request) {
 // array of this many objects instead of allocating them one by one. Large
 // worlds float thousands of pooled objects before the first recycle (512
 // ranks hold up to pruneDelivered outMsgs each), and slab refills keep that
-// warm-up from dominating the allocation profile.
+// warm-up from dominating the allocation profile. Requests are allocated
+// one at a time (see newRequest).
 const (
 	outMsgSlab  = 64
 	chanSlab    = 32
 	messageSlab = 16
-	requestSlab = 16
 )
 
 // getMessage returns a pooled message with a payload buffer of length n.
@@ -256,11 +257,10 @@ func (w *World) getOutMsg() *outMsg {
 	return om
 }
 
+// putOutMsg clears the node whole, its Transfer's event handle included,
+// so a pooled node holds nothing of the world or engine that last used it.
 func (w *World) putOutMsg(om *outMsg) {
-	om.srcSt = nil
-	om.dstSt = nil
-	om.dstCh = nil
-	om.msg = nil
+	*om = outMsg{}
 	w.sc.omFree = append(w.sc.omFree, om)
 }
 
@@ -313,7 +313,8 @@ func (w *World) Reclaim() {
 // World.RecycleMessage once it holds no other reference to the message or
 // its Data; a receiver that keeps msg.Data simply never returns it. No
 // application receive buffer is recycled: only the collectives, the
-// replication layer's duplicate and tree receives, Reclaim, canceled
+// replication layer's duplicate and tree receives, the intra engine's
+// updates (once applied to the replica's memory), Reclaim, canceled
 // transfers and deliveries to a crashed rank return messages to the pool.
 type Message struct {
 	Src, Dst int // world ranks

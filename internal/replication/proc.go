@@ -59,7 +59,7 @@ func (p *Proc) System() *System { return p.s }
 func (p *Proc) LogicalSize() int { return p.s.cfg.Logical }
 
 // AliveLanes returns the lanes on which this logical rank has live
-// replicas.
+// replicas (read-only; see System.AliveLanes).
 func (p *Proc) AliveLanes() []int { return p.s.AliveLanes(p.Logical) }
 
 // ReplicaComm returns the communicator over this logical rank's replicas

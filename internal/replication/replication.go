@@ -46,6 +46,7 @@ type System struct {
 	w          *mpi.World
 	cfg        Config
 	alive      [][]bool // [logical][lane]
+	lanes      [][]int  // [logical]: alive lanes, replaced (never mutated) on a death
 	epoch      int      // incremented on every replica death
 	procs      [][]*Proc
 	replComms  []*mpi.Comm // per logical rank: comm of its replicas
@@ -92,14 +93,18 @@ func New(w *mpi.World, cfg Config) *System {
 	// Backing arrays for the per-logical tables are single slabs; campaigns
 	// build one System per trial, so construction cost is on the hot path.
 	s.alive = make([][]bool, cfg.Logical)
+	s.lanes = make([][]int, cfg.Logical)
 	s.procs = make([][]*Proc, cfg.Logical)
 	aliveSlab := make([]bool, cfg.Logical*cfg.Degree)
+	laneSlab := make([]int, cfg.Logical*cfg.Degree)
 	procSlab := make([]*Proc, cfg.Logical*cfg.Degree)
 	for r := range s.alive {
 		s.alive[r] = aliveSlab[r*cfg.Degree : (r+1)*cfg.Degree : (r+1)*cfg.Degree]
+		s.lanes[r] = laneSlab[r*cfg.Degree : (r+1)*cfg.Degree : (r+1)*cfg.Degree]
 		s.procs[r] = procSlab[r*cfg.Degree : (r+1)*cfg.Degree : (r+1)*cfg.Degree]
 		for l := range s.alive[r] {
 			s.alive[r][l] = true
+			s.lanes[r][l] = l
 		}
 	}
 	s.replComms = make([]*mpi.Comm, cfg.Logical)
@@ -136,16 +141,11 @@ func (s *System) LogicalOf(phys int) (logical, lane int) {
 func (s *System) Alive(logical, lane int) bool { return s.alive[logical][lane] }
 
 // AliveLanes returns the lanes on which logical rank r still has replicas,
-// in ascending order.
-func (s *System) AliveLanes(r int) []int {
-	var lanes []int
-	for l, a := range s.alive[r] {
-		if a {
-			lanes = append(lanes, l)
-		}
-	}
-	return lanes
-}
+// in ascending order. The slice is the system's own and read-only to
+// callers. A death replaces it instead of mutating it, so a caller ranging
+// over it while a replica dies (a send loop that computes between sends)
+// keeps the membership it read.
+func (s *System) AliveLanes(r int) []int { return s.lanes[r] }
 
 // Cover returns the lane whose replica of r is responsible for lane l's
 // traffic: l itself if alive, otherwise the lowest alive lane. ok is false
@@ -182,6 +182,13 @@ func (s *System) onDeath(phys int) {
 		return
 	}
 	s.alive[r][l] = false
+	lanes := make([]int, 0, len(s.lanes[r])-1)
+	for _, a := range s.lanes[r] {
+		if a != l {
+			lanes = append(lanes, a)
+		}
+	}
+	s.lanes[r] = lanes
 	s.epoch++
 	if cover, ok := s.Cover(r, l); ok && s.cfg.SendLog {
 		cp := s.procs[r][cover]

@@ -39,6 +39,12 @@ type Grid struct {
 	Ckpt *CkptOptions `json:"ckpt,omitempty"`
 }
 
+// maxGridPoints caps the cross product a grid may declare. Checked-in
+// grids expand to a dozen points or fewer; a product past the cap is a
+// mistake (an axis pasted over and over), and expanding it would cost
+// memory and time in proportion: a 1.6 KB file declared 119,200 points.
+const maxGridPoints = 10000
+
 // Expand builds the cross product, validating every point. Scenario names
 // follow the CLI convention app[/net][/machine]/mode/pN[/dD], with the
 // net and machine segments present only when that axis has several values.
@@ -64,6 +70,13 @@ func (g Grid) Expand() ([]Scenario, error) {
 	machines := g.Machines
 	if len(machines) == 0 {
 		machines = []string{""}
+	}
+	points := 1
+	for _, n := range []int{len(g.Apps), len(nets), len(machines), len(g.Procs), len(modes), len(degrees)} {
+		if points > maxGridPoints/n {
+			return nil, fmt.Errorf("scenario: grid crosses more than %d points", maxGridPoints)
+		}
+		points *= n
 	}
 	for _, p := range g.Procs {
 		if p < 1 {

@@ -350,6 +350,31 @@ func TestGridExpandFixedSizeAndDedup(t *testing.T) {
 	}
 }
 
+// TestGridCrossProductBounded: a grid's cross product is capped before
+// anything is built, so a small file cannot declare a huge expansion (an
+// axis pasted many times over), while a grid of 10,000 points expands.
+func TestGridCrossProductBounded(t *testing.T) {
+	procs := make([]int, 1000)
+	for i := range procs {
+		procs[i] = 2 * (i + 1)
+	}
+	g := scenario.Grid{Apps: []string{"gtc"}, Procs: procs, Degrees: []int{2, 2, 2, 2, 2},
+		Modes: []scenario.Mode{scenario.Classic, scenario.Intra}}
+	if scs, err := g.Expand(); err != nil || len(scs) != 10000 {
+		t.Fatalf("10,000-point grid: %d points, %v", len(scs), err)
+	}
+	g.Degrees = append(g.Degrees, 2)
+	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "more than 10000 points") {
+		t.Fatalf("12,000-point grid must be rejected, got %v", err)
+	}
+	g.Apps = []string{"gtc", "gtc", "gtc", "gtc", "gtc", "gtc", "gtc", "gtc"}
+	g.Procs = append(g.Procs, g.Procs...)
+	g.Degrees = append(g.Degrees, g.Degrees...)
+	if _, err := g.Expand(); err == nil {
+		t.Fatal("a 384,000-point grid must be rejected")
+	}
+}
+
 func TestGridExpandPlatformAxes(t *testing.T) {
 	g := scenario.Grid{Apps: []string{"gtc"}, Procs: []int{4},
 		Modes: []scenario.Mode{scenario.Intra}, Nets: []string{"ib20g", "eth10g"}}
