@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps/hpccg"
 	"repro/internal/campaign"
 	"repro/internal/ckptsim"
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -324,6 +325,62 @@ func TestCCRStalledPointBounded(t *testing.T) {
 		if tr.Makespan < 1000*p.NativeWall {
 			t.Fatalf("point is not stalled: makespan %g s, native wall %g s", tr.Makespan, p.NativeWall)
 		}
+	}
+}
+
+// TestClassicTrialsReplayOnlyCrashes pins the replay rule campaign shares
+// with jobstream: a classic trial replays the recorded op trace only when
+// its draw crashes something. A fault-free trial is the point's executed
+// reference itself, so it keys equal to that run and dedupes against it in
+// the memo and the store.
+func TestClassicTrialsReplayOnlyCrashes(t *testing.T) {
+	pt := smallPoint("classic", scenario.Classic)
+	pt.Fault = &scenario.FaultSpec{MTBFSeconds: 1}
+	sc, err := campaign.FromScenario(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := campaign.Config{Trials: 1, Seed: 1, Workers: 1}
+	pts, err := campaign.PreparePoints(cfg, []campaign.Scenario{sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// About half the trials crash: 4 processes, each failing with
+	// probability 1 - 2^(-1/4) within the fault-free makespan.
+	sc.MTBF = sim.Seconds(4 * pts[0].FFWall / math.Ln2)
+	if pts, err = campaign.PreparePoints(cfg, []campaign.Scenario{sc}); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := experiments.SpecFor(sc.Point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refKey, err := ref.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashed, clean int
+	for trial := 0; trial < 32; trial++ {
+		spec, d := pts[0].TrialSpec(trial)
+		key, err := spec.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Schedule.Crashes) > 0 {
+			crashed++
+			if spec.Replay == nil {
+				t.Fatalf("trial %d: %d crashes but executed", trial, len(d.Schedule.Crashes))
+			}
+			continue
+		}
+		clean++
+		if spec.Replay != nil || key != refKey {
+			t.Fatalf("trial %d: fault-free trial is not the executed reference (replay %v, reference key %v)",
+				trial, spec.Replay != nil, key == refKey)
+		}
+	}
+	if crashed == 0 || clean == 0 {
+		t.Fatalf("%d crashed and %d fault-free trials: the draw covers one kind only", crashed, clean)
 	}
 }
 

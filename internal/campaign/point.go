@@ -168,7 +168,9 @@ func (p *Point) Fingerprint() string { return p.fp }
 
 // TrialSpec lays out replicated trial t as a sweep spec (panics on ccr
 // points, which have no replicated execution). The draw is returned for
-// crash accounting.
+// crash accounting. A classic trial replays the recorded op trace only
+// when its draw crashes something, like jobstream's replicated jobs; a
+// fault-free one is the executed reference the point already measured.
 func (p *Point) TrialSpec(t int) (experiments.Spec, fault.Draw) {
 	if p.IsCCR() {
 		panic("campaign: TrialSpec on a ccr point")
@@ -179,7 +181,9 @@ func (p *Point) TrialSpec(t int) (experiments.Spec, fault.Draw) {
 	spec := p.template
 	spec.Name = fmt.Sprintf("%s/x%04d", sc.Point.Name, t)
 	spec.Fault = d.Schedule
-	spec.Replay = p.replay
+	if len(d.Schedule.Crashes) > 0 {
+		spec.Replay = p.replay
+	}
 	return spec, d
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -23,7 +24,13 @@ import (
 // the one thing not reproduced (replayed sends carry empty arrays with the
 // recorded modeled size, and modeled cost depends only on that size), which
 // is why replay is reserved for runs whose results feed timing aggregates,
-// never figure tables derived from app-internal state.
+// never figure tables derived from app-internal state: the campaign's
+// crashed classic trials and jobstream's crashed replicated jobs. Both
+// claims are checked on random survivable crash schedules over the four
+// apps at degrees 2 and 3: every survivor records the fault-free trace op
+// for op (TestSurvivorTracesMatchFaultFree), and replay matches
+// execution's wall time and crash consequences
+// (TestReplayMatchesExecution).
 
 const (
 	traceCompute   = iota // d: accumulated compute duration
@@ -67,6 +74,11 @@ func (tr *Trace) comm(kind, peer, tag int, bytes int64) {
 	}
 	tr.ops = append(tr.ops, traceOp{kind: kind, peer: peer, tag: tag, bytes: bytes})
 }
+
+// Equal reports whether two traces hold the same operation sequence, op
+// for op. The in-app totals are not compared: a crash delays a survivor's
+// own clock readings without changing what it does.
+func (tr *Trace) Equal(o *Trace) bool { return slices.Equal(tr.ops, o.ops) }
 
 // TraceSet holds one trace per logical rank. In replicated modes every
 // replica of a rank records the identical sequence (that is the

@@ -33,27 +33,37 @@ func rerunAllocs(t *testing.T, s Spec, times int) float64 {
 // TestPooledRerunAllocBudget pins the pooled-runner path: once the worker's
 // engine and scratch are warm, each additional spec rerun must reuse the
 // event nodes, goroutines, channel states and message buffers of its
-// predecessors. Before engine pooling a rerun of the classic spec allocated
-// well over 100k objects; the 8000 budget holds the steady state an order
-// of magnitude below that so a pool regression (a Reclaim path dropped, a
-// freelist bypassed) fails loudly rather than melting into GC noise. The
-// intra spec loses a replica of two of its four logical ranks mid-run, so
-// its update traffic runs through recovery rounds; its budget sits just above
-// its steady state (1,808 allocations a rerun; 4,142 before the intra
-// engine recycled its update messages, requests, channels and task
-// records), so dropping any of those recycle paths fails it.
+// predecessors. Every budget sits just above its spec's steady state, so
+// a pool regression (a Reclaim path dropped, a freelist bypassed, a
+// recycle path skipped) fails loudly rather than melting into GC noise:
+//   - the fault-free classic spec allocates 1,596 objects a rerun (well
+//     over 100k before engine pooling);
+//   - the intra spec loses a replica of two of its four logical ranks
+//     mid-run, so its update traffic runs through recovery rounds: 1,808
+//     a rerun (4,142 before the intra engine recycled its update messages,
+//     requests, channels and task records);
+//   - the classic spec under the same crashes, replaying its recorded op
+//     trace as every crashed campaign trial and jobstream job does: 285 a
+//     rerun, send logs and failover included.
 func TestPooledRerunAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
 	}
 	cfg := smallHPCCG(2)
+	crashes := fault.ExponentialDraw(4, 2, sim.Seconds(0.01), sim.Seconds(0.05), 3).Schedule
+	replayed := Spec{Name: "rerun-replay", Mode: Classic, Logical: 4, App: HPCCG(cfg), Fault: crashes}
+	ts, err := RecordTraces(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed.Replay = ts
 	cases := []struct {
 		spec   Spec
 		budget float64
 	}{
-		{Spec{Name: "rerun", Mode: Classic, Logical: 4, App: HPCCG(cfg)}, 8000},
-		{Spec{Name: "rerun-intra", Mode: Intra, Logical: 4, App: HPCCG(cfg),
-			Fault: fault.ExponentialDraw(4, 2, sim.Seconds(0.01), sim.Seconds(0.05), 3).Schedule}, 1840},
+		{Spec{Name: "rerun", Mode: Classic, Logical: 4, App: HPCCG(cfg)}, 1640},
+		{Spec{Name: "rerun-intra", Mode: Intra, Logical: 4, App: HPCCG(cfg), Fault: crashes}, 1840},
+		{replayed, 300},
 	}
 	const span = 6
 	for _, tc := range cases {

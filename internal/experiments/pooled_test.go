@@ -16,9 +16,15 @@ import (
 // native, faulty between clean) rather than the friendly grouped order of
 // a real sweep. The faulty intra points, at degrees 2 and 3 under both
 // inout modes, run the recycled update messages, requests and retired
-// update channels through crashes mid-section and at time 0.
-func pooledGrid() []Spec {
+// update channels through crashes mid-section and at time 0. Each faulty
+// classic point runs twice, executed and replaying the recorded op trace,
+// the path every crashed campaign trial and jobstream job takes.
+func pooledGrid(t *testing.T) []Spec {
 	cfg := smallHPCCG(3)
+	ts, err := RecordTraces(Spec{Name: "classic", Mode: Classic, Logical: 4, App: HPCCG(cfg)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	specs := []Spec{
 		{Name: "native", Mode: Native, Logical: 8, App: HPCCG(cfg)},
 		{Name: "classic", Mode: Classic, Logical: 4, App: HPCCG(cfg)},
@@ -27,10 +33,13 @@ func pooledGrid() []Spec {
 	}
 	for trial := 0; trial < 4; trial++ {
 		d := fault.ExponentialDraw(4, 2, sim.Seconds(0.01), sim.Seconds(0.05), fault.TrialSeed(7, 0, trial))
-		specs = append(specs, Spec{
+		s := Spec{
 			Name: "classic-faulty", Mode: Classic, Logical: 4,
 			App: HPCCG(cfg), Fault: d.Schedule,
-		})
+		}
+		specs = append(specs, s)
+		s.Name, s.Replay = "classic-replayed", ts
+		specs = append(specs, s)
 	}
 	for trial := 0; trial < 4; trial++ {
 		degree, inout := 2+trial%2, core.InoutMode(trial/2)
@@ -57,7 +66,7 @@ func pooledGrid() []Spec {
 // state leaking across Engine.Reset or World.Reclaim shows up here as a
 // diverging wall time or event count.
 func TestPooledEngineRerunByteIdentical(t *testing.T) {
-	specs := pooledGrid()
+	specs := pooledGrid(t)
 
 	fresh := make([]Result, len(specs))
 	for i, s := range specs {

@@ -11,7 +11,9 @@ import (
 // RecordTraces runs the spec once, fault-free, with every runner in
 // recording mode, and returns the per-logical-rank logical-op traces. A
 // spec carrying those traces in Spec.Replay then simulates without
-// executing the application at all — the campaign's trial accelerator.
+// executing the application at all: the trial accelerator of the
+// campaign's crashed classic trials and of jobstream's crashed
+// replicated jobs.
 //
 // Recording is limited to the section-free engine modes (native, classic):
 // the intra engine's section protocol runs below the recording boundary

@@ -77,9 +77,10 @@ func MiniGhost(cfg minighost.Config) App { return mustApp("minighost", &cfg) }
 // Spec is one sweep point: a platform, a fault-tolerance mode, and an
 // application. The zero values of Degree, Net and Machine select the
 // paper's defaults (degree 2, InfiniBand 20G, Grid'5000 node). A spec is
-// plain data: its content key (Key) covers every field but the Name label
-// and the Replay strategy, so equal specs are one simulation in the memo
-// and one record in the store.
+// plain data: its content key (Key) covers every field but the Name label,
+// and names the execution strategy (executed or replayed) rather than the
+// trace, so equal specs are one simulation in the memo and one record in
+// the store.
 type Spec struct {
 	Name    string // label carried into the Result
 	Mode    Mode
@@ -102,13 +103,17 @@ type Spec struct {
 	Fault *fault.Schedule
 
 	// Replay, when non-nil, substitutes the application's main with a
-	// replay of the recorded logical-op traces (RecordTraces): the
-	// simulated makespan, crash consequences and physical layout are
-	// identical to executing the application, but its kernels never run.
-	// It is an execution strategy excluded from the memo key, but
-	// app-internal diagnostics (kernel timings, section stats, per-arg
-	// update bytes) are not re-derived, so only callers that consume
-	// timing aggregates — the failure campaigns — may arm it.
+	// replay of the recorded logical-op traces (RecordTraces) of this
+	// spec's fault-free run: the simulated makespan, crash consequences
+	// and physical layout are identical to executing the application, but
+	// its kernels never run. App-internal diagnostics (kernel timings,
+	// section and task counts) are not re-derived, and the engine event
+	// count and in-app total are the replay's own, so the key flags the
+	// strategy and a replayed record never stands in for an executed one.
+	// Only callers that consume timing and crash aggregates arm it, and
+	// only on a crash schedule: the campaign's crashed classic trials and
+	// jobstream's crashed replicated jobs. Their fault-free runs are the
+	// executed reference.
 	Replay *core.TraceSet
 }
 
@@ -116,6 +121,11 @@ type Spec struct {
 // JSON encoding of every semantic field, and the memo and store key. A
 // spec without an application or with an unknown mode has no key; it
 // could never run, so the sweep reports it before simulating anything.
+// A replayed spec keys apart from its executed twin under a replay flag
+// (its trace is a function of the other fields, so the flag is all the
+// key needs): their records agree on the wall time, crashes and layout
+// but not on the diagnostics Replay leaves out. Executed specs omit the
+// flag.
 func (s Spec) Key() (string, error) {
 	if s.App.key == "" {
 		return "", fmt.Errorf("spec %q has no application", s.Name)
@@ -146,8 +156,9 @@ func (s Spec) Key() (string, error) {
 		Machine   perf.Machine   `json:"machine"`
 		Fault     string         `json:"fault"`
 		App       string         `json:"app"`
+		Replay    bool           `json:"replay,omitempty"`
 	}{mode, s.Logical, degree, s.Inout, s.CostScale, s.Net, s.Machine,
-		s.Fault.Fingerprint(), s.App.key})
+		s.Fault.Fingerprint(), s.App.key, s.Replay != nil})
 	if err != nil {
 		return "", fmt.Errorf("spec %q: %w", s.Name, err)
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/ckptsim"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/scenario"
@@ -20,22 +22,30 @@ import (
 const maxGrow = 20
 
 // classCtx is one job class resolved for execution: fault-free spec
-// templates for the native and replicated shapes plus their measured
-// fault-free makespans. Built once per run, read-only across cells.
+// templates for the native and replicated shapes, their measured
+// fault-free makespans, and the replicated shape's op trace. Built once
+// per run, read-only across cells.
 type classCtx struct {
 	class      scenario.JobClass
 	nativeSpec experiments.Spec // native, fault-free
 	replSpec   experiments.Spec // classic degree-2, fault-free
 	nativeWall float64
 	replWall   float64
+
+	// replTrace records replSpec's op trace on the first crashed job of
+	// the class, whichever cell runs it, and returns that recording ever
+	// after: runs whose cells are all store hits, and classes no crash
+	// reaches, never execute the recording.
+	replTrace func() (*core.TraceSet, error)
 }
 
 // buildClasses resolves the workload mix: per class, the native and
 // degree-2 replicated templates on the workload's platform and their
 // fault-free makespans (via the shared runner, so references are
-// simulated once and persist alongside everything else). The replicated
-// job keeps the native per-rank problem — replication is a footprint
-// decision, not a problem resizing.
+// simulated once and persist alongside everything else), plus the
+// recorder of the replicated template's op trace for its crashed runs.
+// The replicated job keeps the native per-rank problem — replication is
+// a footprint decision, not a problem resizing.
 func buildClasses(w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
 	out := make([]classCtx, len(w.Mix))
 	for i, c := range w.Mix {
@@ -66,6 +76,13 @@ func buildClasses(w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
 		out[i] = classCtx{
 			class: c, nativeSpec: nspec, replSpec: rspec,
 			nativeWall: nres.WallSeconds, replWall: rres.WallSeconds,
+			replTrace: sync.OnceValues(func() (*core.TraceSet, error) {
+				ts, err := experiments.RecordTraces(rspec)
+				if err != nil {
+					return nil, fmt.Errorf("jobstream: class %q trace recording: %w", c.Label(), err)
+				}
+				return ts, nil
+			}),
 		}
 	}
 	return out, nil
@@ -358,6 +375,10 @@ func (c *cellRun) execCCR(j *job, cc *classCtx) (float64, bool, error) {
 // its lanes interrupts the job (replication's unsurvivable case); the
 // survivable prefix becomes a crash schedule for the cluster simulator,
 // whose measured makespan is the job's duration if it completes first.
+// A crashed run replays the class's recorded op trace instead of
+// executing the application: a survivable crash never changes a logical
+// rank's operation sequence (send determinism), so the makespan is the
+// executed one. A fault-free run is the executed, memoized reference.
 func (c *cellRun) execReplicated(j *job, cc *classCtx) (float64, bool, error) {
 	logical := cc.class.Logical
 	degree := j.dec.Degree
@@ -399,7 +420,11 @@ func (c *cellRun) execReplicated(j *job, cc *classCtx) (float64, bool, error) {
 			for k, e := range c.evBuf[:fatalIdx] {
 				fs.Crashes[k] = fault.Crash{Logical: e.rank, Lane: e.lane, Time: sim.Seconds(e.t)}
 			}
-			spec.Fault = fs
+			ts, err := cc.replTrace()
+			if err != nil {
+				return 0, false, err
+			}
+			spec.Fault, spec.Replay = fs, ts
 		}
 		res, err := c.p.runner.Run(spec)
 		if err != nil {

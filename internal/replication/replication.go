@@ -11,7 +11,9 @@
 // Failure handling: when replica (r, l) crashes, the lowest-lane surviving
 // replica of r becomes the *cover* of lane l. It (a) replays its send log
 // to lane-l receivers (duplicates are discarded via per-channel sequence
-// numbers) and (b) duplicates all subsequent logical sends to lane l.
+// numbers) and (b) duplicates all subsequent logical sends to lane l. At
+// degree 3 and above the dead replica may itself have covered lanes that
+// died earlier; the new cover inherits those too and replays toward each.
 // Logical receives transparently fail over to the cover. The replica
 // communicator of each logical rank (used by intra-parallelization for
 // task updates) is exposed via Proc.ReplicaComm.
@@ -174,13 +176,17 @@ func (s *System) OnReplicaDeath(fn func(logical, lane int)) {
 	s.deathSubs = append(s.deathSubs, fn)
 }
 
-// onDeath is the mpi death hook: update membership and replay the cover's
-// send log toward the orphaned lane.
+// onDeath is the mpi death hook: update membership and replay the new
+// cover's send log toward every lane the dead replica covered. That is its
+// own lane and, when it was the lowest alive lane, every lane of r that
+// died before it: those pass to the new cover too, which until now sent
+// only on its own lane.
 func (s *System) onDeath(phys int) {
 	r, l := s.LogicalOf(phys)
 	if !s.alive[r][l] {
 		return
 	}
+	inherited := s.lanes[r][0] == l
 	s.alive[r][l] = false
 	lanes := make([]int, 0, len(s.lanes[r])-1)
 	for _, a := range s.lanes[r] {
@@ -191,9 +197,12 @@ func (s *System) onDeath(phys int) {
 	s.lanes[r] = lanes
 	s.epoch++
 	if cover, ok := s.Cover(r, l); ok && s.cfg.SendLog {
-		cp := s.procs[r][cover]
-		if cp != nil {
-			cp.replayTo(l)
+		if cp := s.procs[r][cover]; cp != nil {
+			for d, a := range s.alive[r] {
+				if !a && (d == l || inherited) {
+					cp.replayTo(d)
+				}
+			}
 		}
 	}
 	for _, fn := range s.deathSubs {
