@@ -58,7 +58,8 @@ type Point struct {
 	fp       string // scenario fingerprint (see scenarioFingerprint)
 	nativeFP string
 	template experiments.Spec
-	replay   *core.TraceSet
+	replay   *core.TraceSet // the recording crashed trials replay
+	recKey   string         // its experiments.RecordingKey
 }
 
 // PointSeed derives the trial-stream seed of one scenario from the master
@@ -74,10 +75,26 @@ func PointSeed(master int64, scenarioFP string) int64 {
 // PreparePoints measures the fault-free references of the scenarios (one
 // sweep, memo- and store-backed) and returns one prepared Point per
 // scenario, in input order.
-func PreparePoints(cfg Config, scenarios []Scenario) ([]*Point, error) {
+//
+// Every replicated point's crashed trials replay the recorded traces of
+// its logical program (experiments.RecordTraces) instead of executing the
+// application, whatever its engine, so full execution is left to the
+// fault-free references and the recordings. Points whose programs share a
+// recording (experiments.RecordingKey: one application, logical size,
+// degree and platform, classic or intra) share one recording run, and so
+// do the new points and any already prepared points passed in from:
+// explore's bisection probes reuse the recording of the grid point they
+// derive from.
+func PreparePoints(cfg Config, scenarios []Scenario, from ...*Point) ([]*Point, error) {
 	base, templates, err := planReferences(cfg, scenarios)
 	if err != nil {
 		return nil, err
+	}
+	recordings := map[string]*core.TraceSet{}
+	for _, p := range from {
+		if p.replay != nil {
+			recordings[p.recKey] = p.replay
+		}
 	}
 	baseRes, err := experiments.SweepStore(cfg.Workers, cfg.Store, base)
 	if err != nil {
@@ -138,18 +155,14 @@ func PreparePoints(cfg Config, scenarios []Scenario) ([]*Point, error) {
 				horizon = ff.Measure.Wall
 			}
 			p.template = templates[i]
-			// Classic trials replay the scenario's recorded logical-op
-			// trace instead of re-executing the application:
-			// send-deterministic replication keeps the logical sequence
-			// crash-invariant, so one recording run serves every trial.
-			// Intra trials keep executing for real — their section
-			// protocol reacts to failures below the trace boundary.
-			if sc.Point.Mode == scenario.Classic {
-				ts, err := experiments.RecordTraces(templates[i])
-				if err != nil {
+			if p.recKey, err = experiments.RecordingKey(p.template); err != nil {
+				return nil, fmt.Errorf("campaign: %w", err)
+			}
+			if p.replay = recordings[p.recKey]; p.replay == nil {
+				if p.replay, err = experiments.RecordTraces(p.template); err != nil {
 					return nil, fmt.Errorf("campaign: scenario %q: trace recording: %w", sc.Point.Name, err)
 				}
-				p.replay = ts
+				recordings[p.recKey] = p.replay
 			}
 		}
 		p.Horizon = horizon
@@ -168,9 +181,10 @@ func (p *Point) Fingerprint() string { return p.fp }
 
 // TrialSpec lays out replicated trial t as a sweep spec (panics on ccr
 // points, which have no replicated execution). The draw is returned for
-// crash accounting. A classic trial replays the recorded op trace only
-// when its draw crashes something, like jobstream's replicated jobs; a
-// fault-free one is the executed reference the point already measured.
+// crash accounting. A trial replays the point's recorded traces, on the
+// classic or the intra engine, only when its draw crashes something, like
+// jobstream's replicated jobs; a fault-free one is the executed reference
+// the point already measured.
 func (p *Point) TrialSpec(t int) (experiments.Spec, fault.Draw) {
 	if p.IsCCR() {
 		panic("campaign: TrialSpec on a ccr point")

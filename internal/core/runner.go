@@ -295,6 +295,7 @@ func (r *R) SectionEnd() error {
 	if !r.inSection {
 		panic("core: SectionEnd without SectionBegin")
 	}
+	r.rec.section(r.tasks)
 	err := r.engine.runSection(r)
 	r.inSection = false
 	r.stats.Sections++
@@ -307,10 +308,13 @@ type taskCtx struct {
 	r *R
 }
 
-func (c taskCtx) Compute(w perf.Work) {
-	d := c.r.machine.Duration(w)
+func (c taskCtx) Compute(w perf.Work) { c.charge(c.r.machine.Duration(w)) }
+
+// charge charges d of task compute; a replayed task body charges its
+// recorded compute through it.
+func (c taskCtx) charge(d sim.Time) {
 	c.r.stats.SectionCompute += d
-	c.r.rec.compute(d)
+	c.r.rec.taskCompute(d)
 	c.r.rank().Compute(d)
 }
 
@@ -327,11 +331,11 @@ func (r *R) runTaskLocally(t *task) {
 		if tag == InOut && t.copies[i] != nil {
 			d := r.machine.MemcpyDuration(r.scaledBytes(t.args[i]))
 			r.stats.CopyTime += d
-			r.rec.compute(d)
 			r.rank().Compute(d)
 			t.args[i].Restore(t.copies[i])
 		}
 	}
+	r.rec.startTask(t.idx)
 	t.def.fn(taskCtx{r: r}, t.args)
 	r.stats.TasksRun++
 }

@@ -39,31 +39,38 @@ func rerunAllocs(t *testing.T, s Spec, times int) float64 {
 //   - the fault-free classic spec allocates 1,596 objects a rerun (well
 //     over 100k before engine pooling);
 //   - the intra spec loses a replica of two of its four logical ranks
-//     mid-run, so its update traffic runs through recovery rounds: 1,808
+//     mid-run, so its update traffic runs through recovery rounds: 1,800
 //     a rerun (4,142 before the intra engine recycled its update messages,
 //     requests, channels and task records);
-//   - the classic spec under the same crashes, replaying its recorded op
-//     trace as every crashed campaign trial and jobstream job does: 285 a
-//     rerun, send logs and failover included.
+//   - the classic spec under the same crashes, replaying its recorded
+//     trace as crashed classic campaign trials and jobstream jobs do: 278
+//     a rerun, send logs and failover included (285 before send-log
+//     replay's requests went back to the pool);
+//   - the intra spec replaying the same recording, as crashed intra
+//     campaign trials do: the section protocol runs for real, recovery
+//     rounds included, without the application: 735 a rerun.
 func TestPooledRerunAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
 	}
 	cfg := smallHPCCG(2)
 	crashes := fault.ExponentialDraw(4, 2, sim.Seconds(0.01), sim.Seconds(0.05), 3).Schedule
-	replayed := Spec{Name: "rerun-replay", Mode: Classic, Logical: 4, App: HPCCG(cfg), Fault: crashes}
-	ts, err := RecordTraces(replayed)
+	intra := Spec{Name: "rerun-intra", Mode: Intra, Logical: 4, App: HPCCG(cfg), Fault: crashes}
+	ts, err := RecordTraces(intra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed.Replay = ts
+	replayed := Spec{Name: "rerun-replay", Mode: Classic, Logical: 4, App: HPCCG(cfg), Fault: crashes, Replay: ts}
+	intraReplayed := intra
+	intraReplayed.Name, intraReplayed.Replay = "rerun-intra-replay", ts
 	cases := []struct {
 		spec   Spec
 		budget float64
 	}{
 		{Spec{Name: "rerun", Mode: Classic, Logical: 4, App: HPCCG(cfg)}, 1640},
-		{Spec{Name: "rerun-intra", Mode: Intra, Logical: 4, App: HPCCG(cfg), Fault: crashes}, 1840},
-		{replayed, 300},
+		{intra, 1840},
+		{replayed, 290},
+		{intraReplayed, 760},
 	}
 	const span = 6
 	for _, tc := range cases {

@@ -17,8 +17,8 @@ import (
 // a real sweep. The faulty intra points, at degrees 2 and 3 under both
 // inout modes, run the recycled update messages, requests and retired
 // update channels through crashes mid-section and at time 0. Each faulty
-// classic point runs twice, executed and replaying the recorded op trace,
-// the path every crashed campaign trial and jobstream job takes.
+// classic and intra point runs twice, executed and replaying the recorded
+// trace, the path every crashed campaign trial and jobstream job takes.
 func pooledGrid(t *testing.T) []Spec {
 	cfg := smallHPCCG(3)
 	ts, err := RecordTraces(Spec{Name: "classic", Mode: Classic, Logical: 4, App: HPCCG(cfg)})
@@ -44,10 +44,16 @@ func pooledGrid(t *testing.T) []Spec {
 	for trial := 0; trial < 4; trial++ {
 		degree, inout := 2+trial%2, core.InoutMode(trial/2)
 		d := fault.ExponentialDraw(4, degree, sim.Seconds(0.01), sim.Seconds(0.05), fault.TrialSeed(11, degree, trial))
-		specs = append(specs, Spec{
+		s := Spec{
 			Name: "intra-faulty", Mode: Intra, Logical: 4, Degree: degree, Inout: inout,
 			App: HPCCG(cfg), Fault: d.Schedule,
-		})
+		}
+		specs = append(specs, s)
+		if s.Replay, err = RecordTraces(s); err != nil {
+			t.Fatal(err)
+		}
+		s.Name = "intra-replayed"
+		specs = append(specs, s)
 	}
 	specs = append(specs, Spec{
 		Name: "intra-crash-at-0", Mode: Intra, Logical: 4, Inout: core.AtomicApply, App: HPCCG(cfg),

@@ -5,60 +5,45 @@ import (
 
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// RecordTraces runs the spec once, fault-free, with every runner in
-// recording mode, and returns the per-logical-rank logical-op traces. A
-// spec carrying those traces in Spec.Replay then simulates without
-// executing the application at all: the trial accelerator of the
-// campaign's crashed classic trials and of jobstream's crashed
+// RecordTraces runs the spec's logical program once, fault-free, with
+// every runner in recording mode, and returns the per-logical-rank traces
+// of its Runner-level calls, sections included. A spec carrying those
+// traces in Spec.Replay then simulates without executing the application
+// at all, under the classic or the intra engine: the trial accelerator of
+// the campaign's crashed replicated trials and of jobstream's crashed
 // replicated jobs.
 //
-// Recording is limited to the section-free engine modes (native, classic):
-// the intra engine's section protocol runs below the recording boundary
-// and reacts to failures, so its trials must keep executing for real.
+// The recording runs the spec's classic twin (RecordingKey): the
+// application cannot tell the engines apart, and a classic replica runs
+// every task of every section, so the trace holds each task body's
+// compute.
 func RecordTraces(s Spec) (*core.TraceSet, error) {
 	if s.App.main == nil {
 		return nil, fmt.Errorf("spec %q has no application", s.Name)
 	}
-	c, err := NewCluster(ClusterConfig{
-		Logical: s.Logical, Mode: s.Mode, Degree: s.Degree,
-		Net: s.Net, Machine: s.Machine,
-		IntraOpts: core.Options{Mode: s.Inout, CostScale: s.CostScale},
-	})
-	if err != nil {
-		return nil, err
-	}
 	ts := core.NewTraceSet(s.Logical)
-	var firstErr error
-	c.Launch(func(rt core.Runner) {
-		tr, err := core.StartRecording(rt)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		total, _, _, err := s.App.main(rt)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("rank %d: %w", rt.LogicalRank(), err)
-			}
-			return
-		}
-		ts.Commit(rt.LogicalRank(), tr, total)
-	})
-	if _, err := c.Run(); err != nil {
+	if _, err := run(nil, nil, recordingSpec(s), ts); err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if !ts.Complete() {
-		return nil, fmt.Errorf("experiments: trace recording for %q left ranks without a trace", s.Name)
 	}
 	return ts, nil
+}
+
+// RecordingKey is the content key of the run RecordTraces records s from,
+// so specs that share it share one recording: the classic and intra points
+// of one application, logical size, degree and platform. The degree and
+// the platform stay in the key because a classic replay reports the in-app
+// total its recording measured.
+func RecordingKey(s Spec) (string, error) { return recordingSpec(s).Key() }
+
+// recordingSpec is s's classic twin, fault-free and executed.
+func recordingSpec(s Spec) Spec {
+	s.Mode, s.Inout, s.CostScale = scenario.Classic, core.CopyRestore, 0
+	s.Fault, s.Replay = nil, nil
+	return s
 }
 
 // replayMain adapts a trace set to the appMain signature. Kernel timings
@@ -68,5 +53,21 @@ func replayMain(ts *core.TraceSet) appMain {
 	return func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
 		total, err := core.Replay(rt, ts)
 		return total, nil, *rt.Stats(), err
+	}
+}
+
+// recordingMain wraps main so that every runner records its trace and
+// commits it to rec once main returns.
+func recordingMain(main appMain, rec *core.TraceSet) appMain {
+	return func(rt core.Runner) (sim.Time, map[string]*apputil.KernelTime, core.Stats, error) {
+		tr, err := core.StartRecording(rt)
+		if err != nil {
+			return 0, nil, core.Stats{}, err
+		}
+		total, kernels, st, err := main(rt)
+		if err == nil {
+			rec.Commit(rt.LogicalRank(), tr, total)
+		}
+		return total, kernels, st, err
 	}
 }

@@ -103,17 +103,24 @@ type Spec struct {
 	Fault *fault.Schedule
 
 	// Replay, when non-nil, substitutes the application's main with a
-	// replay of the recorded logical-op traces (RecordTraces) of this
-	// spec's fault-free run: the simulated makespan, crash consequences
-	// and physical layout are identical to executing the application, but
-	// its kernels never run. App-internal diagnostics (kernel timings,
-	// section and task counts) are not re-derived, and the engine event
-	// count and in-app total are the replay's own, so the key flags the
-	// strategy and a replayed record never stands in for an executed one.
+	// replay of the traces RecordTraces records for this spec's logical
+	// program: the simulated makespan, crash consequences and physical
+	// layout are identical to executing the application, but its kernels
+	// never run. Kernel timings are not re-derived and the engine event
+	// count is the replay's own, so the key flags the strategy and a
+	// replayed record never stands in for an executed one. The rest
+	// depends on the engine:
+	//   - a classic replay folds each section into the compute around it,
+	//     so its record has no section or task counts, and it reports the
+	//     in-app total its classic recording measured, fault-free;
+	//   - an intra replay runs every section through the real protocol,
+	//     so its record carries the section, task, update and copy
+	//     accounting of execution, and it reports its own in-app total,
+	//     equal to execution's for the four apps, never the recording's.
 	// Only callers that consume timing and crash aggregates arm it, and
-	// only on a crash schedule: the campaign's crashed classic trials and
-	// jobstream's crashed replicated jobs. Their fault-free runs are the
-	// executed reference.
+	// only on a crash schedule: the crashed replicated trials of
+	// campaigns, explore and Populate, and jobstream's crashed replicated
+	// jobs. Their fault-free runs are the executed reference.
 	Replay *core.TraceSet
 }
 
@@ -412,18 +419,7 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 	forEachPooled(workers, len(todo), func(eng *sim.Engine, sc *mpi.Scratch, k int) {
 		defer Progress.Done()
 		j := todo[k]
-		addr := ""
-		if st != nil {
-			addr = store.Key(keys[j])
-		}
-		w, _, err := store.GetOrCompute(st, resultKind, addr, func() (resultWire, error) {
-			r, err := runSpec(eng, sc, uniq[j])
-			if err != nil {
-				return resultWire{}, err
-			}
-			return encodeResult(r), nil
-		})
-		runs[j], errs[j] = w.Result, err
+		runs[j], errs[j] = getOrRun(eng, sc, st, keys[j], uniq[j], nil)
 	})
 
 	// Report the first failure in spec order, so the error is the same
@@ -457,15 +453,71 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 	return out, nil
 }
 
+// getOrRun serves one unique point from the store under its content key,
+// or simulates it (recording its traces into rec when non-nil) and stores
+// the result. A nil store always simulates.
+func getOrRun(eng *sim.Engine, sc *mpi.Scratch, st *store.Store, key string, s Spec, rec *core.TraceSet) (Result, error) {
+	addr := ""
+	if st != nil {
+		addr = store.Key(key)
+	}
+	w, _, err := store.GetOrCompute(st, resultKind, addr, func() (resultWire, error) {
+		r, err := run(eng, sc, s, rec)
+		if err != nil {
+			return resultWire{}, err
+		}
+		return encodeResult(r), nil
+	})
+	return w.Result, err
+}
+
+// RunStored is a one-spec SweepStore for a caller that already holds the
+// spec's content key (Spec.Key), so the spec is not keyed again. With
+// record set, a store miss also records the run's traces (RecordTraces's
+// output, when s is the classic twin RecordingKey names) and returns them;
+// a store hit simulates nothing and returns none.
+func RunStored(st *store.Store, key string, s Spec, record bool) (Result, *core.TraceSet, error) {
+	var rec *core.TraceSet
+	if record {
+		rec = core.NewTraceSet(s.Logical)
+	}
+	var res Result
+	var err error
+	Progress.Plan(1)
+	forEachPooled(1, 1, func(eng *sim.Engine, sc *mpi.Scratch, _ int) {
+		defer Progress.Done()
+		res, err = getOrRun(eng, sc, st, key, s, rec)
+	})
+	if err != nil {
+		return Result{}, nil, fmt.Errorf("sweep %q: %w", s.Name, err)
+	}
+	if rec != nil && !rec.Complete() {
+		rec = nil
+	}
+	// As in SweepStore: a stored record may have been computed for a spec
+	// of another name, and the reported mode is always the spec's own.
+	res.Name, res.Mode = s.Name, s.Mode.String()
+	return res, rec, nil
+}
+
 // runSpec simulates one sweep point. eng, when non-nil, is a Reset pooled
 // engine supplied by the worker pool, and sc an mpi scratch shared across
 // the worker's specs; nil runs on private ones. The simulated outcome is
 // identical either way — reuse recycles event nodes, goroutines and message
 // buffers, never state the simulation can observe.
 func runSpec(eng *sim.Engine, sc *mpi.Scratch, s Spec) (Result, error) {
+	return run(eng, sc, s, nil)
+}
+
+// run is runSpec recording every runner's trace into rec when rec is
+// non-nil; recording observes the run without changing it.
+func run(eng *sim.Engine, sc *mpi.Scratch, s Spec, rec *core.TraceSet) (Result, error) {
 	main := s.App.main
 	if s.Replay != nil {
 		main = replayMain(s.Replay)
+	}
+	if rec != nil {
+		main = recordingMain(main, rec)
 	}
 	crashes := 0
 	if s.Fault != nil {
@@ -518,6 +570,9 @@ func runSpec(eng *sim.Engine, sc *mpi.Scratch, s Spec) (Result, error) {
 	}
 	if firstErr != nil {
 		return Result{}, firstErr
+	}
+	if rec != nil && !rec.Complete() {
+		return Result{}, fmt.Errorf("spec %q: trace recording left ranks without a trace", s.Name)
 	}
 	m.finish(lastEnd, c.PhysProcs())
 

@@ -99,7 +99,8 @@ func (e *explorer) bisect(br bracket, ccr, repl *campaign.Tally) (bisectOut, err
 // probePair measures the efficiency difference (ccr - replicated) at one
 // per-node MTBF: it prepares the pair's two scenarios at that MTBF (the
 // fault-free references are shared with the grid, so they hit the memo or
-// the store), then alternates round-sized batches per side until the CI95
+// the store, and the replicated side reuses its grid point's trace
+// recording), then alternates round-sized batches per side until the CI95
 // intervals separate, the per-probe cap is reached, or the budget runs dry.
 // Probe cells are retained: their aggregates persist like grid cells', and
 // a re-run bisecting the same bracket rebuilds them warm.
@@ -111,7 +112,7 @@ func (e *explorer) probePair(ccr, repl *campaign.Tally, mtbf float64) (probeOut,
 		sc.MTBF = sim.Seconds(mtbf)
 		scs[i] = sc
 	}
-	pts, err := campaign.PreparePoints(e.cfg.campaignConfig(), scs)
+	pts, err := campaign.PreparePoints(e.cfg.campaignConfig(), scs, repl.Point)
 	if err != nil {
 		return probeOut{}, fmt.Errorf("explore probe (mtbf %.9g): %w", mtbf, err)
 	}

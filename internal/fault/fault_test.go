@@ -1,7 +1,6 @@
 package fault_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/apps/hpccg"
@@ -267,8 +266,8 @@ func TestCrashPlanReset(t *testing.T) {
 }
 
 // TestCrashPlanMatrix drives HPCCG through every §III-B2 protocol point on
-// both lanes and both inout modes and checks the survivors compute the
-// failure-free residual.
+// both lanes of rank 0 and both inout modes and checks the survivors
+// compute the failure-free residual bit for bit.
 func TestCrashPlanMatrix(t *testing.T) {
 	cfg := hpccg.DefaultConfig()
 	cfg.Nx, cfg.Ny, cfg.Nz = 8, 8, 8
@@ -309,7 +308,7 @@ func TestCrashPlanMatrix(t *testing.T) {
 						t.Errorf("%s lane %d: %v", name, lane, err)
 						return
 					}
-					if math.Abs(res.Residual-ref) > 1e-9*ref+1e-15 {
+					if res.Residual != ref {
 						t.Errorf("%s lane %d: residual %v != ref %v", name, lane, res.Residual, ref)
 					}
 				})
@@ -352,7 +351,7 @@ func TestExponentialFailuresDuringRun(t *testing.T) {
 				t.Errorf("seed %d rank %d: %v", seed, rt.LogicalRank(), err)
 				return
 			}
-			if math.Abs(res.Residual-ref) > 1e-9*ref+1e-15 {
+			if res.Residual != ref {
 				bad = true
 			}
 		})
@@ -404,7 +403,7 @@ func TestDenseCrashSweep(t *testing.T) {
 				t.Errorf("crash at %v lane %d: rank %d: %v", at, lane, rt.LogicalRank(), err)
 				return
 			}
-			if math.Abs(res.Residual-ref) > 1e-9*ref+1e-15 {
+			if res.Residual != ref {
 				t.Errorf("crash at %v lane %d: residual %v != %v", at, lane, res.Residual, ref)
 			}
 		})

@@ -32,10 +32,11 @@ type classCtx struct {
 	nativeWall float64
 	replWall   float64
 
-	// replTrace records replSpec's op trace on the first crashed job of
-	// the class, whichever cell runs it, and returns that recording ever
-	// after: runs whose cells are all store hits, and classes no crash
-	// reaches, never execute the recording.
+	// replTrace returns replSpec's recorded traces. The reference run
+	// records them when it simulates; when the store served the
+	// reference, the first crashed job of the class, whichever cell runs
+	// it, records them, so runs whose cells are all store hits, and
+	// classes no crash reaches, never execute a recording.
 	replTrace func() (*core.TraceSet, error)
 }
 
@@ -43,7 +44,8 @@ type classCtx struct {
 // degree-2 replicated templates on the workload's platform and their
 // fault-free makespans (via the shared runner, so references are
 // simulated once and persist alongside everything else), plus the
-// recorder of the replicated template's op trace for its crashed runs.
+// replicated template's traces for its crashed runs: recorded by the
+// reference run when it simulates, else on first use.
 // The replicated job keeps the native per-rank problem — replication is
 // a footprint decision, not a problem resizing.
 func buildClasses(w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
@@ -69,7 +71,7 @@ func buildClasses(w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobstream: class %q native reference: %w", c.Label(), err)
 		}
-		rres, err := r.Run(rspec)
+		rres, recorded, err := r.run(rspec, true)
 		if err != nil {
 			return nil, fmt.Errorf("jobstream: class %q replicated reference: %w", c.Label(), err)
 		}
@@ -77,6 +79,9 @@ func buildClasses(w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
 			class: c, nativeSpec: nspec, replSpec: rspec,
 			nativeWall: nres.WallSeconds, replWall: rres.WallSeconds,
 			replTrace: sync.OnceValues(func() (*core.TraceSet, error) {
+				if recorded != nil {
+					return recorded, nil
+				}
 				ts, err := experiments.RecordTraces(rspec)
 				if err != nil {
 					return nil, fmt.Errorf("jobstream: class %q trace recording: %w", c.Label(), err)

@@ -3,6 +3,7 @@ package jobstream
 import (
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/store"
 )
@@ -33,9 +34,17 @@ func newMemoRunner(st *store.Store) *memoRunner {
 }
 
 func (r *memoRunner) Run(spec experiments.Spec) (experiments.Result, error) {
+	res, _, err := r.run(spec, false)
+	return res, err
+}
+
+// run is Run keying the spec once. With record, when this call is the
+// one that simulates the spec (a memo and store miss), the run also
+// records the spec's traces and returns them; otherwise it returns none.
+func (r *memoRunner) run(spec experiments.Spec, record bool) (experiments.Result, *core.TraceSet, error) {
 	key, err := spec.Key()
 	if err != nil {
-		return experiments.Result{}, err
+		return experiments.Result{}, nil, err
 	}
 	r.mu.Lock()
 	e := r.memo[key]
@@ -44,16 +53,7 @@ func (r *memoRunner) Run(spec experiments.Spec) (experiments.Result, error) {
 		r.memo[key] = e
 	}
 	r.mu.Unlock()
-	e.once.Do(func() { e.res, e.err = r.sweep(spec) })
-	return e.res, e.err
-}
-
-// sweep simulates one spec through the store-backed sweep: a single-spec
-// SweepStore call is one get-or-compute of that spec.
-func (r *memoRunner) sweep(spec experiments.Spec) (experiments.Result, error) {
-	out, err := experiments.SweepStore(1, r.st, []experiments.Spec{spec})
-	if err != nil {
-		return experiments.Result{}, err
-	}
-	return out[0], nil
+	var ts *core.TraceSet
+	e.once.Do(func() { e.res, ts, e.err = experiments.RunStored(r.st, key, spec, record) })
+	return e.res, ts, e.err
 }

@@ -67,9 +67,12 @@ type Request struct {
 	ch     *chanState // receive channel state (recv only)
 	key    matchKey   // receive matching key (recv only)
 	isRecv bool
-	fut    sim.Future
-	msg    *Message
-	err    error
+	// detached marks a send nobody waits on (AsyncSend): it returns to
+	// the world pool as soon as it completes.
+	detached bool
+	fut      sim.Future
+	msg      *Message
+	err      error
 }
 
 func newRequest(st *rankState, isRecv bool, key matchKey) *Request {
@@ -102,8 +105,14 @@ func newRequest(st *rankState, isRecv bool, key matchKey) *Request {
 }
 
 // Fire completes the request with no message and no error; it is the typed
-// send-completion callback scheduled at the local NIC's TxDone time.
-func (rq *Request) Fire() { rq.complete(nil, nil) }
+// send-completion callback scheduled at the local NIC's TxDone time. A
+// detached request has no holder, so completing it also recycles it.
+func (rq *Request) Fire() {
+	rq.complete(nil, nil)
+	if rq.detached {
+		rq.st.w.putRequest(rq)
+	}
+}
 
 func (rq *Request) complete(msg *Message, err error) {
 	rq.msg = msg
@@ -162,9 +171,10 @@ func (r *Rank) SendSized(c *Comm, dst, tag int, data []float64, meta any, payloa
 
 // AsyncSend posts a send on behalf of rank src from engine context (no
 // process blocks on it). Used by the replication layer to replay a send
-// log when a replica crashes; data is copied like any other send.
+// log when a replica crashes; data is copied like any other send. Nobody
+// holds the request, so it goes back to the pool when the send completes.
 func (w *World) AsyncSend(src int, c *Comm, dst, tag int, data []float64, meta any, payloadBytes int64) {
-	w.ranks[src].isend(c, dst, tag, data, meta, payloadBytes)
+	w.ranks[src].isend(c, dst, tag, data, meta, payloadBytes).detached = true
 }
 
 // sendSeqFor returns the per-channel send sequence for the next message on
