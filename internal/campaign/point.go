@@ -317,7 +317,7 @@ func runTrials(workers int, st *store.Store, sh store.Shard, tallies []*Tally, c
 		return fmt.Errorf("campaign trials: %w", err)
 	}
 	ccr := make([]ckptsim.Trial, len(replays))
-	experiments.ForEach(workers, len(replays), func(_, j int) {
+	experiments.ForEach(workers, len(replays), func(_ *experiments.Worker, j int) {
 		ccr[j] = tallies[replays[j].tally].Point.CCRTrial(replays[j].t)
 	})
 	for _, tr := range owned {

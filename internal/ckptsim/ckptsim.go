@@ -85,7 +85,7 @@ func (p Params) finish(t, remaining float64) float64 {
 func (p Params) secured(t, remaining, f float64) float64 {
 	cycles := math.Floor((f - t) / (p.Tau + p.Delta))
 	total := math.Ceil(remaining/p.Tau) - 1 // checkpoints this attempt would write
-	return p.Tau * math.Min(cycles, total)
+	return p.Tau * min(cycles, total)
 }
 
 // Replay executes `work` seconds of application progress under cCR
@@ -93,23 +93,19 @@ func (p Params) secured(t, remaining, f float64) float64 {
 // fault.ExponentialDrawUnclamped emits). Failures at or after the
 // completion time are ignored; a failure during a restart restarts the
 // restart. The trace must cover the returned makespan for the result to be
-// exact; past a trace's end the run is failure-free. It is a Replayer's
-// loop over a slice, with the replay state held in locals.
+// exact; past a trace's end the run is failure-free. It is a Replayer fed
+// the trace until the run completes.
 func Replay(work float64, p Params, failures []float64) (Trial, error) {
 	r, err := NewReplayer(work, p)
 	if err != nil {
 		return Trial{}, err
 	}
-	tr, t, done := r.Trial, 0.0, 0.0
 	for _, f := range failures {
-		if f >= tr.Makespan {
+		if !r.Fail(f) {
 			break
 		}
-		t, done = p.rollback(work, t, done, f)
-		tr.Makespan = p.finish(t, work-done)
-		tr.Failures++
 	}
-	return tr, nil
+	return r.Trial, nil
 }
 
 // Replayer is one replay in progress, for a trace drawn as it is consumed:
@@ -136,26 +132,19 @@ func NewReplayer(work float64, p Params) (Replayer, error) {
 
 // Fail applies a failure at absolute time f, at or after every earlier
 // one, and reports whether it hit the run. False means the run completed
-// before f, so every later failure misses it too.
+// before f, so every later failure misses it too. A hit rolls the run back
+// to its last completed checkpoint and restarts it from there; a failure
+// at or before the current attempt's start hit the restart being paid, so
+// no progress was made and the restart starts over.
 func (r *Replayer) Fail(f float64) bool {
 	if f >= r.Makespan {
 		return false
 	}
-	r.t, r.done = r.p.rollback(r.work, r.t, r.done, f)
+	if f > r.t {
+		r.done += r.p.secured(r.t, r.work-r.done, f)
+	}
+	r.t = f + r.p.Restart
 	r.Makespan = r.p.finish(r.t, r.work-r.done)
 	r.Failures++
 	return true
-}
-
-// rollback is the replay step both entry points take: a failure at f hits
-// the attempt started at t, with `done` work secured before it, and the run
-// restarts from its last completed checkpoint. It returns the next
-// attempt's start and the work secured before it. A failure at or before
-// the attempt's start hit the restart being paid: no progress was made,
-// and the restart starts over.
-func (p Params) rollback(work, t, done, f float64) (float64, float64) {
-	if f > t {
-		done += p.secured(t, work-done, f)
-	}
-	return f + p.Restart, done
 }

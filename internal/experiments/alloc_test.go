@@ -4,25 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/testutil"
 )
 
-// rerunAllocs runs spec s `times` times on one pooled engine and scratch
-// and returns the total allocation count. Differencing two counts cancels
-// engine construction and pool warm-up, leaving the steady-state cost of
-// one full spec rerun (world build, replica launch, application run,
-// reclaim).
+// rerunAllocs runs spec s `times` times on one worker and returns the
+// total allocation count. Differencing two counts cancels engine
+// construction and pool warm-up, leaving the steady-state cost of one full
+// spec rerun (world build, replica launch, application run, reclaim).
 func rerunAllocs(t *testing.T, s Spec, times int) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(2, func() {
-		eng := sim.NewPooled()
-		defer eng.Shutdown()
-		sc := mpi.NewScratch()
+		var w Worker
+		defer w.close()
 		for i := 0; i < times; i++ {
-			eng.Reset()
-			if _, err := runSpec(eng, sc, s); err != nil {
+			if _, err := w.run(s, nil); err != nil {
 				t.Error(err)
 				return
 			}

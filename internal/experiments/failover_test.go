@@ -53,13 +53,13 @@ func TestDegree3CoverDeathReplaysInheritedLanes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ff, err := runSpec(nil, nil, tc.spec)
+			ff, err := run(nil, nil, tc.spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := tc.spec
 			s.Fault = &fault.Schedule{Crashes: []fault.Crash{tc.first, tc.last}}
-			r, err := runSpec(nil, nil, s)
+			r, err := run(nil, nil, s, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -65,18 +66,19 @@ func pooledGrid(t *testing.T) []Spec {
 }
 
 // TestPooledEngineRerunByteIdentical is the pooling property test: the
-// shuffled grid run twice back-to-back on ONE pooled engine and scratch
-// (every spec after the first inherits warm event nodes, parked goroutines
-// and message pools from arbitrary predecessors) must produce Results
-// byte-identical to a run where every spec gets a brand-new engine. Any
-// state leaking across Engine.Reset or World.Reclaim shows up here as a
-// diverging wall time or event count.
+// shuffled grid run twice back-to-back on ONE worker, the pooled engine
+// and scratch every ForEach caller's simulations run on (every spec after
+// the first inherits warm event nodes, parked goroutines and message pools
+// from arbitrary predecessors), must produce Results byte-identical to a
+// run where every spec gets a brand-new engine. Any state leaking across
+// Engine.Reset or World.Reclaim shows up here as a diverging wall time or
+// event count.
 func TestPooledEngineRerunByteIdentical(t *testing.T) {
 	specs := pooledGrid(t)
 
 	fresh := make([]Result, len(specs))
 	for i, s := range specs {
-		r, err := runSpec(nil, nil, s)
+		r, err := run(nil, nil, s, nil)
 		if err != nil {
 			t.Fatalf("fresh %q: %v", s.Name, err)
 		}
@@ -84,14 +86,12 @@ func TestPooledEngineRerunByteIdentical(t *testing.T) {
 	}
 	want := canonicalize(t, fresh)
 
-	eng := sim.NewPooled()
-	defer eng.Shutdown()
-	sc := mpi.NewScratch()
+	var w Worker
+	defer w.close()
 	for pass := 0; pass < 2; pass++ {
 		got := make([]Result, len(specs))
 		for i, s := range specs {
-			eng.Reset()
-			r, err := runSpec(eng, sc, s)
+			r, err := w.run(s, nil)
 			if err != nil {
 				t.Fatalf("pooled pass %d %q: %v", pass, s.Name, err)
 			}
@@ -100,5 +100,83 @@ func TestPooledEngineRerunByteIdentical(t *testing.T) {
 		if g := canonicalize(t, got); g != want {
 			t.Fatalf("pooled pass %d diverges from fresh-engine run:\n%s\nvs\n%s", pass, g, want)
 		}
+	}
+}
+
+// TestForEachWorkerLifecycle pins when a Worker's engine exists:
+//   - one worker's consecutive specs run on one engine, with results
+//     byte-identical to fresh engines';
+//   - a fan-out whose specs all hit the store creates no engine, and its
+//     store hits record no traces;
+//   - once ForEach returns, every goroutine it started has ended, the
+//     pooled engines' process goroutines included.
+func TestForEachWorkerLifecycle(t *testing.T) {
+	specs := smallSpecs()
+	fresh := make([]Result, len(specs))
+	for i, s := range specs {
+		r, err := run(nil, nil, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = r
+	}
+	want := canonicalize(t, fresh)
+	base := runtime.NumGoroutine()
+
+	got := make([]Result, len(specs))
+	engines := map[*sim.Engine]bool{}
+	ForEach(1, len(specs), func(w *Worker, i int) {
+		r, err := w.run(specs[i], nil)
+		if err != nil {
+			t.Error(err)
+		}
+		got[i] = r
+		engines[w.eng] = true
+	})
+	if len(engines) != 1 {
+		t.Fatalf("one worker ran its %d specs on %d engines", len(specs), len(engines))
+	}
+	if g := canonicalize(t, got); g != want {
+		t.Fatalf("worker results diverge from fresh engines':\n%s\nvs\n%s", g, want)
+	}
+	waitGoroutines(t, base)
+
+	st := openStore(t, t.TempDir(), "lifecycle")
+	if _, err := SweepStore(2, st, specs); err != nil {
+		t.Fatal(err)
+	}
+	base = runtime.NumGoroutine()
+	ForEach(2, len(specs), func(w *Worker, i int) {
+		key, err := specs[i].Key()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r, ts, err := w.RunStored(st, key, specs[i], true)
+		if err != nil {
+			t.Error(err)
+		}
+		if w.eng != nil || ts != nil {
+			t.Errorf("store hit %q: engine %v, traces %v; want neither", specs[i].Name, w.eng, ts)
+		}
+		got[i] = r
+	})
+	if g := canonicalize(t, got); g != want {
+		t.Fatalf("store hits diverge from fresh engines':\n%s\nvs\n%s", g, want)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// base within a second: an exited goroutine may take a moment to leave
+// the count after the WaitGroup that tracked it is released.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after ForEach returned, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

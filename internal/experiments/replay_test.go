@@ -166,7 +166,7 @@ func forEachOracleSchedule(t *testing.T, seed int64, check func(t *testing.T, s 
 					if err != nil {
 						t.Fatal(err)
 					}
-					ff, err := runSpec(nil, nil, s)
+					ff, err := run(nil, nil, s, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -190,12 +190,12 @@ type replicaOut struct {
 
 // replicaRun is one oracle run, replica by replica.
 type replicaRun struct {
-	wall   sim.Time       // the last replica's completion, as runSpec measures it
+	wall   sim.Time       // the last replica's completion, as run measures it
 	deaths int            // replicas the crashes killed
 	out    [][]replicaOut // per logical rank, its finished replicas
 }
 
-// runReplicas runs s on a cluster set up as runSpec sets it up, executed
+// runReplicas runs s on a cluster set up as run sets it up, executed
 // or, with s.Replay, replayed, and returns every finished replica's
 // outcome, per logical rank in a canonical order. With record, every
 // replica also records its Runner-level trace.
@@ -386,7 +386,7 @@ func TestReplayedRecordsKeyApart(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s record missing", s.Name)
 				}
-				r, err := runSpec(nil, nil, s)
+				r, err := run(nil, nil, s, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

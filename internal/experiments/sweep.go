@@ -321,22 +321,23 @@ func dedupe(specs []Spec) (uniq []Spec, keys []string, uniqOf []int, err error) 
 	return uniq, keys, uniqOf, nil
 }
 
-// ForEach calls fn(worker, i) once for every i in [0, n), fanned out over
+// ForEach calls fn(w, i) once for every i in [0, n), fanned out over
 // min(workers, n) goroutines (workers <= 0 means GOMAXPROCS), and returns
-// when every call has. worker in [0, min(workers, n)) names the goroutine
-// making the call, so a caller can keep per-worker state in a slice
-// indexed by it without locking. Calls complete in no particular order:
-// callers write results to per-index slots and read them once ForEach
-// returns.
-func ForEach(workers, n int, fn func(worker, i int)) {
+// when every call has. w is the Worker of the goroutine making the call:
+// the simulation state it carries is that goroutine's alone, so fn may use
+// it without locking. Calls complete in no particular order: callers write
+// results to per-index slots and read them once ForEach returns.
+func ForEach(workers, n int, fn func(w *Worker, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := range poolSize(workers, n) {
+	for range poolSize(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w Worker
+			defer w.close()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(w, i)
+				fn(&w, i)
 			}
 		}()
 	}
@@ -351,31 +352,32 @@ func poolSize(workers, n int) int {
 	return max(min(workers, n), 0)
 }
 
-// forEachPooled is ForEach with one pooled simulation engine and one mpi
-// scratch per worker, kept for the worker's whole lifetime: fn receives
-// the engine Reset (time zero, empty queue, goroutines parked in the idle
-// pool) and the scratch warm, so consecutive specs on a worker reuse the
+// Worker is one ForEach goroutine's simulation state: a pooled engine and
+// an mpi scratch, created by the worker's first simulation and shut down
+// when the fan-out returns. Consecutive specs on a worker reuse the
 // engine's event free list, its process goroutines and the message
 // layer's request/message/transfer pools instead of rebuilding them per
-// spec.
-func forEachPooled(workers, n int, fn func(eng *sim.Engine, sc *mpi.Scratch, j int)) {
-	type slot struct {
-		eng *sim.Engine
-		sc  *mpi.Scratch
+// spec; a worker that simulates nothing (every point a store hit, or a
+// fan-out of ckptsim replays) creates neither.
+type Worker struct {
+	eng *sim.Engine
+	sc  *mpi.Scratch
+}
+
+// run simulates s on the worker's engine, Reset, recording every runner's
+// trace into rec when rec is non-nil.
+func (w *Worker) run(s Spec, rec *core.TraceSet) (Result, error) {
+	if w.eng == nil {
+		w.eng, w.sc = sim.NewPooled(), mpi.NewScratch()
 	}
-	slots := make([]slot, poolSize(workers, n))
-	ForEach(workers, n, func(w, j int) {
-		s := &slots[w]
-		if s.eng == nil {
-			s.eng, s.sc = sim.NewPooled(), mpi.NewScratch()
-		}
-		s.eng.Reset()
-		fn(s.eng, s.sc, j)
-	})
-	for _, s := range slots {
-		if s.eng != nil {
-			s.eng.Shutdown()
-		}
+	w.eng.Reset()
+	return run(w.eng, w.sc, s, rec)
+}
+
+// close shuts the worker's engine down, ending its pooled goroutines.
+func (w *Worker) close() {
+	if w.eng != nil {
+		w.eng.Shutdown()
 	}
 }
 
@@ -416,10 +418,10 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 	runs := make([]Result, len(uniq))
 	errs := make([]error, len(uniq))
 	Progress.Plan(len(todo))
-	forEachPooled(workers, len(todo), func(eng *sim.Engine, sc *mpi.Scratch, k int) {
+	ForEach(workers, len(todo), func(w *Worker, k int) {
 		defer Progress.Done()
 		j := todo[k]
-		runs[j], errs[j] = getOrRun(eng, sc, st, keys[j], uniq[j], nil)
+		runs[j], errs[j] = w.getOrRun(st, keys[j], uniq[j], nil)
 	})
 
 	// Report the first failure in spec order, so the error is the same
@@ -454,40 +456,36 @@ func PopulateStore(workers int, st *store.Store, sh store.Shard, specs []Spec) (
 }
 
 // getOrRun serves one unique point from the store under its content key,
-// or simulates it (recording its traces into rec when non-nil) and stores
-// the result. A nil store always simulates.
-func getOrRun(eng *sim.Engine, sc *mpi.Scratch, st *store.Store, key string, s Spec, rec *core.TraceSet) (Result, error) {
+// or simulates it on the worker (recording its traces into rec when
+// non-nil) and stores the result. A nil store always simulates.
+func (w *Worker) getOrRun(st *store.Store, key string, s Spec, rec *core.TraceSet) (Result, error) {
 	addr := ""
 	if st != nil {
 		addr = store.Key(key)
 	}
-	w, _, err := store.GetOrCompute(st, resultKind, addr, func() (resultWire, error) {
-		r, err := run(eng, sc, s, rec)
+	wire, _, err := store.GetOrCompute(st, resultKind, addr, func() (resultWire, error) {
+		r, err := w.run(s, rec)
 		if err != nil {
 			return resultWire{}, err
 		}
 		return encodeResult(r), nil
 	})
-	return w.Result, err
+	return wire.Result, err
 }
 
-// RunStored is a one-spec SweepStore for a caller that already holds the
-// spec's content key (Spec.Key), so the spec is not keyed again. With
-// record set, a store miss also records the run's traces (RecordTraces's
-// output, when s is the classic twin RecordingKey names) and returns them;
-// a store hit simulates nothing and returns none.
-func RunStored(st *store.Store, key string, s Spec, record bool) (Result, *core.TraceSet, error) {
+// RunStored is a one-spec SweepStore on the worker, for a caller that
+// already holds the spec's content key (Spec.Key), so the spec is not
+// keyed again. With record set, a store miss also records the run's
+// traces (RecordTraces's output, when s is the classic twin RecordingKey
+// names) and returns them; a store hit simulates nothing and returns none.
+func (w *Worker) RunStored(st *store.Store, key string, s Spec, record bool) (Result, *core.TraceSet, error) {
 	var rec *core.TraceSet
 	if record {
 		rec = core.NewTraceSet(s.Logical)
 	}
-	var res Result
-	var err error
 	Progress.Plan(1)
-	forEachPooled(1, 1, func(eng *sim.Engine, sc *mpi.Scratch, _ int) {
-		defer Progress.Done()
-		res, err = getOrRun(eng, sc, st, key, s, rec)
-	})
+	res, err := w.getOrRun(st, key, s, rec)
+	Progress.Done()
 	if err != nil {
 		return Result{}, nil, fmt.Errorf("sweep %q: %w", s.Name, err)
 	}
@@ -500,17 +498,12 @@ func RunStored(st *store.Store, key string, s Spec, record bool) (Result, *core.
 	return res, rec, nil
 }
 
-// runSpec simulates one sweep point. eng, when non-nil, is a Reset pooled
-// engine supplied by the worker pool, and sc an mpi scratch shared across
-// the worker's specs; nil runs on private ones. The simulated outcome is
-// identical either way — reuse recycles event nodes, goroutines and message
-// buffers, never state the simulation can observe.
-func runSpec(eng *sim.Engine, sc *mpi.Scratch, s Spec) (Result, error) {
-	return run(eng, sc, s, nil)
-}
-
-// run is runSpec recording every runner's trace into rec when rec is
-// non-nil; recording observes the run without changing it.
+// run simulates one sweep point, recording every runner's trace into rec
+// when rec is non-nil; recording observes the run without changing it.
+// eng, when non-nil, is a Reset pooled engine, and sc an mpi scratch
+// shared across the worker's specs; nil runs on private ones. The
+// simulated outcome is identical either way — reuse recycles event nodes,
+// goroutines and message buffers, never state the simulation can observe.
 func run(eng *sim.Engine, sc *mpi.Scratch, s Spec, rec *core.TraceSet) (Result, error) {
 	main := s.App.main
 	if s.Replay != nil {

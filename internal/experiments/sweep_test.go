@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -416,10 +418,9 @@ func TestCCRSpecMemoSharesNativeRun(t *testing.T) {
 }
 
 // TestForEachVisitsEveryIndexOnce pins the shared fan-out: every index in
-// [0, n) is visited exactly once, from a worker slot inside the pool, for
-// an empty list, defaulted (<= 0) worker counts and more workers than
-// jobs. Each slot bumps a plain per-slot counter, so under -race the test
-// also checks that a slot is only ever used by one goroutine.
+// [0, n) is visited exactly once, by at most min(workers, n) distinct
+// workers, each of which stays on the one goroutine it belongs to, for an
+// empty list, defaulted (<= 0) worker counts and more workers than jobs.
 func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, tc := range []struct{ workers, n int }{
 		{0, 0}, {4, 0}, {-2, 0},
@@ -435,21 +436,20 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 			t.Fatalf("workers=%d n=%d: pool of %d, want %d", tc.workers, tc.n, got, want)
 		}
 		visits := make([]atomic.Int32, tc.n)
-		perSlot := make([]int, want)
-		ForEach(tc.workers, tc.n, func(w, i int) {
-			if w < 0 || w >= want {
-				t.Errorf("workers=%d n=%d: slot %d outside [0, %d)", tc.workers, tc.n, w, want)
-				return
+		var mu sync.Mutex
+		owner := map[*Worker]uint64{} // the goroutine each worker ran on
+		ForEach(tc.workers, tc.n, func(w *Worker, i int) {
+			g := goroutineID()
+			mu.Lock()
+			if o, ok := owner[w]; ok && o != g {
+				t.Errorf("workers=%d n=%d: a worker ran on goroutines %d and %d", tc.workers, tc.n, o, g)
 			}
-			perSlot[w]++
+			owner[w] = g
+			mu.Unlock()
 			visits[i].Add(1)
 		})
-		total := 0
-		for _, c := range perSlot {
-			total += c
-		}
-		if total != tc.n {
-			t.Fatalf("workers=%d n=%d: %d calls", tc.workers, tc.n, total)
+		if len(owner) > want {
+			t.Fatalf("workers=%d n=%d: %d distinct workers, want at most %d", tc.workers, tc.n, len(owner), want)
 		}
 		for i := range visits {
 			if v := visits[i].Load(); v != 1 {
@@ -457,4 +457,16 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goroutineID is the calling goroutine's id, parsed from its stack header
+// ("goroutine 42 [running]:").
+func goroutineID() uint64 {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
 }

@@ -76,7 +76,7 @@ func (e *explorer) tauSearchCell(p *campaign.Point) TauResult {
 		res.Trials += e.cfg.TauTraces
 		params := ckptsim.Params{Tau: tau, Delta: p.Params.Delta, Restart: p.Params.Restart}
 		walls := make([]float64, e.cfg.TauTraces)
-		experiments.ForEach(e.cfg.Workers, len(walls), func(_, k int) {
+		experiments.ForEach(e.cfg.Workers, len(walls), func(_ *experiments.Worker, k int) {
 			walls[k] = p.ReplayTrace(1, k, params).Makespan
 		})
 		sum := 0.0

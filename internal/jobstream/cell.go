@@ -40,57 +40,70 @@ type classCtx struct {
 	replTrace func() (*core.TraceSet, error)
 }
 
-// buildClasses resolves the workload mix: per class, the native and
-// degree-2 replicated templates on the workload's platform and their
-// fault-free makespans (via the shared runner, so references are
-// simulated once and persist alongside everything else), plus the
-// replicated template's traces for its crashed runs: recorded by the
-// reference run when it simulates, else on first use.
-// The replicated job keeps the native per-rank problem — replication is
-// a footprint decision, not a problem resizing.
-func buildClasses(w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
+// buildClasses resolves the workload mix, one class per ForEach index
+// over up to workers goroutines: per class, the native and degree-2
+// replicated templates on the workload's platform and their fault-free
+// makespans (via the shared runner, so references are simulated once and
+// persist alongside everything else), plus the replicated template's
+// traces for its crashed runs: recorded by the reference run when it
+// simulates, else on first use. The first failing class in mix order is
+// the error.
+func buildClasses(workers int, w *scenario.Workload, r *memoRunner) ([]classCtx, error) {
 	out := make([]classCtx, len(w.Mix))
-	for i, c := range w.Mix {
-		base := scenario.Scenario{
-			Name: c.Label(), App: c.App, Config: c.Config,
-			Mode: scenario.Native, Logical: c.Logical,
-			Net: w.Net, Machine: w.Machine,
-		}
-		nspec, err := experiments.SpecFor(base)
+	errs := make([]error, len(w.Mix))
+	experiments.ForEach(workers, len(w.Mix), func(wk *experiments.Worker, i int) {
+		out[i], errs[i] = buildClass(wk, w, w.Mix[i], r)
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("jobstream: class %q: %w", c.Label(), err)
-		}
-		repl := base
-		repl.Mode = scenario.Classic
-		repl.Degree = 2
-		rspec, err := experiments.SpecFor(repl)
-		if err != nil {
-			return nil, fmt.Errorf("jobstream: class %q: %w", c.Label(), err)
-		}
-		nres, err := r.Run(nspec)
-		if err != nil {
-			return nil, fmt.Errorf("jobstream: class %q native reference: %w", c.Label(), err)
-		}
-		rres, recorded, err := r.run(rspec, true)
-		if err != nil {
-			return nil, fmt.Errorf("jobstream: class %q replicated reference: %w", c.Label(), err)
-		}
-		out[i] = classCtx{
-			class: c, nativeSpec: nspec, replSpec: rspec,
-			nativeWall: nres.WallSeconds, replWall: rres.WallSeconds,
-			replTrace: sync.OnceValues(func() (*core.TraceSet, error) {
-				if recorded != nil {
-					return recorded, nil
-				}
-				ts, err := experiments.RecordTraces(rspec)
-				if err != nil {
-					return nil, fmt.Errorf("jobstream: class %q trace recording: %w", c.Label(), err)
-				}
-				return ts, nil
-			}),
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// buildClass resolves one job class, running its references on wk. The
+// replicated job keeps the native per-rank problem — replication is a
+// footprint decision, not a problem resizing.
+func buildClass(wk *experiments.Worker, w *scenario.Workload, c scenario.JobClass, r *memoRunner) (classCtx, error) {
+	base := scenario.Scenario{
+		Name: c.Label(), App: c.App, Config: c.Config,
+		Mode: scenario.Native, Logical: c.Logical,
+		Net: w.Net, Machine: w.Machine,
+	}
+	nspec, err := experiments.SpecFor(base)
+	if err != nil {
+		return classCtx{}, fmt.Errorf("jobstream: class %q: %w", c.Label(), err)
+	}
+	repl := base
+	repl.Mode = scenario.Classic
+	repl.Degree = 2
+	rspec, err := experiments.SpecFor(repl)
+	if err != nil {
+		return classCtx{}, fmt.Errorf("jobstream: class %q: %w", c.Label(), err)
+	}
+	nres, err := r.Run(wk, nspec)
+	if err != nil {
+		return classCtx{}, fmt.Errorf("jobstream: class %q native reference: %w", c.Label(), err)
+	}
+	rres, recorded, err := r.run(wk, rspec, true)
+	if err != nil {
+		return classCtx{}, fmt.Errorf("jobstream: class %q replicated reference: %w", c.Label(), err)
+	}
+	return classCtx{
+		class: c, nativeSpec: nspec, replSpec: rspec,
+		nativeWall: nres.WallSeconds, replWall: rres.WallSeconds,
+		replTrace: sync.OnceValues(func() (*core.TraceSet, error) {
+			if recorded != nil {
+				return recorded, nil
+			}
+			ts, err := experiments.RecordTraces(rspec)
+			if err != nil {
+				return nil, fmt.Errorf("jobstream: class %q trace recording: %w", c.Label(), err)
+			}
+			return ts, nil
+		}),
+	}, nil
 }
 
 // cellParams identifies one simulation cell: a single-rate stream point
@@ -140,6 +153,7 @@ type job struct {
 // cellRun is the mutable state of one cell simulation.
 type cellRun struct {
 	p     cellParams
+	wk    *experiments.Worker // runs the cell's job simulations
 	trace *failTrace
 	cl    *Cluster
 	sched Scheduler
@@ -163,8 +177,9 @@ type crashEv struct {
 
 // runCell replays one cell: the trial's arrival stream through one
 // scheduler and one policy on a fresh cluster, against the trial's shared
-// failure trace. Everything is deterministic in the cell coordinates.
-func runCell(p cellParams) (cellWire, error) {
+// failure trace, simulating its jobs on wk. Everything is deterministic
+// in the cell coordinates.
+func runCell(p cellParams, wk *experiments.Worker) (cellWire, error) {
 	sched, err := newScheduler(p.scheduler)
 	if err != nil {
 		return cellWire{}, err
@@ -176,6 +191,7 @@ func runCell(p cellParams) (cellWire, error) {
 	arrivals := genArrivals(p.w, p.rate, p.seed, p.trial)
 	c := &cellRun{
 		p:     p,
+		wk:    wk,
 		trace: newFailTrace(p.w.Nodes, p.w.MTBFSeconds, fault.TrialSeed(p.seed, failureLane, p.trial)),
 		cl:    NewCluster(p.w.Nodes),
 		sched: sched, pol: pol,
@@ -431,7 +447,7 @@ func (c *cellRun) execReplicated(j *job, cc *classCtx) (float64, bool, error) {
 			}
 			spec.Fault, spec.Replay = fs, ts
 		}
-		res, err := c.p.runner.Run(spec)
+		res, err := c.p.runner.Run(c.wk, spec)
 		if err != nil {
 			return 0, false, err
 		}

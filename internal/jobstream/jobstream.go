@@ -142,7 +142,7 @@ func prepare(cfg Config, w *scenario.Workload, r *memoRunner) (cells []cell, gro
 	}
 	seed = cfg.seed(w)
 	cells, groups = enumerate(w, cfg.trials())
-	classes, err = buildClasses(w, r)
+	classes, err = buildClasses(cfg.Workers, w, r)
 	if err != nil {
 		return
 	}
@@ -185,7 +185,7 @@ func run(cfg Config, w *scenario.Workload, sh store.Shard) (*Result, error) {
 	wires := make([]cellWire, len(cells))
 	errs := make([]error, len(cells))
 	experiments.Progress.Plan(len(owned))
-	experiments.ForEach(cfg.Workers, len(owned), func(_, k int) {
+	experiments.ForEach(cfg.Workers, len(owned), func(wk *experiments.Worker, k int) {
 		defer experiments.Progress.Done()
 		i := owned[k]
 		c := cells[i]
@@ -194,7 +194,7 @@ func run(cfg Config, w *scenario.Workload, sh store.Shard) (*Result, error) {
 				w: w, rate: c.rate, seed: seed, trial: c.trial,
 				scheduler: c.scheduler, policy: c.policy,
 				classes: classes, runner: runner,
-			})
+			}, wk)
 		})
 	})
 	for i, err := range errs {

@@ -1,9 +1,6 @@
 package jobstream
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/ckpt"
 	"repro/internal/ckptsim"
 	"repro/internal/scenario"
@@ -115,54 +112,29 @@ func (adaptivePolicy) Decide(r Request) Decision {
 	return Decision{Mode: scenario.CCR, Params: ccrParams(r)}
 }
 
-var policies = map[string]struct {
-	desc string
-	mk   func() Policy
-}{}
-
-// RegisterPolicy adds a fault-tolerance policy to the registry; an empty
-// or duplicate name panics, as everywhere in the scenario currency.
-func RegisterPolicy(name, desc string, mk func() Policy) {
-	if name == "" || mk == nil {
-		panic("jobstream: RegisterPolicy with empty name or constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := policies[name]; dup {
-		panic(fmt.Sprintf("jobstream: policy %q registered twice", name))
-	}
-	policies[name] = struct {
-		desc string
-		mk   func() Policy
-	}{desc, mk}
+// policies are the fault-tolerance policy names workloads may use.
+var policies = map[string]entry[Policy]{
+	"native": {"no fault tolerance: a node failure kills the job",
+		func() Policy { return nativePolicy{} }},
+	"replicate": {"degree-2 process replication (2x footprint; native when the cluster cannot fit it)",
+		func() Policy { return replicatePolicy{} }},
+	"ccr": {"coordinated checkpoint/restart at Daly's optimal interval, native footprint",
+		func() Policy { return ccrPolicy{} }},
+	"adaptive": {"per-job rule: native when failure-free, replicate when cCR efficiency < 1/2 and spare nodes allow, else ccr",
+		func() Policy { return adaptivePolicy{} }},
 }
 
-// newPolicy instantiates a registered policy.
+// newPolicy instantiates a named policy.
 func newPolicy(name string) (Policy, error) {
-	regMu.RLock()
-	ent, ok := policies[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("jobstream: unknown policy %q (have %s)", name, nameList(PolicyList()))
-	}
-	return ent.mk(), nil
+	return instantiate(policies, "policy", name)
 }
 
-// PolicyList enumerates the registered policies, sorted by name.
-func PolicyList() []RegistryEntry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]RegistryEntry, 0, len(policies))
-	for name, ent := range policies {
-		out = append(out, RegistryEntry{Name: name, Description: ent.desc})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// PolicyList enumerates the policies, sorted by name.
+func PolicyList() []RegistryEntry { return list(policies) }
 
 // CheckNames resolves the workload's scheduler and policy names against
-// the registries: the jobstream half of workload validation (the scenario
-// layer cannot see these registries without an import cycle).
+// the tables: the jobstream half of workload validation (the scenario
+// layer cannot see these tables without an import cycle).
 func CheckNames(w *scenario.Workload) error {
 	for _, n := range w.Schedulers {
 		if _, err := newScheduler(n); err != nil {
@@ -175,15 +147,4 @@ func CheckNames(w *scenario.Workload) error {
 		}
 	}
 	return nil
-}
-
-func init() {
-	RegisterPolicy("native", "no fault tolerance: a node failure kills the job",
-		func() Policy { return nativePolicy{} })
-	RegisterPolicy("replicate", "degree-2 process replication (2x footprint; native when the cluster cannot fit it)",
-		func() Policy { return replicatePolicy{} })
-	RegisterPolicy("ccr", "coordinated checkpoint/restart at Daly's optimal interval, native footprint",
-		func() Policy { return ccrPolicy{} })
-	RegisterPolicy("adaptive", "per-job rule: native when failure-free, replicate when cCR efficiency < 1/2 and spare nodes allow, else ccr",
-		func() Policy { return adaptivePolicy{} })
 }

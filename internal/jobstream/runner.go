@@ -33,15 +33,17 @@ func newMemoRunner(st *store.Store) *memoRunner {
 	return &memoRunner{st: st, memo: map[string]*memoEntry{}}
 }
 
-func (r *memoRunner) Run(spec experiments.Spec) (experiments.Result, error) {
-	res, _, err := r.run(spec, false)
+// Run resolves spec, simulating it on w when neither the memo nor the
+// store holds it.
+func (r *memoRunner) Run(w *experiments.Worker, spec experiments.Spec) (experiments.Result, error) {
+	res, _, err := r.run(w, spec, false)
 	return res, err
 }
 
 // run is Run keying the spec once. With record, when this call is the
 // one that simulates the spec (a memo and store miss), the run also
 // records the spec's traces and returns them; otherwise it returns none.
-func (r *memoRunner) run(spec experiments.Spec, record bool) (experiments.Result, *core.TraceSet, error) {
+func (r *memoRunner) run(w *experiments.Worker, spec experiments.Spec, record bool) (experiments.Result, *core.TraceSet, error) {
 	key, err := spec.Key()
 	if err != nil {
 		return experiments.Result{}, nil, err
@@ -54,6 +56,6 @@ func (r *memoRunner) run(spec experiments.Spec, record bool) (experiments.Result
 	}
 	r.mu.Unlock()
 	var ts *core.TraceSet
-	e.once.Do(func() { e.res, ts, e.err = experiments.RunStored(r.st, key, spec, record) })
+	e.once.Do(func() { e.res, ts, e.err = w.RunStored(r.st, key, spec, record) })
 	return e.res, ts, e.err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // PendingJob is a queued job as schedulers see it.
@@ -121,55 +120,53 @@ func (kchoices) Next(v *View) int {
 	return best
 }
 
-// RegistryEntry is one registered scheduler or policy, for sweep -list.
+// RegistryEntry is one scheduler or policy, for sweep -list.
 type RegistryEntry struct {
 	Name        string
 	Description string
 }
 
-var (
-	regMu      sync.RWMutex
-	schedulers = map[string]struct {
-		desc string
-		mk   func() Scheduler
-	}{}
-)
-
-// RegisterScheduler adds a scheduler to the registry. Names are workload
-// currency (files, store keys, CLI output), so an empty or duplicate name
-// panics.
-func RegisterScheduler(name, desc string, mk func() Scheduler) {
-	if name == "" || mk == nil {
-		panic("jobstream: RegisterScheduler with empty name or constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := schedulers[name]; dup {
-		panic(fmt.Sprintf("jobstream: scheduler %q registered twice", name))
-	}
-	schedulers[name] = struct {
-		desc string
-		mk   func() Scheduler
-	}{desc, mk}
+// entry is one row of the scheduler or policy table: its sweep -list
+// description and a constructor for a fresh instance.
+type entry[T any] struct {
+	desc string
+	mk   func() T
 }
 
-// newScheduler instantiates a registered scheduler.
+// schedulers are the scheduler names workloads may use. Names are
+// workload currency (files, store keys, CLI output).
+var schedulers = map[string]entry[Scheduler]{
+	"fcfs": {"first-come first-served: strict arrival order, no lookahead",
+		func() Scheduler { return fcfs{} }},
+	"easy": {"EASY backfill: FCFS head reservation, later jobs fill the holes",
+		func() Scheduler { return easy{} }},
+	"kchoices": {fmt.Sprintf("bounded lookahead: widest fitting job among the first %d queued", kchoicesK),
+		func() Scheduler { return kchoices{} }},
+}
+
+// newScheduler instantiates a named scheduler.
 func newScheduler(name string) (Scheduler, error) {
-	regMu.RLock()
-	ent, ok := schedulers[name]
-	regMu.RUnlock()
+	return instantiate(schedulers, "scheduler", name)
+}
+
+// SchedulerList enumerates the schedulers, sorted by name.
+func SchedulerList() []RegistryEntry { return list(schedulers) }
+
+// instantiate builds the table's entry called name; what names the
+// table's kind in the error for an unknown name.
+func instantiate[T any](table map[string]entry[T], what, name string) (T, error) {
+	ent, ok := table[name]
 	if !ok {
-		return nil, fmt.Errorf("jobstream: unknown scheduler %q (have %s)", name, nameList(SchedulerList()))
+		var zero T
+		return zero, fmt.Errorf("jobstream: unknown %s %q (have %s)", what, name, nameList(list(table)))
 	}
 	return ent.mk(), nil
 }
 
-// SchedulerList enumerates the registered schedulers, sorted by name.
-func SchedulerList() []RegistryEntry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]RegistryEntry, 0, len(schedulers))
-	for name, ent := range schedulers {
+// list enumerates a table, sorted by name.
+func list[T any](table map[string]entry[T]) []RegistryEntry {
+	out := make([]RegistryEntry, 0, len(table))
+	for name, ent := range table {
 		out = append(out, RegistryEntry{Name: name, Description: ent.desc})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -185,13 +182,4 @@ func nameList(entries []RegistryEntry) string {
 		s += e.Name
 	}
 	return s
-}
-
-func init() {
-	RegisterScheduler("fcfs", "first-come first-served: strict arrival order, no lookahead",
-		func() Scheduler { return fcfs{} })
-	RegisterScheduler("easy", "EASY backfill: FCFS head reservation, later jobs fill the holes",
-		func() Scheduler { return easy{} })
-	RegisterScheduler("kchoices", fmt.Sprintf("bounded lookahead: widest fitting job among the first %d queued", kchoicesK),
-		func() Scheduler { return kchoices{} })
 }

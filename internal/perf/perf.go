@@ -83,28 +83,17 @@ var Skylake = Machine{
 	FlopsPerCore: 1.2e10,
 }
 
-// Machines names the machine models available as scenario platform axes.
-// Entries are added via Register; the built-in models register below.
-var Machines = map[string]Machine{}
-
-// DefaultMachineName is the registry name of the paper's node model: the
-// model a scenario selects when it omits its machine.
+// DefaultMachineName is the name of the paper's node model: the model a
+// scenario selects when it omits its machine.
 const DefaultMachineName = "grid5000"
 
-// Register adds a named machine model to the Machines registry. Names are
-// scenario-file and CLI currency, so a duplicate is a programming error and
-// panics.
-func Register(name string, m Machine) {
-	if name == "" {
-		panic("perf: Register with empty name")
-	}
-	if _, dup := Machines[name]; dup {
-		panic(fmt.Sprintf("perf: machine %q registered twice", name))
-	}
-	Machines[name] = m
+// Machines names the machine models available as scenario platform axes.
+var Machines = map[string]Machine{
+	DefaultMachineName: Grid5000,
+	"skylake":          Skylake,
 }
 
-// MachineNames returns the registered machine names, sorted.
+// MachineNames returns the machine names, sorted.
 func MachineNames() []string {
 	names := make([]string, 0, len(Machines))
 	for n := range Machines {
@@ -112,9 +101,4 @@ func MachineNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register(DefaultMachineName, Grid5000)
-	Register("skylake", Skylake)
 }

@@ -251,11 +251,11 @@ func (p *Proc) collTag(op int) int {
 	return -(op<<24 | p.collRound&0xffffff)
 }
 
+// Collective opcodes, the high bits of a collective's tag (2 and 3 are
+// free).
 const (
-	opBarrier = iota + 1
-	opBcast
-	opReduce
-	opAllreduce
+	opBarrier   = 1
+	opAllreduce = 4
 )
 
 // Barrier blocks until all logical ranks have entered it (dissemination
@@ -280,25 +280,20 @@ func (p *Proc) Barrier() error {
 	return nil
 }
 
-// Bcast broadcasts data from logical rank root to all logical ranks
-// (binomial tree). Non-root callers pass a buffer of the right length.
-func (p *Proc) Bcast(root int, data []float64) error {
-	return p.bcastTag(p.collTag(opBcast), root, data)
-}
-
-func (p *Proc) bcastTag(tag, root int, data []float64) error {
+// bcastTag broadcasts data from logical rank 0 to every logical rank
+// (binomial tree) under tag.
+func (p *Proc) bcastTag(tag int, data []float64) error {
 	n := p.s.cfg.Logical
 	if n == 1 {
 		return nil
 	}
-	vrank := (p.Logical - root + n) % n
-	if vrank != 0 {
+	me := p.Logical
+	if me != 0 {
 		mask := 1
-		for vrank&mask == 0 {
+		for me&mask == 0 {
 			mask <<= 1
 		}
-		parent := vrank - mask
-		msg, err := p.Recv((parent+root)%n, tag)
+		msg, err := p.Recv(me-mask, tag)
 		if err != nil {
 			return err
 		}
@@ -306,12 +301,12 @@ func (p *Proc) bcastTag(tag, root int, data []float64) error {
 		p.s.w.RecycleMessage(msg)
 	}
 	mask := 1
-	for vrank&mask == 0 && mask < n {
+	for me&mask == 0 && mask < n {
 		mask <<= 1
 	}
 	for m := mask >> 1; m >= 1; m >>= 1 {
-		if child := vrank + m; child < n {
-			if err := p.Send((child+root)%n, tag, data, nil); err != nil {
+		if child := me + m; child < n {
+			if err := p.Send(child, tag, data, nil); err != nil {
 				return err
 			}
 		}
@@ -319,25 +314,21 @@ func (p *Proc) bcastTag(tag, root int, data []float64) error {
 	return nil
 }
 
-// Reduce combines every logical rank's data into root's buffer using op
-// (binomial tree). data is used as the local accumulator on all ranks.
-func (p *Proc) Reduce(root int, op mpi.ReduceOp, data []float64) error {
-	return p.reduceTag(p.collTag(opReduce), root, op, data)
-}
-
-func (p *Proc) reduceTag(tag, root int, op mpi.ReduceOp, data []float64) error {
+// reduceTag combines every logical rank's data into logical rank 0's
+// buffer using op (binomial tree) under tag. data is the local
+// accumulator on every rank.
+func (p *Proc) reduceTag(tag int, op mpi.ReduceOp, data []float64) error {
 	n := p.s.cfg.Logical
 	if n == 1 {
 		return nil
 	}
-	vrank := (p.Logical - root + n) % n
+	me := p.Logical
 	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := vrank - mask
-			return p.Send((parent+root)%n, tag, data, nil)
+		if me&mask != 0 {
+			return p.Send(me-mask, tag, data, nil)
 		}
-		if child := vrank + mask; child < n {
-			msg, err := p.Recv((child+root)%n, tag)
+		if child := me + mask; child < n {
+			msg, err := p.Recv(child, tag)
 			if err != nil {
 				return err
 			}
@@ -353,19 +344,10 @@ func (p *Proc) reduceTag(tag, root int, op mpi.ReduceOp, data []float64) error {
 func (p *Proc) Allreduce(op mpi.ReduceOp, data []float64) error {
 	p.collRound++
 	base := -(opAllreduce<<24 | p.collRound&0xffffff)
-	if err := p.reduceTag(base, 0, op, data); err != nil {
+	if err := p.reduceTag(base, op, data); err != nil {
 		return err
 	}
 	// The paired broadcast reuses the same round with a distinct opcode
 	// encoding so the two phases cannot cross-match.
-	return p.bcastTag(base-1<<30, 0, data)
-}
-
-// AllreduceScalar is a single-value convenience wrapper.
-func (p *Proc) AllreduceScalar(op mpi.ReduceOp, v float64) (float64, error) {
-	buf := []float64{v}
-	if err := p.Allreduce(op, buf); err != nil {
-		return 0, err
-	}
-	return buf[0], nil
+	return p.bcastTag(base-1<<30, data)
 }

@@ -52,9 +52,8 @@ type System struct {
 	epoch      int      // incremented on every replica death
 	procs      [][]*Proc
 	replComms  []*mpi.Comm // per logical rank: comm of its replicas
-	deathSubs  []func(logical, lane int)
-	deadDrops  int64 // sends skipped because the destination replica died
-	replayMsgs int64 // messages re-sent from a send log after a crash
+	deadDrops  int64       // sends skipped because the destination replica died
+	replayMsgs int64       // messages re-sent from a send log after a crash
 	hdrFree    []*hdr
 }
 
@@ -170,12 +169,6 @@ func (s *System) KillReplica(logical, lane int) {
 	s.w.Kill(s.PhysRank(logical, lane))
 }
 
-// OnReplicaDeath registers a callback invoked in engine context after
-// membership and coverage have been updated for a death.
-func (s *System) OnReplicaDeath(fn func(logical, lane int)) {
-	s.deathSubs = append(s.deathSubs, fn)
-}
-
 // onDeath is the mpi death hook: update membership and replay the new
 // cover's send log toward every lane the dead replica covered. That is its
 // own lane and, when it was the lowest alive lane, every lane of r that
@@ -204,9 +197,6 @@ func (s *System) onDeath(phys int) {
 				}
 			}
 		}
-	}
-	for _, fn := range s.deathSubs {
-		fn(r, l)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestLogicalAllreduce(t *testing.T) {
 	e, s := testSystem(t, 3, 2, false)
 	bad := false
 	s.Launch("app", func(p *Proc) {
-		v, err := p.AllreduceScalar(mpi.OpSum, float64(p.Logical))
+		v, err := allreduce1(p, mpi.OpSum, float64(p.Logical))
 		if err != nil || v != 3 { // 0+1+2
 			bad = true
 		}
@@ -95,6 +95,8 @@ func TestLogicalAllreduce(t *testing.T) {
 	}
 }
 
+// TestLogicalBarrierAndBcast runs a barrier, then spreads data only
+// logical rank 1 holds to every replica through an allreduce.
 func TestLogicalBarrierAndBcast(t *testing.T) {
 	e, s := testSystem(t, 3, 2, false)
 	bad := false
@@ -106,7 +108,7 @@ func TestLogicalBarrierAndBcast(t *testing.T) {
 		if p.Logical == 1 {
 			data[0], data[1] = 7, 8
 		}
-		if err := p.Bcast(1, data); err != nil || data[0] != 7 || data[1] != 8 {
+		if err := p.Allreduce(mpi.OpSum, data); err != nil || data[0] != 7 || data[1] != 8 {
 			bad = true
 		}
 	})
@@ -218,13 +220,13 @@ func TestCollectivesSurviveDeathAtQuiescence(t *testing.T) {
 	e, s := testSystem(t, 3, 2, true)
 	bad := false
 	s.Launch("app", func(p *Proc) {
-		v, err := p.AllreduceScalar(mpi.OpSum, 1)
+		v, err := allreduce1(p, mpi.OpSum, 1)
 		if err != nil || v != 3 {
 			bad = true
 			return
 		}
 		p.R.Compute(20 * sim.Millisecond) // death happens here (at 10ms)
-		v, err = p.AllreduceScalar(mpi.OpSum, 2)
+		v, err = allreduce1(p, mpi.OpSum, 2)
 		if err != nil || v != 6 {
 			t.Errorf("post-death allreduce: lane %d logical %d: %v %v", p.Lane, p.Logical, v, err)
 			bad = true
@@ -304,7 +306,7 @@ func TestDegreeOneDegeneratesToNative(t *testing.T) {
 	e, s := testSystem(t, 4, 1, false)
 	bad := false
 	s.Launch("app", func(p *Proc) {
-		v, err := p.AllreduceScalar(mpi.OpSum, 1)
+		v, err := allreduce1(p, mpi.OpSum, 1)
 		if err != nil || v != 4 {
 			bad = true
 		}
@@ -321,18 +323,6 @@ func TestDegreeOneDegeneratesToNative(t *testing.T) {
 	run(t, e)
 	if bad {
 		t.Fatal("degree-1 system misbehaved")
-	}
-}
-
-func TestOnReplicaDeathCallback(t *testing.T) {
-	e, s := testSystem(t, 2, 2, false)
-	var deaths [][2]int
-	s.OnReplicaDeath(func(r, l int) { deaths = append(deaths, [2]int{r, l}) })
-	s.Launch("app", func(p *Proc) { p.R.Compute(10 * sim.Millisecond) })
-	e.At(sim.Millisecond, func() { s.KillReplica(1, 1) })
-	run(t, e)
-	if len(deaths) != 1 || deaths[0] != [2]int{1, 1} {
-		t.Fatalf("deaths = %v", deaths)
 	}
 }
 
@@ -394,7 +384,7 @@ func TestCollectiveAfterLowerLaneDeath(t *testing.T) {
 	bad := false
 	s.Launch("app", func(p *Proc) {
 		p.R.Compute(20 * sim.Millisecond) // death of (0,0) happens at 10ms
-		v, err := p.AllreduceScalar(mpi.OpSum, 2)
+		v, err := allreduce1(p, mpi.OpSum, 2)
 		if err != nil || v != 6 {
 			t.Errorf("allreduce after lane-0 death: lane %d logical %d: %v %v",
 				p.Lane, p.Logical, v, err)
@@ -405,25 +395,6 @@ func TestCollectiveAfterLowerLaneDeath(t *testing.T) {
 	run(t, e)
 	if bad {
 		t.Fatal("collective results wrong")
-	}
-}
-
-func TestLogicalReduce(t *testing.T) {
-	e, s := testSystem(t, 4, 2, false)
-	var rootVals []float64
-	s.Launch("app", func(p *Proc) {
-		data := []float64{float64(p.Logical + 1)}
-		if err := p.Reduce(2, mpi.OpSum, data); err != nil {
-			t.Errorf("reduce: %v", err)
-			return
-		}
-		if p.Logical == 2 {
-			rootVals = append(rootVals, data[0])
-		}
-	})
-	run(t, e)
-	if len(rootVals) != 2 || rootVals[0] != 10 || rootVals[1] != 10 {
-		t.Fatalf("root values = %v, want [10 10] (both replicas)", rootVals)
 	}
 }
 
@@ -438,7 +409,7 @@ func TestCrashMidCollective(t *testing.T) {
 			s.Launch("app", func(p *Proc) {
 				// Stagger entries so the kill lands while the tree is active.
 				p.R.Compute(sim.Time(p.Logical) * sim.Microsecond)
-				v, err := p.AllreduceScalar(mpi.OpSum, float64(p.Logical+1))
+				v, err := allreduce1(p, mpi.OpSum, float64(p.Logical+1))
 				if err != nil {
 					t.Errorf("victim=%d lane=%d: logical %d lane %d: %v",
 						victim, lane, p.Logical, p.Lane, err)
@@ -458,8 +429,9 @@ func TestCrashMidCollective(t *testing.T) {
 	}
 }
 
-// TestBcastSurvivesRootReplicaCrash kills one replica of the broadcast
-// root mid-run.
+// TestBcastSurvivesRootReplicaCrash kills one replica of logical rank 0,
+// the rank an allreduce reduces to and broadcasts from, mid-run: data only
+// the root holds must still reach every survivor.
 func TestBcastSurvivesRootReplicaCrash(t *testing.T) {
 	e, s := testSystem(t, 4, 2, true)
 	bad := false
@@ -469,8 +441,8 @@ func TestBcastSurvivesRootReplicaCrash(t *testing.T) {
 		if p.Logical == 0 {
 			data[0], data[1], data[2] = 5, 6, 7
 		}
-		if err := p.Bcast(0, data); err != nil {
-			t.Errorf("bcast: logical %d lane %d: %v", p.Logical, p.Lane, err)
+		if err := p.Allreduce(mpi.OpSum, data); err != nil {
+			t.Errorf("allreduce: logical %d lane %d: %v", p.Logical, p.Lane, err)
 			return
 		}
 		if data[0] != 5 || data[2] != 7 {
@@ -480,7 +452,7 @@ func TestBcastSurvivesRootReplicaCrash(t *testing.T) {
 	e.At(sim.Microsecond, func() { s.KillReplica(0, 0) })
 	run(t, e)
 	if bad {
-		t.Fatal("bcast data wrong after root replica crash")
+		t.Fatal("root data wrong after root replica crash")
 	}
 }
 
@@ -498,7 +470,7 @@ func TestAllreduceStreamUnderCrashProperty(t *testing.T) {
 		s.Launch("app", func(p *Proc) {
 			for i := 1; i <= 5; i++ {
 				p.R.Compute(sim.Time(p.Logical+1) * sim.Microsecond)
-				v, err := p.AllreduceScalar(mpi.OpSum, float64(i))
+				v, err := allreduce1(p, mpi.OpSum, float64(i))
 				if err != nil {
 					ok = false
 					return
@@ -518,4 +490,11 @@ func TestAllreduceStreamUnderCrashProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allreduce1 sums or folds one value across the logical ranks.
+func allreduce1(p *Proc, op mpi.ReduceOp, v float64) (float64, error) {
+	buf := []float64{v}
+	err := p.Allreduce(op, buf)
+	return buf[0], err
 }

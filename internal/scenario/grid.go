@@ -24,7 +24,7 @@ type Grid struct {
 	// Degrees is the replication-degree axis (default [2]). Native points
 	// ignore it: one native scenario per process count.
 	Degrees []int `json:"degrees,omitempty"`
-	// Nets / Machines name registered platform models ("" = paper
+	// Nets / Machines name platform models ("" = paper
 	// default). Default: one entry, the paper platform.
 	Nets     []string `json:"nets,omitempty"`
 	Machines []string `json:"machines,omitempty"`
@@ -180,7 +180,7 @@ func (g Grid) point(ent AppEntry, net, machine string, p int, mode Mode, d int,
 	return sc, nil
 }
 
-// PlatformLabel names a platform axis value for display: the registered
+// PlatformLabel names a platform axis value for display: the model's
 // name, or the default model's name when the value is empty.
 func PlatformLabel(name, def string) string {
 	if name == "" {

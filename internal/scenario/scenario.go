@@ -1,8 +1,8 @@
 // Package scenario defines the one canonical, serializable description of
 // an experiment point — application and its configuration, fault-tolerance
 // mode, problem/replication sizing, platform (interconnect and machine
-// model), intra-engine options, and fault model — plus the registries that
-// make scenarios data instead of code.
+// model), intra-engine options, and fault model — plus the app registry
+// that makes scenarios data instead of code.
 //
 // Every layer of the evaluation consumes the same type: the sweep runner
 // (experiments), Monte Carlo failure campaigns (campaign), the figure
@@ -12,8 +12,8 @@
 // memo key of the sweep runner.
 //
 // Applications self-register (RegisterApp) with a config decoder and a
-// runner factory; interconnects and machine models plug in by name via
-// simnet.Register and perf.Register.
+// runner factory; interconnects and machine models are named in the static
+// tables simnet.Nets and perf.Machines.
 package scenario
 
 import (
@@ -54,7 +54,7 @@ type Scenario struct {
 	Logical int  `json:"logical"`          // logical MPI ranks
 	Degree  int  `json:"degree,omitempty"` // replication degree (0 = default 2)
 
-	// Net / Machine select registered platform models by name
+	// Net / Machine select named platform models (simnet.Nets, perf.Machines)
 	// ("" = the paper's platform). NetConfig / MachineConfig instead spell
 	// a custom model inline; setting both the name and the inline config
 	// for one axis is an error.
@@ -206,7 +206,7 @@ func CheckMachine(m perf.Machine) error {
 }
 
 // Platform resolves the scenario's interconnect and machine models:
-// registered names, inline custom configs, or the paper's defaults.
+// named models, inline custom configs, or the paper's defaults.
 func (s Scenario) Platform() (simnet.Config, perf.Machine, error) {
 	net := simnet.InfiniBand20G
 	switch {

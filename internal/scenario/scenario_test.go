@@ -84,19 +84,6 @@ func TestRegisterAppDuplicatePanics(t *testing.T) {
 	scenario.RegisterApp(entry)
 }
 
-func TestPlatformRegistryDuplicatePanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: duplicate registration must panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("simnet", func() { simnet.Register("ib20g", simnet.Ethernet10G) })
-	mustPanic("perf", func() { perf.Register("grid5000", perf.Skylake) })
-}
-
 func smallConfig() hpccg.Config {
 	return hpccg.Config{
 		Nx: 8, Ny: 8, Nz: 8, Iters: 4, Tasks: 8,

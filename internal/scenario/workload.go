@@ -65,8 +65,8 @@ type Workload struct {
 	// Nodes is the shared cluster size.
 	Nodes int `json:"nodes"`
 
-	// Net / Machine select registered platform models by name
-	// ("" = the paper's platform), exactly as in Scenario.
+	// Net / Machine select named platform models ("" = the paper's
+	// platform), exactly as in Scenario.
 	Net     string `json:"net,omitempty"`
 	Machine string `json:"machine,omitempty"`
 
@@ -98,7 +98,7 @@ type Workload struct {
 	// Mix is the job-class distribution.
 	Mix []JobClass `json:"mix"`
 
-	// Schedulers and Policies name the registered schedulers and
+	// Schedulers and Policies name the jobstream schedulers and
 	// fault-tolerance policies to compare side by side (see sweep -list).
 	// Name resolution lives in internal/jobstream; Validate only checks
 	// shape here.

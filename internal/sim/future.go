@@ -16,7 +16,6 @@ type Future struct {
 	w0      *Proc   // first waiter: the overwhelmingly common case
 	tw      Timer   // timer waiter: completion schedules tw.Fire at now
 	waiters []*Proc // further waiters, in arrival order
-	onDone  []func(any, error)
 }
 
 // NewFuture creates an incomplete future on the engine.
@@ -67,25 +66,8 @@ func (f *Future) Complete(v any, err error) {
 		f.e.wakeAt(f.e.now, w)
 	}
 	f.waiters = nil
-	for _, fn := range f.onDone {
-		fn(v, err)
-	}
-	f.onDone = nil
 }
 
-// OnDone registers fn to run (in the completer's context) when the future
-// completes. If already complete, fn runs immediately.
-func (f *Future) OnDone(fn func(any, error)) {
-	if f.done {
-		fn(f.val, f.err)
-		return
-	}
-	f.onDone = append(f.onDone, fn)
-}
-
-// Wait blocks the calling process until the future completes and returns
-// its value and error. The reason value is rendered only in deadlock
-// reports; waiting on a single-waiter future allocates nothing.
 // NotifyTimer registers tm to be scheduled (an AtTimer at the completion
 // time) when the future completes — the state-machine counterpart of Wait:
 // completion costs exactly one scheduled event, just like waking a parked
@@ -102,6 +84,9 @@ func (f *Future) NotifyTimer(tm Timer) {
 	f.tw = tm
 }
 
+// Wait blocks the calling process until the future completes and returns
+// its value and error. The reason value is rendered only in deadlock
+// reports; waiting on a single-waiter future allocates nothing.
 func (f *Future) Wait(p *Proc, reason ParkReason) (any, error) {
 	f.checkEpoch()
 	for !f.done {

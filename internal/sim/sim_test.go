@@ -163,18 +163,6 @@ func TestFutureCompletedBeforeWait(t *testing.T) {
 	}
 }
 
-func TestFutureOnDone(t *testing.T) {
-	e := New()
-	f := e.NewFuture()
-	calls := 0
-	f.OnDone(func(v any, err error) { calls++ })
-	f.Complete(nil, nil)
-	f.OnDone(func(v any, err error) { calls++ }) // already done: immediate
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
-	}
-}
-
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	e := New()
 	f := e.NewFuture()

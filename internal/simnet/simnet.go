@@ -55,28 +55,17 @@ var Ethernet10G = Config{
 	CoresPerNode:   4,
 }
 
-// Nets names the interconnect models available as scenario platform axes.
-// Entries are added via Register; the built-in models register below.
-var Nets = map[string]Config{}
-
-// DefaultNetName is the registry name of the paper's interconnect: the
-// model a scenario selects when it omits its net.
+// DefaultNetName is the name of the paper's interconnect: the model a
+// scenario selects when it omits its net.
 const DefaultNetName = "ib20g"
 
-// Register adds a named interconnect model to the Nets registry. Names are
-// scenario-file and CLI currency, so a duplicate is a programming error and
-// panics.
-func Register(name string, cfg Config) {
-	if name == "" {
-		panic("simnet: Register with empty name")
-	}
-	if _, dup := Nets[name]; dup {
-		panic(fmt.Sprintf("simnet: net %q registered twice", name))
-	}
-	Nets[name] = cfg
+// Nets names the interconnect models available as scenario platform axes.
+var Nets = map[string]Config{
+	DefaultNetName: InfiniBand20G,
+	"eth10g":       Ethernet10G,
 }
 
-// NetNames returns the registered interconnect names, sorted.
+// NetNames returns the interconnect names, sorted.
 func NetNames() []string {
 	names := make([]string, 0, len(Nets))
 	for n := range Nets {
@@ -84,11 +73,6 @@ func NetNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register(DefaultNetName, InfiniBand20G)
-	Register("eth10g", Ethernet10G)
 }
 
 // Node is one cluster node's NIC state.

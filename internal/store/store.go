@@ -30,12 +30,14 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -190,11 +192,14 @@ func encodeLine(rec Record) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	line := make([]byte, 0, len(body)+10)
-	line = fmt.Appendf(line, "%08x\t", crc32.Checksum(body, crcTable))
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
+	return appendLine(make([]byte, 0, len(body)+10), body), nil
+}
+
+// appendLine appends the record line of body, a marshaled Record, to dst.
+func appendLine(dst, body []byte) []byte {
+	dst = fmt.Appendf(dst, "%08x\t", crc32.Checksum(body, crcTable))
+	dst = append(dst, body...)
+	return append(dst, '\n')
 }
 
 // insert adds a record to the view if absent; the caller holds mu (or is
@@ -387,27 +392,34 @@ func (s *Store) Compact() error {
 		kinds = append(kinds, kind)
 	}
 	sort.Strings(kinds)
-	var buf bytes.Buffer
-	for _, kind := range kinds {
-		keys := make([]string, 0, len(s.mem[kind]))
-		for key := range s.mem[kind] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			line, err := encodeLine(Record{Kind: kind, Key: key, Payload: s.mem[kind][key]})
-			if err != nil {
-				return fmt.Errorf("store: compact: %w", err)
-			}
-			buf.Write(line)
-		}
-	}
 	// The shard files are deleted below, so the compacted file must be
 	// durable first: its bytes synced before the rename, the rename synced
 	// into the directory. Otherwise a power loss could leave the removals
-	// on disk without the file that subsumed them.
+	// on disk without the file that subsumed them. The lines stream into
+	// the file through one reused line buffer, so compacting never holds
+	// the whole file in memory.
 	tmp := filepath.Join(s.dir, "store.jsonl.tmp")
-	if err := writeSynced(tmp, buf.Bytes()); err != nil {
+	if err := writeSynced(tmp, func(w io.Writer) error {
+		var line []byte
+		for _, kind := range kinds {
+			keys := make([]string, 0, len(s.mem[kind]))
+			for key := range s.mem[kind] {
+				keys = append(keys, key)
+			}
+			sort.Strings(keys)
+			for _, key := range keys {
+				body, err := json.Marshal(Record{Kind: kind, Key: key, Payload: s.mem[kind][key]})
+				if err != nil {
+					return err
+				}
+				line = appendLine(line[:0], body)
+				if _, err := w.Write(line); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	final := filepath.Join(s.dir, "store.jsonl")
@@ -438,22 +450,25 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// writeSynced writes data to a fresh file at name and syncs it to stable
-// storage before closing.
-func writeSynced(name string, data []byte) error {
+// writeSynced creates a fresh file at name, lets write fill it through a
+// buffer, and syncs it to stable storage before closing.
+func writeSynced(name string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	w := bufio.NewWriterSize(f, 64<<10)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncDir makes the directory's entries (a rename into it) durable.
