@@ -8,10 +8,12 @@
 # machine, so the reference shares the runner's hardware and load. Each
 # tree's test binaries are built once, then both run in 6 interleaved
 # rounds, alternating which side goes first. A round runs perfbench's
-# engine, ping-pong, allreduce and 27-point stencil micros at -benchtime
-# 0.5s, then the root BenchmarkSweepSerial (the Figure 6 panel through the
-# pooled runner) and BenchmarkFig5bHPCCG (the Figure 5b weak-scaling
-# points, HPCCG's kernels end to end) at 3x: 7 benchmarks.
+# engine, ping-pong, allreduce and 27-point stencil micros, its replayed
+# campaign trial (core.replay_trial, the recycled trial path) and its
+# clamped failure draw (fault.draw) at -benchtime 0.5s, then the root
+# BenchmarkSweepSerial (the Figure 6 panel through the pooled runner) and
+# BenchmarkFig5bHPCCG (the Figure 5b weak-scaling points, HPCCG's kernels
+# end to end) at 3x: 9 benchmarks.
 # The script fails when a benchmark's median ns/op here is more than 1/0.7
 # times the parent's: two builds of the same code differ by far less over
 # 6 rounds, so only a real regression trips it. The raw results of both
@@ -35,7 +37,7 @@ build() { # side tree
 
 run() { # side tree
 	(cd "$2/perfbench" && "$bin/$1-perfbench.test" -test.run '^$' -test.benchmem \
-		-test.bench 'Micros/(sim.event|mpi.pingpong|mpi.allreduce64|mpi.allreduce512|kernels.stencil27)$' \
+		-test.bench 'Micros/(sim.event|mpi.pingpong|mpi.allreduce64|mpi.allreduce512|kernels.stencil27|core.replay_trial|fault.draw)$' \
 		-test.benchtime 0.5s -test.timeout 10m) >>"$out/$1.txt"
 	(cd "$2" && "$bin/$1-root.test" -test.run '^$' -test.benchmem \
 		-test.bench '(SweepSerial|Fig5bHPCCG)$' -test.benchtime 3x -test.timeout 10m) >>"$out/$1.txt"
@@ -76,6 +78,6 @@ join "$bin/parent.med" "$bin/head.med" | awk '
 		n++
 	}
 	END {
-		if (n != 7) { printf "want 7 benchmarks on both sides, got %d\n", n; exit 1 }
+		if (n != 9) { printf "want 9 benchmarks on both sides, got %d\n", n; exit 1 }
 		exit bad
 	}'

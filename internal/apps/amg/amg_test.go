@@ -100,7 +100,7 @@ func TestAllModesAgree(t *testing.T) {
 					base = res[0].Residual
 					continue
 				}
-				if math.Abs(res[0].Residual-base) > 1e-9*math.Abs(base)+1e-15 {
+				if res[0].Residual != base {
 					t.Fatalf("%v residual %v != native %v", mode, res[0].Residual, base)
 				}
 			}
@@ -154,7 +154,7 @@ func TestSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank, res := range results {
-		if math.Abs(res.Residual-ref[rank].Residual) > 1e-9*math.Abs(ref[rank].Residual)+1e-15 {
+		if res.Residual != ref[rank].Residual {
 			t.Fatalf("rank %d residual after crash %v != %v", rank, res.Residual, ref[rank].Residual)
 		}
 	}

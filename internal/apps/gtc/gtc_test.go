@@ -62,7 +62,7 @@ func TestAllModesAgree(t *testing.T) {
 			base = res[0].FieldEnergy
 			continue
 		}
-		if math.Abs(res[0].FieldEnergy-base) > 1e-9*math.Abs(base)+1e-15 {
+		if res[0].FieldEnergy != base {
 			t.Fatalf("%v field energy %v != native %v", mode, res[0].FieldEnergy, base)
 		}
 	}
@@ -111,7 +111,7 @@ func TestSurvivesCrashMidPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank, res := range results {
-		if math.Abs(res.FieldEnergy-ref[rank].FieldEnergy) > 1e-9*math.Abs(ref[rank].FieldEnergy)+1e-15 {
+		if res.FieldEnergy != ref[rank].FieldEnergy {
 			t.Fatalf("rank %d energy after crash %v != %v", rank, res.FieldEnergy, ref[rank].FieldEnergy)
 		}
 	}

@@ -75,7 +75,7 @@ func TestAllModesAgreeNumerically(t *testing.T) {
 			base = res[0].Residual
 			continue
 		}
-		if math.Abs(res[0].Residual-base) > 1e-9*base+1e-15 {
+		if res[0].Residual != base {
 			t.Fatalf("%v residual %v != native %v", mode, res[0].Residual, base)
 		}
 	}
@@ -150,7 +150,7 @@ func TestSurvivesReplicaCrashMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank, res := range results {
-		if math.Abs(res.Residual-ref[rank].Residual) > 1e-9*ref[rank].Residual+1e-15 {
+		if res.Residual != ref[rank].Residual {
 			t.Fatalf("rank %d residual after crash %v != reference %v",
 				rank, res.Residual, ref[rank].Residual)
 		}
@@ -166,7 +166,7 @@ func TestIntraWaxpbySectionPath(t *testing.T) {
 	ref, _ := runMode(t, experiments.Intra, 2, cfg)
 	cfg.IntraWaxpby = true
 	got, _ := runMode(t, experiments.Intra, 2, cfg)
-	if math.Abs(got[0].Residual-ref[0].Residual) > 1e-9*ref[0].Residual {
+	if got[0].Residual != ref[0].Residual {
 		t.Fatalf("sectioned waxpby changed the math: %v vs %v",
 			got[0].Residual, ref[0].Residual)
 	}

@@ -1,7 +1,6 @@
 package minighost_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/apps/minighost"
@@ -53,7 +52,7 @@ func TestAllModesAgree(t *testing.T) {
 			base = res[0].Checksum
 			continue
 		}
-		if math.Abs(res[0].Checksum-base) > 1e-9*math.Abs(base) {
+		if res[0].Checksum != base {
 			t.Fatalf("%v checksum %v != native %v", mode, res[0].Checksum, base)
 		}
 	}
@@ -103,7 +102,7 @@ func TestSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank, res := range results {
-		if math.Abs(res.Checksum-ref[rank].Checksum) > 1e-9*math.Abs(ref[rank].Checksum) {
+		if res.Checksum != ref[rank].Checksum {
 			t.Fatalf("rank %d checksum after crash %v != %v", rank, res.Checksum, ref[rank].Checksum)
 		}
 	}

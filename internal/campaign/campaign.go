@@ -560,6 +560,7 @@ func ccrTrial(work float64, p ckptsim.Params, nodes int, mtbf, horizon sim.Time,
 	s := fault.NewStream(nodes, 1, mtbf, horizon, seed)
 	for c, ok := s.Next(); ok && r.Fail(c.Time.Seconds()); c, ok = s.Next() {
 	}
+	s.Release()
 	return r.Trial
 }
 

@@ -96,20 +96,21 @@ type intraEngine struct {
 func (en *intraEngine) mode() string { return "intra" }
 
 // NewIntra creates a Runner for one replica under intra-parallelization.
-func NewIntra(p *replication.Proc, opts Options) *R {
+func NewIntra(p *replication.Proc, opts Options) *R { return new(R).intraOn(p, opts) }
+
+func (r *R) intraOn(p *replication.Proc, opts Options) *R {
 	if opts.CostScale <= 0 {
 		opts.CostScale = 1
 	}
-	en := &intraEngine{p: p, w: p.System().World(), opts: opts}
+	en := &r.intra
+	en.p, en.w, en.opts = p, p.System().World(), opts
+	en.allLanes = en.allLanes[:0]
 	for l := 0; l < p.System().Config().Degree; l++ {
 		en.allLanes = append(en.allLanes, l)
 	}
-	return &R{
-		comm:      replComm{p: p},
-		engine:    en,
-		machine:   p.R.Machine(),
-		costScale: opts.CostScale,
-	}
+	r.comm, r.engine = replComm{p: p}, en
+	r.machine, r.costScale = p.R.Machine(), opts.CostScale
+	return r
 }
 
 // updateTag encodes (section, task, argument) into a tag on the dedicated

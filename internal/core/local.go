@@ -26,23 +26,23 @@ func (en *localEngine) runSection(r *R) error {
 // NewNative creates a Runner for an unreplicated rank: logical ranks are
 // physical ranks and sections execute entirely locally. This is the
 // "Open MPI" configuration of the evaluation.
-func NewNative(rank *mpi.Rank) *R {
-	return &R{
-		comm:      mpiComm{r: rank},
-		engine:    &localEngine{name: "native"},
-		machine:   rank.Machine(),
-		costScale: 1,
-	}
+func NewNative(rank *mpi.Rank) *R { return new(R).native(rank) }
+
+func (r *R) native(rank *mpi.Rank) *R {
+	r.local.name = "native"
+	r.comm, r.engine = mpiComm{r: rank}, &r.local
+	r.machine, r.costScale = rank.Machine(), 1
+	return r
 }
 
 // NewClassic creates a Runner for one replica under classic state-machine
 // replication: communication is replicated, and every replica executes
 // every task. This is the "SDR-MPI" configuration of the evaluation.
-func NewClassic(p *replication.Proc) *R {
-	return &R{
-		comm:      replComm{p: p},
-		engine:    &localEngine{name: "classic"},
-		machine:   p.R.Machine(),
-		costScale: 1,
-	}
+func NewClassic(p *replication.Proc) *R { return new(R).classic(p) }
+
+func (r *R) classic(p *replication.Proc) *R {
+	r.local.name = "classic"
+	r.comm, r.engine = replComm{p: p}, &r.local
+	r.machine, r.costScale = p.R.Machine(), 1
+	return r
 }

@@ -136,7 +136,10 @@ type sectionEngine interface {
 	mode() string
 }
 
-// R is the concrete Runner shared by all three engines.
+// R is the concrete Runner shared by all three engines. Its section
+// engine is one of the two it embeds, so a runner is one allocation, and
+// a recycled runner (Scratch) keeps its task records, per-argument slices
+// and the intra engine's section scratch from run to run.
 type R struct {
 	comm
 	engine    sectionEngine
@@ -148,6 +151,9 @@ type R struct {
 	secStart  sim.Time
 	defs      []taskDef
 	tasks     []*task
+	local     localEngine
+	intra     intraEngine
+	reduceBuf []float64 // AllreduceScalar's cell and replayed allreduces' buffer
 }
 
 type taskDef struct {
@@ -205,11 +211,20 @@ func (r *R) Allreduce(op mpi.ReduceOp, data []float64) error {
 // AllreduceScalar reduces a single value across all logical ranks.
 func (r *R) AllreduceScalar(op mpi.ReduceOp, v float64) (float64, error) {
 	r.rec.comm(traceAllreduce, 1, 0, 0)
-	buf := []float64{v}
+	buf := r.reduceBuffer(1)
+	buf[0] = v
 	if err := r.allreduce(op, buf); err != nil {
 		return 0, err
 	}
 	return buf[0], nil
+}
+
+// reduceBuffer returns the runner's reduction buffer at length n.
+func (r *R) reduceBuffer(n int) []float64 {
+	if n > len(r.reduceBuf) {
+		r.reduceBuf = make([]float64, n)
+	}
+	return r.reduceBuf[:n]
 }
 
 // Barrier synchronizes all logical ranks.

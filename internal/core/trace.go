@@ -302,9 +302,9 @@ func StartRecording(rt Runner) (*Trace, error) {
 // any engine (see the top of this file). The Runner-level call sequence,
 // and with it every simulated time, is identical to executing the
 // recorded application, minus message payload contents: replayed sends
-// carry empty arrays with the recorded modeled sizes, allreduces run on a
-// zeroed scratch buffer of the recorded length, and sections move no
-// data.
+// carry empty arrays with the recorded modeled sizes, allreduces run on
+// the runner's reduction buffer at the recorded length (its contents are
+// whatever the last reduction left), and sections move no data.
 //
 // On a local engine Replay returns the recording's in-app total. On the
 // intra engine, whose timing differs from the recording engine's, it
@@ -329,7 +329,6 @@ func Replay(rt Runner, ts *TraceSet) (sim.Time, error) {
 	// they merged while recording.
 	var pend sim.Time
 	charged := false
-	var scratch []float64
 	for i := range tr.ops {
 		op := &tr.ops[i]
 		switch op.kind {
@@ -356,10 +355,7 @@ func Replay(rt Runner, ts *TraceSet) (sim.Time, error) {
 		case traceRecv:
 			_, err = r.recv(op.peer, op.tag)
 		case traceAllreduce:
-			if op.peer > len(scratch) {
-				scratch = make([]float64, op.peer)
-			}
-			err = r.allreduce(mpi.OpSum, scratch[:op.peer])
+			err = r.allreduce(mpi.OpSum, r.reduceBuffer(op.peer))
 		case traceBarrier:
 			err = r.barrier()
 		case traceSection:

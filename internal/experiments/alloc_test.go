@@ -29,22 +29,24 @@ func rerunAllocs(t *testing.T, s Spec, times int) float64 {
 // TestPooledRerunAllocBudget pins the pooled-runner path: once the worker's
 // engine and scratch are warm, each additional spec rerun must reuse the
 // event nodes, goroutines, channel states and message buffers of its
-// predecessors. Every budget sits just above its spec's steady state, so
-// a pool regression (a Reclaim path dropped, a freelist bypassed, a
-// recycle path skipped) fails loudly rather than melting into GC noise:
-//   - the fault-free classic spec allocates 1,596 objects a rerun (well
-//     over 100k before engine pooling);
+// predecessors, and rebuild its rank states, replication procs (send logs
+// and sequence maps included) and runners (task records included) from
+// the worker's scratch. Every budget sits just above its spec's steady
+// state, so a pool regression (a Reclaim path dropped, a freelist
+// bypassed, a recycle path skipped) fails loudly rather than melting into
+// GC noise:
+//   - the fault-free classic spec allocates 1,109 objects a rerun, nearly
+//     all of them the application's own (well over 100k before engine
+//     pooling, 1,596 before the scratch recycled procs and runners);
 //   - the intra spec loses a replica of two of its four logical ranks
-//     mid-run, so its update traffic runs through recovery rounds: 1,800
-//     a rerun (4,142 before the intra engine recycled its update messages,
-//     requests, channels and task records);
+//     mid-run, so its update traffic runs through recovery rounds: 1,126
+//     a rerun (1,800 before);
 //   - the classic spec under the same crashes, replaying its recorded
-//     trace as crashed classic campaign trials and jobstream jobs do: 278
-//     a rerun, send logs and failover included (285 before send-log
-//     replay's requests went back to the pool);
+//     trace as crashed classic campaign trials and jobstream jobs do: 45
+//     a rerun, send logs and failover included (278 before);
 //   - the intra spec replaying the same recording, as crashed intra
 //     campaign trials do: the section protocol runs for real, recovery
-//     rounds included, without the application: 735 a rerun.
+//     rounds included, without the application: 58 a rerun (736 before).
 func TestPooledRerunAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are meaningless under the race detector")
@@ -63,10 +65,10 @@ func TestPooledRerunAllocBudget(t *testing.T) {
 		spec   Spec
 		budget float64
 	}{
-		{Spec{Name: "rerun", Mode: Classic, Logical: 4, App: HPCCG(cfg)}, 1640},
-		{intra, 1840},
-		{replayed, 290},
-		{intraReplayed, 760},
+		{Spec{Name: "rerun", Mode: Classic, Logical: 4, App: HPCCG(cfg)}, 1150},
+		{intra, 1170},
+		{replayed, 55},
+		{intraReplayed, 70},
 	}
 	const span = 6
 	for _, tc := range cases {

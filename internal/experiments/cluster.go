@@ -48,11 +48,12 @@ type ClusterConfig struct {
 	// or Reset, and Reset again before any reuse.
 	Engine *sim.Engine
 
-	// Scratch, when non-nil, is a shared mpi free-list bundle the world
-	// draws from (mpi.World.UseScratch) — the pooled runner's counterpart
-	// to Engine for the message layer. Worlds sharing a scratch must run
-	// sequentially on one goroutine.
-	Scratch *mpi.Scratch
+	// Scratch, when non-nil, is the recycled trial state the cluster's
+	// world, replication system and runners draw from (core.Scratch): the
+	// pooled runner's counterpart to Engine for the layers above it.
+	// Clusters sharing a scratch must run sequentially on one goroutine,
+	// and each hands its state back with Reclaim before the next is built.
+	Scratch *core.Scratch
 }
 
 // DefaultPlatform returns the Grid'5000-like platform of §V-B.
@@ -101,15 +102,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if e == nil {
 		e = sim.New()
 	}
+	if cfg.Scratch == nil {
+		cfg.Scratch = core.NewScratch()
+	}
 	nodes := (phys + cfg.Net.CoresPerNode - 1) / cfg.Net.CoresPerNode
 	net := simnet.New(e, cfg.Net, nodes)
-	w := mpi.NewWorld(e, net, phys, cfg.Machine, nil)
-	if cfg.Scratch != nil {
-		w.UseScratch(cfg.Scratch)
-	}
+	w := cfg.Scratch.MPI.NewWorld(e, net, phys, cfg.Machine, nil)
 	c := &Cluster{Cfg: cfg, E: e, W: w}
 	if cfg.Mode.Replicated() {
-		c.Sys = replication.New(w, replication.Config{
+		c.Sys = cfg.Scratch.Repl.New(w, replication.Config{
 			Logical: cfg.Logical,
 			Degree:  cfg.Degree,
 			SendLog: cfg.SendLog,
@@ -132,17 +133,28 @@ func (c *Cluster) Launch(program func(rt core.Runner)) {
 		// restarts are layered over the measured makespan by the campaign's
 		// ckptsim replay, never simulated inside the cluster.
 		c.W.LaunchAll("native", func(r *mpi.Rank) {
-			program(core.NewNative(r))
+			program(c.Cfg.Scratch.Native(r))
 		})
 	case Classic:
 		c.Sys.Launch("classic", func(p *replication.Proc) {
-			program(core.NewClassic(p))
+			program(c.Cfg.Scratch.Classic(p))
 		})
 	case Intra:
 		c.Sys.Launch("intra", func(p *replication.Proc) {
-			program(core.NewIntra(p, c.Cfg.IntraOpts))
+			program(c.Cfg.Scratch.Intra(p, c.Cfg.IntraOpts))
 		})
 	}
+}
+
+// Reclaim hands the cluster's runners, replication system and world back
+// to its scratch, reset, once Run has returned without error. The cluster
+// must not be used afterwards.
+func (c *Cluster) Reclaim() {
+	c.Cfg.Scratch.Reclaim()
+	if c.Sys != nil {
+		c.Sys.Reclaim()
+	}
+	c.W.Reclaim()
 }
 
 // Run drives the simulation to completion and returns the wall-clock time

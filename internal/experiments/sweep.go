@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,7 +17,6 @@ import (
 	"repro/internal/apps/minighost"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mpi"
 	"repro/internal/perf"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -122,6 +123,11 @@ type Spec struct {
 	// campaigns, explore and Populate, and jobstream's crashed replicated
 	// jobs. Their fault-free runs are the executed reference.
 	Replay *core.TraceSet
+
+	// key caches the schedule-free part of Key for the spec and its
+	// copies (SpecFor sets it); Key uses it only while the fields it was
+	// made for are unchanged.
+	key *keyTemplate
 }
 
 // Key returns the spec's canonical content fingerprint — the canonical
@@ -133,10 +139,43 @@ type Spec struct {
 // key needs): their records agree on the wall time, crashes and layout
 // but not on the diagnostics Replay leaves out. Executed specs omit the
 // flag.
+//
+// A campaign keys every trial of a point, so the key is built from a
+// template: its fields marshaled once with an empty fault fingerprint,
+// which each trial's fingerprint is spliced into.
 func (s Spec) Key() (string, error) {
 	if s.App.key == "" {
 		return "", fmt.Errorf("spec %q has no application", s.Name)
 	}
+	f := s.keyFields()
+	t := s.key
+	if t == nil || !t.fields.same(f) {
+		t = &keyTemplate{fields: f}
+	}
+	t.once.Do(t.build)
+	if t.err != nil {
+		return "", fmt.Errorf("spec %q: %w", s.Name, t.err)
+	}
+	return t.key(s.Fault.Fingerprint(), s.Replay != nil), nil
+}
+
+// keyFields is what a spec's key encodes, in key order: its content with
+// the degree and mode normalized, the fault fingerprint empty and the
+// replay flag unset.
+type keyFields struct {
+	Mode      Mode           `json:"mode"`
+	Logical   int            `json:"logical"`
+	Degree    int            `json:"degree"`
+	Inout     core.InoutMode `json:"inout"`
+	CostScale float64        `json:"cost_scale"`
+	Net       simnet.Config  `json:"net"`
+	Machine   perf.Machine   `json:"machine"`
+	Fault     string         `json:"fault"`
+	App       string         `json:"app"`
+	Replay    bool           `json:"replay,omitempty"`
+}
+
+func (s Spec) keyFields() keyFields {
 	// Normalize the degree the same way the cluster resolves it, so a
 	// degree-0 (default) spec memo-hits its spelled-out twin and native
 	// specs key identically whatever degree tag they carry.
@@ -153,23 +192,51 @@ func (s Spec) Key() (string, error) {
 	if mode == scenario.CCR {
 		mode = scenario.Native
 	}
-	k, err := json.Marshal(struct {
-		Mode      Mode           `json:"mode"`
-		Logical   int            `json:"logical"`
-		Degree    int            `json:"degree"`
-		Inout     core.InoutMode `json:"inout"`
-		CostScale float64        `json:"cost_scale"`
-		Net       simnet.Config  `json:"net"`
-		Machine   perf.Machine   `json:"machine"`
-		Fault     string         `json:"fault"`
-		App       string         `json:"app"`
-		Replay    bool           `json:"replay,omitempty"`
-	}{mode, s.Logical, degree, s.Inout, s.CostScale, s.Net, s.Machine,
-		s.Fault.Fingerprint(), s.App.key, s.Replay != nil})
+	return keyFields{Mode: mode, Logical: s.Logical, Degree: degree, Inout: s.Inout,
+		CostScale: s.CostScale, Net: s.Net, Machine: s.Machine, App: s.App.key}
+}
+
+// same reports whether two field sets encode alike: == plus the sign of
+// every float, since == equates 0 and -0, which encode apart.
+func (f keyFields) same(o keyFields) bool {
+	return f == o && f.signs() == o.signs()
+}
+
+func (f keyFields) signs() [5]bool {
+	return [5]bool{math.Signbit(f.CostScale), math.Signbit(f.Net.Bandwidth),
+		math.Signbit(f.Net.LocalBandwidth), math.Signbit(f.Machine.MemBWPerCore),
+		math.Signbit(f.Machine.FlopsPerCore)}
+}
+
+// keyTemplate is the encoding of a keyFields split around its empty
+// fault fingerprint, built on first use: copies of a spec share it, and
+// may key from several goroutines at once. A fingerprint is digits and
+// ":@;", which JSON strings carry unescaped, so splicing one in gives the
+// bytes marshaling it would, and a set replay flag, the last field,
+// marshals as `,"replay":true` before the closing brace.
+type keyTemplate struct {
+	fields         keyFields
+	once           sync.Once
+	prefix, suffix string
+	err            error
+}
+
+func (t *keyTemplate) build() {
+	b, err := json.Marshal(t.fields)
 	if err != nil {
-		return "", fmt.Errorf("spec %q: %w", s.Name, err)
+		t.err = err
+		return
 	}
-	return string(k), nil
+	const mark = `,"fault":"`
+	i := bytes.Index(b, []byte(mark)) + len(mark)
+	t.prefix, t.suffix = string(b[:i]), string(b[i:])
+}
+
+func (t *keyTemplate) key(fingerprint string, replay bool) string {
+	if !replay {
+		return t.prefix + fingerprint + t.suffix
+	}
+	return t.prefix + fingerprint + t.suffix[:len(t.suffix)-1] + `,"replay":true}`
 }
 
 // SpecFor converts a validated Scenario into a runnable sweep point: the
@@ -198,12 +265,16 @@ func SpecFor(sc scenario.Scenario) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	return Spec{
+	s := Spec{
 		Name: sc.Name, Mode: sc.Mode, Logical: sc.Logical, Degree: sc.Degree,
 		Inout: opts.Mode, CostScale: opts.CostScale,
 		Net: net, Machine: machine, App: app,
 		Fault: sc.Fault.Schedule(),
-	}, nil
+	}
+	// Every copy that changes only the name, schedule or replay keys
+	// from one template: a campaign point's trials, jobstream's jobs.
+	s.key = &keyTemplate{fields: s.keyFields()}
+	return s, nil
 }
 
 // SweepScenarios validates and runs a scenario list through the sweep
@@ -353,24 +424,27 @@ func poolSize(workers, n int) int {
 }
 
 // Worker is one ForEach goroutine's simulation state: a pooled engine and
-// an mpi scratch, created by the worker's first simulation and shut down
+// a core.Scratch, created by the worker's first simulation and shut down
 // when the fan-out returns. Consecutive specs on a worker reuse the
-// engine's event free list, its process goroutines and the message
-// layer's request/message/transfer pools instead of rebuilding them per
-// spec; a worker that simulates nothing (every point a store hit, or a
-// fan-out of ckptsim replays) creates neither.
+// engine's event free list and process goroutines, the message layer's
+// request/message/transfer pools, rank states and communicators, the
+// replication system's tables, procs and headers, and the runners with
+// their task records, instead of rebuilding them per spec; a worker that
+// simulates nothing (every point a store hit, or a fan-out of ckptsim
+// replays) creates neither.
 type Worker struct {
 	eng *sim.Engine
-	sc  *mpi.Scratch
+	sc  *core.Scratch
 }
 
-// run simulates s on the worker's engine, Reset, recording every runner's
-// trace into rec when rec is non-nil.
+// run simulates s on the worker's engine, recording every runner's trace
+// into rec when rec is non-nil. The engine is Reset after the run, so
+// between specs the worker holds nothing of the last one.
 func (w *Worker) run(s Spec, rec *core.TraceSet) (Result, error) {
 	if w.eng == nil {
-		w.eng, w.sc = sim.NewPooled(), mpi.NewScratch()
+		w.eng, w.sc = sim.NewPooled(), core.NewScratch()
 	}
-	w.eng.Reset()
+	defer w.eng.Reset()
 	return run(w.eng, w.sc, s, rec)
 }
 
@@ -500,11 +574,12 @@ func (w *Worker) RunStored(st *store.Store, key string, s Spec, record bool) (Re
 
 // run simulates one sweep point, recording every runner's trace into rec
 // when rec is non-nil; recording observes the run without changing it.
-// eng, when non-nil, is a Reset pooled engine, and sc an mpi scratch
-// shared across the worker's specs; nil runs on private ones. The
-// simulated outcome is identical either way — reuse recycles event nodes,
-// goroutines and message buffers, never state the simulation can observe.
-func run(eng *sim.Engine, sc *mpi.Scratch, s Spec, rec *core.TraceSet) (Result, error) {
+// eng, when non-nil, is a Reset pooled engine, and sc a scratch shared
+// across the worker's specs; nil runs on private ones. The simulated
+// outcome is identical either way — reuse recycles event nodes,
+// goroutines, message buffers and the world, replication and runner
+// state, all reset, never state the simulation can observe.
+func run(eng *sim.Engine, sc *core.Scratch, s Spec, rec *core.TraceSet) (Result, error) {
 	main := s.App.main
 	if s.Replay != nil {
 		main = replayMain(s.Replay)
@@ -556,10 +631,11 @@ func run(eng *sim.Engine, sc *mpi.Scratch, s Spec, rec *core.TraceSet) (Result, 
 	if _, err := c.Run(); err != nil {
 		return Result{}, err
 	}
+	phys := c.PhysProcs()
 	if sc != nil {
-		// The world dies with this call; hand its pooled inventory back to
-		// the worker's scratch so the next spec starts warm.
-		c.W.Reclaim()
+		// The cluster dies with this call; hand its state back to the
+		// worker's scratch so the next spec starts warm.
+		c.Reclaim()
 	}
 	if firstErr != nil {
 		return Result{}, firstErr
@@ -567,7 +643,7 @@ func run(eng *sim.Engine, sc *mpi.Scratch, s Spec, rec *core.TraceSet) (Result, 
 	if rec != nil && !rec.Complete() {
 		return Result{}, fmt.Errorf("spec %q: trace recording left ranks without a trace", s.Name)
 	}
-	m.finish(lastEnd, c.PhysProcs())
+	m.finish(lastEnd, phys)
 
 	degree := s.Degree
 	if degree == 0 {

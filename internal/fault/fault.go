@@ -5,11 +5,11 @@
 package fault
 
 import (
-	"fmt"
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/replication"
@@ -18,7 +18,7 @@ import (
 
 // At schedules a crash of replica (logical, lane) at virtual time t.
 func At(e *sim.Engine, sys *replication.System, logical, lane int, t sim.Time) {
-	e.At(t, func() { sys.KillReplica(logical, lane) })
+	e.AtTimer(t, &kill{Crash: Crash{Logical: logical, Lane: lane, Time: t}, sys: sys})
 }
 
 // Point identifies a protocol point inside a section (§III-B2).
@@ -99,12 +99,25 @@ type Crash struct {
 // keys by is what makes two set-equal schedules — including ones with
 // same-time crashes — genuinely interchangeable under the sweep memo.
 func (s *Schedule) Install(e *sim.Engine, sys *replication.System) {
-	crashes := append([]Crash(nil), s.Crashes...)
-	sortCrashes(crashes)
-	for _, c := range crashes {
-		At(e, sys, c.Logical, c.Lane, c.Time)
+	kills := make([]kill, len(s.Crashes))
+	for i, c := range s.Crashes {
+		kills[i] = kill{Crash: c, sys: sys}
+	}
+	slices.SortFunc(kills, func(a, b kill) int { return compareCrashes(a.Crash, b.Crash) })
+	for i := range kills {
+		e.AtTimer(kills[i].Time, &kills[i])
 	}
 }
+
+// kill is one armed crash: the typed timer Install schedules, so a
+// schedule arms all its crashes with one allocation.
+type kill struct {
+	Crash
+	sys *replication.System
+}
+
+// Fire crash-stops the replica (sim.Timer).
+func (k *kill) Fire() { k.sys.KillReplica(k.Logical, k.Lane) }
 
 // Fingerprint returns a compact content key of the schedule: two schedules
 // with equal fingerprints arm identical crashes. Crashes are canonicalized
@@ -118,26 +131,32 @@ func (s *Schedule) Fingerprint() string {
 	if s == nil || len(s.Crashes) == 0 {
 		return ""
 	}
-	crashes := append([]Crash(nil), s.Crashes...)
+	crashes := slices.Clone(s.Crashes)
 	sortCrashes(crashes)
-	var b strings.Builder
+	b := make([]byte, 0, 24*len(crashes))
 	for _, c := range crashes {
-		fmt.Fprintf(&b, "%d:%d@%d;", c.Logical, c.Lane, int64(c.Time))
+		b = strconv.AppendInt(b, int64(c.Logical), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(c.Lane), 10)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(c.Time), 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // sortCrashes orders crashes canonically by (time, logical, lane).
-func sortCrashes(cs []Crash) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Time != cs[j].Time {
-			return cs[i].Time < cs[j].Time
-		}
-		if cs[i].Logical != cs[j].Logical {
-			return cs[i].Logical < cs[j].Logical
-		}
-		return cs[i].Lane < cs[j].Lane
-	})
+func sortCrashes(cs []Crash) { slices.SortFunc(cs, compareCrashes) }
+
+// compareCrashes is the canonical (time, logical, lane) order.
+func compareCrashes(a, b Crash) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Logical, b.Logical); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Lane, b.Lane)
 }
 
 // Exponential draws a crash schedule from an exponential per-replica MTBF
@@ -173,21 +192,28 @@ type Draw struct {
 // schedule, so it must not drift accidentally.
 func ExponentialDraw(logical, degree int, mtbf, horizon sim.Time, seed int64) Draw {
 	rng := newRand(seed)
+	defer freeRand(rng)
 	d := Draw{Schedule: &Schedule{}}
-	killed := make(map[int]int) // logical -> kills so far
+	// Crashes collect on the stack and leave in one exact-size copy.
+	var buf [16]Crash
+	crashes := buf[:0]
 	for r := 0; r < logical; r++ {
+		killed := 0 // lanes of r crashed so far
 		for l := 0; l < degree; l++ {
 			t := expVariate(rng, mtbf)
 			if t >= horizon {
 				continue
 			}
-			if killed[r]+1 >= degree {
+			if killed+1 >= degree {
 				d.Suppressed++
 				continue // keep at least one replica alive
 			}
-			killed[r]++
-			d.Schedule.Crashes = append(d.Schedule.Crashes, Crash{Logical: r, Lane: l, Time: t})
+			killed++
+			crashes = append(crashes, Crash{Logical: r, Lane: l, Time: t})
 		}
+	}
+	if len(crashes) > 0 {
+		d.Schedule.Crashes = slices.Clone(crashes)
 	}
 	return d
 }
@@ -207,6 +233,7 @@ func ExponentialDraw(logical, degree int, mtbf, horizon sim.Time, seed int64) Dr
 func ExponentialDrawUnclamped(logical, degree int, mtbf, horizon sim.Time, seed int64) Draw {
 	d := Draw{Schedule: &Schedule{}}
 	s := NewStream(logical, degree, mtbf, horizon, seed)
+	defer s.Release()
 	for c, ok := s.Next(); ok; c, ok = s.Next() {
 		d.Schedule.Crashes = append(d.Schedule.Crashes, c)
 	}
@@ -230,11 +257,20 @@ type Renewal struct {
 
 // NewRenewal starts the failure process of slot (logical, lane) of the
 // trace seeded by seed: the slot's sub-stream is TrialSeed(seed, logical,
-// lane).
+// lane). Its generator is a recycled one, reseeded; Release hands it back.
 func NewRenewal(logical, lane int, mtbf sim.Time, seed int64) Renewal {
 	r := Renewal{rng: newRand(TrialSeed(seed, logical, lane)), mtbf: mtbf}
 	r.Advance()
 	return r
+}
+
+// Release returns the slot's generator for reuse; the renewal draws no
+// further failures afterwards. Releasing twice is a no-op.
+func (r *Renewal) Release() {
+	if r.rng != nil {
+		freeRand(r.rng)
+		r.rng = nil
+	}
 }
 
 // Advance consumes Next and draws the failure after it, saturating at
@@ -263,6 +299,15 @@ func NewStream(logical, degree int, mtbf, horizon sim.Time, seed int64) Stream {
 		s.slots[i] = NewRenewal(i/degree, i%degree, mtbf, seed)
 	}
 	return s
+}
+
+// Release returns every slot's generator for reuse (Renewal.Release); the
+// stream yields nothing further afterwards.
+func (s *Stream) Release() {
+	for i := range s.slots {
+		s.slots[i].Release()
+	}
+	s.slots = nil
 }
 
 // Next pulls the earliest failure not yet pulled, false once every slot's

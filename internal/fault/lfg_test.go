@@ -64,6 +64,49 @@ func TestLFGSourceMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestRecycledGeneratorMatchesFresh: a generator handed back after partial
+// use and handed out again draws exactly the stream a fresh one does.
+// newRand reseeds a pooled *rand.Rand, not only its source, so the Rand's
+// own buffered bytes (Read) must not leak into the next stream either.
+// The pool promises nothing about which generator comes back, so the used
+// generator is reseeded the way newRand reseeds one, and a draw through
+// the pool is checked as well.
+func TestRecycledGeneratorMatchesFresh(t *testing.T) {
+	pick := rand.New(rand.NewSource(9))
+	same := func(got *rand.Rand, seed int64, what string) {
+		t.Helper()
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 300; i++ {
+			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
+				t.Fatalf("%s, seed %d: ExpFloat64 #%d = %v, fresh %v", what, seed, i, g, w)
+			}
+		}
+		var g, w [5]byte
+		got.Read(g[:])
+		want.Read(w[:])
+		if g != w {
+			t.Fatalf("%s, seed %d: Read %v, fresh %v", what, seed, g, w)
+		}
+	}
+	for k := 0; k <= lfgLen+10; k += 13 {
+		used := newRand(int64(pick.Uint64()))
+		for i := 0; i < k; i++ {
+			used.ExpFloat64()
+		}
+		var b [3]byte
+		used.Read(b[:]) // leaves bytes buffered in the Rand
+		seed := int64(pick.Uint64())
+		used.Seed(seed)
+		same(used, seed, "reseeded")
+		used.Read(b[:1])
+		freeRand(used)
+		seed = int64(pick.Uint64())
+		got := newRand(seed)
+		same(got, seed, "from the pool")
+		freeRand(got)
+	}
+}
+
 // BenchmarkSeedLFG measures what a failure slot pays for its generator:
 // a seed and the twenty draws a typical ccr replay takes from it.
 func BenchmarkSeedLFG(b *testing.B) {

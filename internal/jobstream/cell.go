@@ -198,6 +198,7 @@ func runCell(p cellParams, wk *experiments.Worker) (cellWire, error) {
 		jobs:    make([]job, len(arrivals)),
 		killBuf: make([]int, maxLogical(p.classes)),
 	}
+	defer c.trace.release()
 	c.view.Nodes = p.w.Nodes
 
 	nextA, done := 0, 0

@@ -78,6 +78,14 @@ func newFailTrace(nodes int, mtbfSeconds float64, seed int64) *failTrace {
 	return ft
 }
 
+// release hands every node's generator back for reuse once the cell is
+// done with the trace.
+func (ft *failTrace) release() {
+	for i := range ft.procs {
+		ft.procs[i].Release()
+	}
+}
+
 // window returns node's failures in [from, to), ascending. The returned
 // slice aliases the trace; callers copy what they keep.
 func (ft *failTrace) window(node int, from, to float64) []float64 {

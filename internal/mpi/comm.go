@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PeerDeadError reports that a receive cannot complete because the source
@@ -15,6 +16,9 @@ func (e *PeerDeadError) Error() string { return fmt.Sprintf("mpi: peer rank %d i
 
 // IsPeerDead reports whether err is (or wraps) a PeerDeadError.
 func IsPeerDead(err error) bool {
+	if _, ok := err.(*PeerDeadError); ok {
+		return true // the common case, and errors.As allocates its target
+	}
 	var pd *PeerDeadError
 	return errors.As(err, &pd)
 }
@@ -29,12 +33,26 @@ type Comm struct {
 	pos     map[int]int // world rank -> comm rank, built on first CommRank
 }
 
-// newComm builds a communicator over world ranks (callers must pass a slice
-// they will not mutate). The reverse index is lazy: most communicators —
-// every per-trial world and replica comm of a campaign — only ever
-// translate comm ranks to world ranks, so they never pay for the map.
-func (w *World) newComm(members []int) *Comm {
+// newComm returns a communicator of n members for the caller to fill in,
+// drawn from the world's share of its scratch's communicators. The
+// reverse index is lazy: most communicators — every per-trial world and
+// replica comm of a campaign — only ever translate comm ranks to world
+// ranks, so they never pay for the map.
+func (w *World) newComm(n int) *Comm {
 	w.commSeq++
+	if w.nComms == len(w.comms) {
+		w.comms = append(w.comms, new(Comm))
+	}
+	c := w.comms[w.nComms]
+	w.nComms++
+	c.id, c.w = w.commSeq, w
+	c.members = slices.Grow(c.members[:0], n)[:n]
+	return c
+}
+
+// NewComm creates a communicator over the given world ranks. All members
+// must make collective calls on it in the same order.
+func (w *World) NewComm(members []int) *Comm {
 	for i, a := range members {
 		for _, b := range members[:i] {
 			if a == b {
@@ -42,13 +60,9 @@ func (w *World) newComm(members []int) *Comm {
 			}
 		}
 	}
-	return &Comm{id: w.commSeq, w: w, members: members}
-}
-
-// NewComm creates a communicator over the given world ranks. All members
-// must make collective calls on it in the same order.
-func (w *World) NewComm(members []int) *Comm {
-	return w.newComm(append([]int(nil), members...))
+	c := w.newComm(len(members))
+	copy(c.members, members)
+	return c
 }
 
 // Size returns the number of members.

@@ -1,7 +1,8 @@
 package mpi
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/perf"
 	"repro/internal/sim"
@@ -130,7 +131,7 @@ func (rq *Request) Msg() *Message { return rq.msg }
 func (rq *Request) Err() error { return rq.err }
 
 func sortRequests(reqs []*Request) {
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].id < reqs[j].id })
+	slices.SortFunc(reqs, func(a, b *Request) int { return cmp.Compare(a.id, b.id) })
 }
 
 // envelopeBytes models per-message protocol overhead on the wire, on top

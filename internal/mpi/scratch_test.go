@@ -25,8 +25,7 @@ func TestScratchReleasesReclaimedWorld(t *testing.T) {
 	func() {
 		e := sim.New()
 		net := simnet.New(e, simnet.InfiniBand20G, 2)
-		w := NewWorld(e, net, 2, perf.Grid5000, nil)
-		w.UseScratch(sc)
+		w := sc.NewWorld(e, net, 2, perf.Grid5000, nil)
 		// A cleanup, not a finalizer: the world lies on pointer cycles (its
 		// ranks point back at it), and Go never finalizes an object
 		// reachable from itself.

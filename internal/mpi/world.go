@@ -41,52 +41,38 @@ type World struct {
 	commSeq   int
 	reqSeq    uint64
 	world     *Comm
+	comms     []*Comm // every communicator of the world, from its scratch
+	nComms    int     // how many of comms the world has handed out
 	deathSubs []func(rank int)
 
-	// Free lists (see Scratch). A world starts with private, empty ones;
-	// UseScratch swaps in a caller-owned bundle that survives the world.
-	sc *Scratch
+	sc *Scratch // the free lists and rank states the world draws from
 }
 
-// Scratch is the bundle of free lists a world draws from: requests,
-// messages (with their payload buffers), outMsg transfer nodes
-// and single-shot channel states. By default every world owns a private
-// scratch, so independent worlds stay independent without locking. A harness
-// that builds many short-lived worlds in sequence on one goroutine — the
-// pooled sweep worker simulating one campaign trial per world — can hand
-// the same Scratch to each of them, so every trial after the first runs on
-// warm pools instead of re-allocating its steady state from nothing.
+// Scratch is what a world draws from and Reclaim hands back: the free
+// lists of requests, messages (with their payload buffers), outMsg
+// transfer nodes and single-shot channel states, plus the per-rank states
+// (each with its matching map and in-flight list) and the communicators.
+// NewWorld gives every world a private scratch, so independent worlds
+// stay independent without locking. A harness that builds many short-lived
+// worlds in sequence on one goroutine — the pooled sweep worker
+// simulating one campaign trial per world — builds each of them on the
+// same Scratch (Scratch.NewWorld), so every trial after the first runs on
+// warm pools and recycled rank states instead of re-allocating its steady
+// state from nothing.
 type Scratch struct {
 	reqFree []*Request
 	msgFree []*Message
 	omFree  []*outMsg
 	chFree  []*chanState
-	outFree [][]*outMsg // recycled per-rank in-flight lists (backing arrays)
+	doomed  []*Request // failed receives being collected after a death
+	// The rank states and communicators the next world takes whole; it
+	// uses a prefix of each and Reclaim returns them, reset.
+	ranks []*rankState
+	comms []*Comm
 }
 
-// NewScratch returns an empty free-list bundle for UseScratch.
+// NewScratch returns an empty scratch for Scratch.NewWorld.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// UseScratch makes the world draw from (and recycle into) sc instead of its
-// private free lists. Call it before Launch. The caller must ensure worlds
-// sharing a scratch never run concurrently: the pools are unlocked by
-// design, one engine drives one world at a time.
-func (w *World) UseScratch(sc *Scratch) {
-	w.sc = sc
-	// Hand recycled in-flight list backing arrays to the ranks; without
-	// this every trial re-grows 16 slices through the same append doublings.
-	for _, st := range w.ranks {
-		n := len(sc.outFree)
-		if n == 0 {
-			break
-		}
-		if st.outgoing == nil {
-			st.outgoing = sc.outFree[n-1][:0]
-			sc.outFree[n-1] = nil
-			sc.outFree = sc.outFree[:n-1]
-		}
-	}
-}
 
 type rankState struct {
 	w         *World
@@ -100,6 +86,19 @@ type rankState struct {
 	stats     Stats
 	coll      *collSM    // pooled collective state machine (lazy)
 	scalar    [1]float64 // scratch cell backing AllreduceScalar
+
+	// The launched program, the handle it runs on, and the process body
+	// that hands it over, bound once per rank state: a recycled rank state
+	// launches without allocating a closure or a Rank.
+	main  func(r *Rank)
+	rk    Rank
+	start func(p *sim.Proc)
+}
+
+// run is the rank's process body.
+func (st *rankState) run(p *sim.Proc) {
+	st.rk = Rank{st: st, p: p}
+	st.main(&st.rk)
 }
 
 // chanState is the matching state of one (src, tag, comm) channel. Keeping
@@ -264,13 +263,15 @@ func (w *World) putOutMsg(om *outMsg) {
 	w.sc.omFree = append(w.sc.omFree, om)
 }
 
-// Reclaim returns the world's recyclable steady state to its scratch once a
-// run has fully drained: delivered transfer nodes, channel states and the
-// messages and receive requests still queued unmatched. A harness that runs
-// many short-lived worlds on one shared scratch calls it right before
-// dropping the world — without it most of the pooled inventory dies with
-// the world's own structures and every trial starts cold again. The world
-// must not be used afterwards.
+// Reclaim returns the world's recyclable state to its scratch once a run
+// has fully drained: delivered transfer nodes, channel states, the
+// messages and receive requests still queued unmatched, and the rank
+// states and communicators themselves, reset. A harness that runs many
+// short-lived worlds on one shared scratch calls it right before dropping
+// the world — without it most of the pooled inventory dies with the
+// world's own structures and every trial starts cold again. Nothing the
+// scratch keeps points back at the world afterwards, so the world is
+// garbage once its caller drops it. The world must not be used afterwards.
 func (w *World) Reclaim() {
 	for _, st := range w.ranks {
 		for i, om := range st.outgoing {
@@ -282,12 +283,9 @@ func (w *World) Reclaim() {
 			w.putOutMsg(om)
 			st.outgoing[i] = nil
 		}
-		if st.outgoing != nil {
-			w.sc.outFree = append(w.sc.outFree, st.outgoing[:0])
-			st.outgoing = nil
-		}
+		st.outgoing = st.outgoing[:0]
 		st.delivered = 0
-		for key, ch := range st.chans {
+		for _, ch := range st.chans {
 			for i, m := range ch.unexpected {
 				w.putMessage(m)
 				ch.unexpected[i] = nil
@@ -300,10 +298,20 @@ func (w *World) Reclaim() {
 			ch.pending = ch.pending[:0]
 			ch.inflight = 0
 			ch.sendSeq = 0
-			delete(st.chans, key)
 			w.sc.chFree = append(w.sc.chFree, ch)
 		}
+		clear(st.chans)
+		if st.coll != nil {
+			st.coll.release()
+		}
+		st.w, st.proc, st.dead, st.stats = nil, nil, false, Stats{}
+		st.main, st.rk = nil, Rank{}
 	}
+	for _, c := range w.comms[:w.nComms] {
+		c.w, c.pos = nil, nil
+	}
+	w.sc.ranks, w.sc.comms = w.ranks[:cap(w.ranks)], w.comms
+	w.ranks, w.comms, w.nComms = nil, nil, 0
 }
 
 // Message is a delivered point-to-point message.
@@ -327,29 +335,45 @@ type Message struct {
 
 // NewWorld creates n ranks on the given network using block placement
 // (net.NodeOf) unless placement is non-nil. machine converts perf.Work to
-// virtual compute time.
+// virtual compute time. The world draws from a private scratch.
 func NewWorld(e *sim.Engine, net *simnet.Network, n int, machine perf.Machine, placement func(int) int) *World {
+	return NewScratch().NewWorld(e, net, n, machine, placement)
+}
+
+// NewWorld is the package-level NewWorld on sc: the world draws from (and
+// Reclaim recycles into) sc's free lists, and takes sc's rank states and
+// communicators until Reclaim hands them back. The caller must ensure
+// worlds sharing a scratch never run concurrently: the pools are unlocked
+// by design, one engine drives one world at a time. A world that is never
+// reclaimed keeps what it took, and the next world on sc allocates afresh.
+func (sc *Scratch) NewWorld(e *sim.Engine, net *simnet.Network, n int, machine perf.Machine, placement func(int) int) *World {
 	if placement == nil {
 		placement = net.NodeOf
 	}
-	w := &World{e: e, net: net, machine: machine, placement: placement, sc: NewScratch()}
-	w.ranks = make([]*rankState, n)
-	slab := make([]rankState, n) // one allocation for all per-rank state
-	for i := 0; i < n; i++ {
+	w := &World{e: e, net: net, machine: machine, placement: placement, sc: sc}
+	ranks := sc.ranks
+	w.comms, sc.ranks, sc.comms = sc.comms, nil, nil
+	if len(ranks) < n {
+		slab := make([]rankState, n-len(ranks)) // one allocation for the missing ranks
+		for i := range slab {
+			ranks = append(ranks, &slab[i])
+		}
+	}
+	w.ranks = ranks[:n:len(ranks)] // Reclaim returns the whole list
+	for i, st := range w.ranks {
 		node := placement(i)
 		if node < 0 || node >= net.Nodes() {
 			panic(fmt.Sprintf("mpi: rank %d placed on invalid node %d", i, node))
 		}
-		st := &slab[i]
 		st.w, st.rank, st.node = w, i, node
-		st.chans = make(map[matchKey]*chanState)
-		w.ranks[i] = st
+		if st.chans == nil {
+			st.chans = make(map[matchKey]*chanState)
+		}
 	}
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
+	w.world = w.newComm(n)
+	for i := range w.world.members {
+		w.world.members[i] = i
 	}
-	w.world = w.newComm(members)
 	e.OnKill(w.onProcKilled)
 	return w
 }
@@ -388,9 +412,11 @@ func (w *World) Launch(name string, rank int, fn func(r *Rank)) {
 	if st.proc != nil {
 		panic(fmt.Sprintf("mpi: rank %d launched twice", rank))
 	}
-	st.proc = w.e.Spawn(name, func(p *sim.Proc) {
-		fn(&Rank{st: st, p: p})
-	})
+	if st.start == nil {
+		st.start = st.run
+	}
+	st.main = fn
+	st.proc = w.e.Spawn(name, st.start)
 	st.proc.SetUserData(st)
 }
 
@@ -455,7 +481,7 @@ func (w *World) onProcKilled(p *sim.Proc) {
 // and then sorted by request id, so the wake-up order is deterministic even
 // though chans is a map.
 func (st *rankState) failRecvsFrom(src int) {
-	var doomed []*Request
+	doomed := st.w.sc.doomed[:0]
 	for key, ch := range st.chans {
 		if key.src != src || len(ch.pending) == 0 {
 			continue
@@ -472,6 +498,8 @@ func (st *rankState) failRecvsFrom(src int) {
 		rq.ch.removePending(rq)
 		rq.complete(nil, &PeerDeadError{Rank: src})
 	}
+	clear(doomed)
+	st.w.sc.doomed = doomed[:0]
 }
 
 // failDoomedRecvs re-checks pending receives on ch after in-flight
@@ -485,10 +513,12 @@ func (st *rankState) failDoomedRecvs(key matchKey, ch *chanState) {
 	if avail >= len(ch.pending) {
 		return
 	}
-	doomed := append([]*Request(nil), ch.pending[avail:]...)
+	doomed := append(st.w.sc.doomed[:0], ch.pending[avail:]...)
 	for _, rq := range doomed {
 		ch.removePending(rq)
 		rq.complete(nil, &PeerDeadError{Rank: key.src})
 	}
+	clear(doomed)
+	st.w.sc.doomed = doomed[:0]
 	st.retireSingleShot(key, ch)
 }

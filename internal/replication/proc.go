@@ -9,12 +9,20 @@ import (
 // Proc is the per-replica handle for one replica of a logical MPI process.
 // Application code written against Proc sees a logical rank space of size
 // Config.Logical; the replication machinery is transparent.
+//
+// A Proc belongs to its System's scratch and outlives the run: Reclaim
+// resets it for the system's next run, keeping the capacity of its send
+// log, log arena, sequence maps and request buffer.
 type Proc struct {
 	s       *System
 	R       *mpi.Rank // underlying physical rank (exposed for lower layers)
 	Logical int
 	Lane    int
 
+	// The sequence maps only ever hold application-tag channels
+	// (collective tags skip sequence bookkeeping entirely), so each is made
+	// on first use; a replica that exchanges nothing but collectives never
+	// materializes them. Reclaim clears them and keeps them.
 	expected  map[chanKey]uint64                  // next seq per (logical src, tag)
 	stash     map[chanKey]map[uint64]*mpi.Message // early messages (defensive)
 	sendSeq   map[chanKey]uint64                  // next seq per (logical dst, tag)
@@ -22,6 +30,43 @@ type Proc struct {
 	logArena  []float64                           // payload storage backing log entries
 	collRound int                                 // collective round counter
 	reqbuf    []*mpi.Request                      // scratch for blocking sends
+
+	// The launched program and the process body that runs it, bound once
+	// per proc, and the process name, built once per nameKey.
+	program func(p *Proc)
+	start   func(r *mpi.Rank)
+	name    string
+	named   nameKey
+}
+
+// nameKey is what a replica's process name is built from.
+type nameKey struct {
+	prefix        string
+	logical, lane int
+}
+
+// run is the replica's body: it binds the physical rank and runs the
+// launched program.
+func (p *Proc) run(r *mpi.Rank) {
+	p.R = r
+	p.s.procs[p.Logical][p.Lane] = p
+	p.program(p)
+}
+
+// reset readies the proc for its system's next run and drops every
+// pointer into the finished one: the system, the rank, the program, and
+// the logged metadata and stashed messages.
+func (p *Proc) reset() {
+	p.s, p.R, p.program = nil, nil, nil
+	clear(p.expected)
+	clear(p.stash)
+	clear(p.sendSeq)
+	clear(p.log)
+	p.log = p.log[:0]
+	p.logArena = p.logArena[:0]
+	p.collRound = 0
+	clear(p.reqbuf[:cap(p.reqbuf)])
+	p.reqbuf = p.reqbuf[:0]
 }
 
 // chanKey identifies a logical message channel.
@@ -43,13 +88,6 @@ type logEntry struct {
 type hdr struct {
 	Seq  uint64
 	User any
-}
-
-func newProc(s *System, r *mpi.Rank, logical, lane int) *Proc {
-	// The bookkeeping maps are lazy: they only ever hold application-tag
-	// channels (collective tags skip sequence bookkeeping entirely), so a
-	// replica that exchanges nothing but collectives never materializes them.
-	return &Proc{s: s, R: r, Logical: logical, Lane: lane}
 }
 
 // System returns the replication system.

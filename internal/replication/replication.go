@@ -31,6 +31,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/mpi"
@@ -46,26 +47,50 @@ type Config struct {
 // System owns the replica topology and membership.
 type System struct {
 	w          *mpi.World
+	sc         *Scratch
 	cfg        Config
-	alive      [][]bool // [logical][lane]
-	lanes      [][]int  // [logical]: alive lanes, replaced (never mutated) on a death
-	epoch      int      // incremented on every replica death
-	procs      [][]*Proc
+	alive      [][]bool    // [logical][lane]
+	lanes      [][]int     // [logical]: alive lanes, replaced (never mutated) on a death
+	epoch      int         // incremented on every replica death
+	procs      [][]*Proc   // [logical][lane], set as each replica starts
+	all        []*Proc     // every replica's proc, by physical rank
 	replComms  []*mpi.Comm // per logical rank: comm of its replicas
 	deadDrops  int64       // sends skipped because the destination replica died
 	replayMsgs int64       // messages re-sent from a send log after a crash
-	hdrFree    []*hdr
+
+	// Backing arrays of the tables above, kept across the trials of a
+	// recycled system; laneArena backs the lane lists deaths replace.
+	aliveSlab           []bool
+	laneSlab, laneArena []int
+	procPtrs            []*Proc
+	members             []int
 }
+
+// Scratch is the replication layer's recycled state, the counterpart of
+// mpi.Scratch for a harness that runs many replicated worlds in sequence
+// on one goroutine: the last system's tables, its procs (send log, log
+// arena and sequence maps cleared, capacity kept) and the header free
+// list. Scratch.New takes them and System.Reclaim hands them back.
+type Scratch struct {
+	sys     *System // the system the next New rebuilds, nil while one runs
+	procs   []*Proc // procs the next system takes whole; it uses a prefix
+	hdrFree []*hdr
+}
+
+// NewScratch returns an empty scratch for Scratch.New.
+func NewScratch() *Scratch { return &Scratch{} }
 
 // getHdr draws a replication header from the pool. Receivers return it via
 // putHdr the moment accept unwraps the message, so steady-state traffic
 // carries headers without boxing one per physical send. Headers on dropped
-// or never-received messages simply stay out of the pool.
+// or never-received messages simply stay out of the pool; each is its own
+// allocation, so a lost header retains nothing but itself.
 func (s *System) getHdr(seq uint64, user any) *hdr {
-	if n := len(s.hdrFree); n > 0 {
-		h := s.hdrFree[n-1]
-		s.hdrFree[n-1] = nil
-		s.hdrFree = s.hdrFree[:n-1]
+	sc := s.sc
+	if n := len(sc.hdrFree); n > 0 {
+		h := sc.hdrFree[n-1]
+		sc.hdrFree[n-1] = nil
+		sc.hdrFree = sc.hdrFree[:n-1]
 		h.Seq, h.User = seq, user
 		return h
 	}
@@ -74,15 +99,23 @@ func (s *System) getHdr(seq uint64, user any) *hdr {
 
 func (s *System) putHdr(h *hdr) {
 	h.User = nil
-	s.hdrFree = append(s.hdrFree, h)
+	s.sc.hdrFree = append(s.sc.hdrFree, h)
 }
 
 // New builds a replicated system over w. The world must have exactly
 // Logical*Degree ranks. Physical placement: replica (r, l) is world rank
 // l*Logical + r, which with block node placement puts the two replicas of
 // every logical rank on different nodes, as required by the paper's setup
-// (§V-B) whenever Logical is a multiple of the node width.
-func New(w *mpi.World, cfg Config) *System {
+// (§V-B) whenever Logical is a multiple of the node width. The system
+// draws from a private scratch.
+func New(w *mpi.World, cfg Config) *System { return NewScratch().New(w, cfg) }
+
+// New is the package-level New on sc: the system rebuilds sc's last
+// system's tables and procs in place, until Reclaim hands them back. A
+// system that is never reclaimed keeps them, and the next New on sc
+// allocates afresh. Systems sharing a scratch must run sequentially on one
+// goroutine, like the worlds under them.
+func (sc *Scratch) New(w *mpi.World, cfg Config) *System {
 	if cfg.Degree < 1 {
 		panic("replication: degree must be >= 1")
 	}
@@ -90,35 +123,78 @@ func New(w *mpi.World, cfg Config) *System {
 		panic(fmt.Sprintf("replication: world size %d != logical %d * degree %d",
 			w.Size(), cfg.Logical, cfg.Degree))
 	}
-	s := &System{w: w, cfg: cfg}
-	// Backing arrays for the per-logical tables are single slabs; campaigns
-	// build one System per trial, so construction cost is on the hot path.
-	s.alive = make([][]bool, cfg.Logical)
-	s.lanes = make([][]int, cfg.Logical)
-	s.procs = make([][]*Proc, cfg.Logical)
-	aliveSlab := make([]bool, cfg.Logical*cfg.Degree)
-	laneSlab := make([]int, cfg.Logical*cfg.Degree)
-	procSlab := make([]*Proc, cfg.Logical*cfg.Degree)
+	s := sc.sys
+	if s == nil {
+		s = &System{}
+	}
+	sc.sys = nil
+	s.w, s.sc, s.cfg = w, sc, cfg
+	s.epoch, s.deadDrops, s.replayMsgs = 0, 0, 0
+	n := cfg.Logical * cfg.Degree
+	s.all, sc.procs = sc.procs, nil
+	if len(s.all) < n {
+		slab := make([]Proc, n-len(s.all)) // one allocation for the missing procs
+		for i := range slab {
+			s.all = append(s.all, &slab[i])
+		}
+	}
+	s.all = s.all[:n:len(s.all)] // Reclaim returns the whole list
+	for phys, p := range s.all {
+		p.s = s
+		p.Logical, p.Lane = s.LogicalOf(phys)
+	}
+	// The per-logical tables are views of single slabs.
+	s.alive = cleared(s.alive, cfg.Logical)
+	s.lanes = cleared(s.lanes, cfg.Logical)
+	s.procs = cleared(s.procs, cfg.Logical)
+	s.replComms = cleared(s.replComms, cfg.Logical)
+	s.aliveSlab = cleared(s.aliveSlab, n)
+	s.laneSlab = cleared(s.laneSlab, n)
+	s.procPtrs = cleared(s.procPtrs, n)
+	s.members = cleared(s.members, n)
+	s.laneArena = s.laneArena[:0]
 	for r := range s.alive {
-		s.alive[r] = aliveSlab[r*cfg.Degree : (r+1)*cfg.Degree : (r+1)*cfg.Degree]
-		s.lanes[r] = laneSlab[r*cfg.Degree : (r+1)*cfg.Degree : (r+1)*cfg.Degree]
-		s.procs[r] = procSlab[r*cfg.Degree : (r+1)*cfg.Degree : (r+1)*cfg.Degree]
+		lo, hi := r*cfg.Degree, (r+1)*cfg.Degree
+		s.alive[r] = s.aliveSlab[lo:hi:hi]
+		s.lanes[r] = s.laneSlab[lo:hi:hi]
+		s.procs[r] = s.procPtrs[lo:hi:hi]
+		members := s.members[lo:hi:hi]
 		for l := range s.alive[r] {
 			s.alive[r][l] = true
 			s.lanes[r][l] = l
-		}
-	}
-	s.replComms = make([]*mpi.Comm, cfg.Logical)
-	memberSlab := make([]int, cfg.Logical*cfg.Degree)
-	for r := 0; r < cfg.Logical; r++ {
-		members := memberSlab[r*cfg.Degree : (r+1)*cfg.Degree : (r+1)*cfg.Degree]
-		for l := 0; l < cfg.Degree; l++ {
 			members[l] = s.PhysRank(r, l)
 		}
 		s.replComms[r] = w.NewComm(members)
 	}
 	w.OnDeath(s.onDeath)
 	return s
+}
+
+// cleared returns s resized to n zero elements, reusing its backing array
+// when it is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Reclaim hands the system's tables, procs and headers back to its
+// scratch once the run has drained, each proc reset and every pointer
+// into the finished run (world, ranks, communicators, programs, logged
+// metadata) dropped. Call it with the world's Reclaim; the system and its
+// procs must not be used afterwards.
+func (s *System) Reclaim() {
+	for _, p := range s.all {
+		p.reset()
+	}
+	clear(s.procPtrs)
+	clear(s.replComms)
+	sc := s.sc
+	sc.procs, sc.sys = s.all[:cap(s.all)], s
+	s.w, s.sc, s.all = nil, nil, nil
 }
 
 // World returns the underlying MPI world.
@@ -181,13 +257,15 @@ func (s *System) onDeath(phys int) {
 	}
 	inherited := s.lanes[r][0] == l
 	s.alive[r][l] = false
-	lanes := make([]int, 0, len(s.lanes[r])-1)
+	// The new list is carved from the arena, never written again: a caller
+	// ranging over the old one keeps the membership it read.
+	lo := len(s.laneArena)
 	for _, a := range s.lanes[r] {
 		if a != l {
-			lanes = append(lanes, a)
+			s.laneArena = append(s.laneArena, a)
 		}
 	}
-	s.lanes[r] = lanes
+	s.lanes[r] = slices.Clip(s.laneArena[lo:])
 	s.epoch++
 	if cover, ok := s.Cover(r, l); ok && s.cfg.SendLog {
 		if cp := s.procs[r][cover]; cp != nil {
@@ -209,14 +287,23 @@ func (s *System) ReplicaComm(r int) *mpi.Comm { return s.replComms[r] }
 func (s *System) Launch(prefix string, program func(p *Proc)) {
 	for l := 0; l < s.cfg.Degree; l++ {
 		for r := 0; r < s.cfg.Logical; r++ {
-			r, l := r, l
 			phys := s.PhysRank(r, l)
-			name := prefix + "/r" + strconv.Itoa(r) + "." + strconv.Itoa(l)
-			s.w.Launch(name, phys, func(rank *mpi.Rank) {
-				p := newProc(s, rank, r, l)
-				s.procs[r][l] = p
-				program(p)
-			})
+			p := s.all[phys]
+			p.program = program
+			if p.start == nil {
+				p.start = p.run
+			}
+			s.w.Launch(p.nameFor(prefix), phys, p.start)
 		}
 	}
+}
+
+// nameFor is the replica's process name under prefix, built once per
+// recycled proc and (prefix, logical, lane).
+func (p *Proc) nameFor(prefix string) string {
+	if p.name == "" || p.named != (nameKey{prefix, p.Logical, p.Lane}) {
+		p.name = prefix + "/r" + strconv.Itoa(p.Logical) + "." + strconv.Itoa(p.Lane)
+		p.named = nameKey{prefix, p.Logical, p.Lane}
+	}
+	return p.name
 }

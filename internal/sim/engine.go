@@ -172,6 +172,7 @@ func (e *Engine) Reset() {
 		}
 		e.recycle(ev)
 	}
+	clear(e.killHooks) // the hooks close over the finished run's world
 	e.killHooks = e.killHooks[:0]
 	for _, p := range e.procs {
 		if p.state == stateParked {
