@@ -682,13 +682,14 @@ func LogCrossover(axis []AxisSample) float64 {
 	return 0
 }
 
-// fmtCI renders a confidence half-width, with "-" for the undefined
-// (fewer-than-two-trials) case instead of a misleading 0.
-func fmtCI(ci float64) string {
-	if math.IsNaN(ci) {
+// FormatCI renders the 95% confidence half-width to prec decimals, with
+// "-" for the undefined (fewer-than-two-trials) case instead of a
+// misleading 0.
+func (s Stat) FormatCI(prec int) string {
+	if math.IsNaN(s.CI95) {
 		return "-"
 	}
-	return fmt.Sprintf("%.4f", ci)
+	return fmt.Sprintf("%.*f", prec, s.CI95)
 }
 
 // Table renders the campaign as the "efficiency vs MTBF" figure family:
@@ -712,7 +713,7 @@ func (r *Result) Table() *experiments.Table {
 			fmt.Sprintf("%.3g", s.MTBFSeconds),
 			fmt.Sprintf("%.2f", s.Crashes.MeanPerTrial),
 			fmt.Sprintf("%.3f", s.Makespan.Mean),
-			fmtCI(s.Makespan.CI95),
+			s.Makespan.FormatCI(4),
 			fmt.Sprintf("%.3f", s.Efficiency.Mean),
 			fmt.Sprintf("%.3f", s.FaultFreeEfficiency),
 			fmt.Sprintf("%.3f", s.Analytic.CCREfficiency),

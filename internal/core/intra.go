@@ -68,14 +68,13 @@ type Hooks struct {
 	AfterArgSend func(section, task, arg int)
 }
 
-// Options configures the intra engine.
+// Options configures the intra engine. Update transfers and inout copies
+// are charged at each argument's Value.ByteSize, so an application charges
+// scaled-down arrays at the modeled problem size by wrapping them in
+// Scaled.
 type Options struct {
 	Mode  InoutMode
 	Hooks Hooks
-	// CostScale multiplies the modeled size of task arguments for update
-	// transfers and inout copies, so scaled-down arrays are charged at the
-	// modeled problem size. Defaults to 1.
-	CostScale float64
 }
 
 // intraEngine implements the paper's protocol (Algorithm 1) for one
@@ -99,9 +98,6 @@ func (en *intraEngine) mode() string { return "intra" }
 func NewIntra(p *replication.Proc, opts Options) *R { return new(R).intraOn(p, opts) }
 
 func (r *R) intraOn(p *replication.Proc, opts Options) *R {
-	if opts.CostScale <= 0 {
-		opts.CostScale = 1
-	}
 	en := &r.intra
 	en.p, en.w, en.opts = p, p.System().World(), opts
 	en.allLanes = en.allLanes[:0]
@@ -109,7 +105,7 @@ func (r *R) intraOn(p *replication.Proc, opts Options) *R {
 		en.allLanes = append(en.allLanes, l)
 	}
 	r.comm, r.engine = replComm{p: p}, en
-	r.machine, r.costScale = p.R.Machine(), opts.CostScale
+	r.machine = p.R.Machine()
 	return r
 }
 
@@ -257,7 +253,7 @@ func (en *intraEngine) prepareForReceive(r *R, t *task) {
 		if tag != InOut || t.copies[ai] != nil {
 			continue
 		}
-		d := r.machine.MemcpyDuration(r.scaledBytes(t.args[ai]))
+		d := r.machine.MemcpyDuration(t.args[ai].ByteSize())
 		r.stats.CopyTime += d
 		r.rank().Compute(d)
 		t.copies[ai] = t.args[ai].Snapshot()
@@ -273,7 +269,7 @@ func (en *intraEngine) sendUpdates(r *R, rc *mpi.Comm, reqs []*mpi.Request, secI
 			continue
 		}
 		enc := t.args[ai].Encode()
-		wire := r.scaledBytes(t.args[ai])
+		wire := t.args[ai].ByteSize()
 		for _, l := range en.p.AliveLanes() {
 			if l == en.p.Lane {
 				continue
@@ -331,7 +327,7 @@ func (en *intraEngine) finishReceivedTasks(r *R) {
 				if tag == In {
 					continue
 				}
-				d := r.machine.MemcpyDuration(r.scaledBytes(t.args[ai]))
+				d := r.machine.MemcpyDuration(t.args[ai].ByteSize())
 				r.stats.CopyTime += d
 				r.rank().Compute(d)
 				t.args[ai].Apply(t.pendingD[ai].Data)

@@ -31,7 +31,7 @@ func NewNative(rank *mpi.Rank) *R { return new(R).native(rank) }
 func (r *R) native(rank *mpi.Rank) *R {
 	r.local.name = "native"
 	r.comm, r.engine = mpiComm{r: rank}, &r.local
-	r.machine, r.costScale = rank.Machine(), 1
+	r.machine = rank.Machine()
 	return r
 }
 
@@ -43,6 +43,6 @@ func NewClassic(p *replication.Proc) *R { return new(R).classic(p) }
 func (r *R) classic(p *replication.Proc) *R {
 	r.local.name = "classic"
 	r.comm, r.engine = replComm{p: p}, &r.local
-	r.machine, r.costScale = p.R.Machine(), 1
+	r.machine = p.R.Machine()
 	return r
 }

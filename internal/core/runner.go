@@ -144,8 +144,7 @@ type R struct {
 	comm
 	engine    sectionEngine
 	machine   perf.Machine
-	costScale float64 // multiplies Value sizes for update transfers and copies
-	rec       *Trace  // non-nil while recording the logical-op trace
+	rec       *Trace // non-nil while recording the logical-op trace
 	stats     Stats
 	inSection bool
 	secStart  sim.Time
@@ -333,18 +332,12 @@ func (c taskCtx) charge(d sim.Time) {
 	c.r.rank().Compute(d)
 }
 
-// scaledBytes returns a Value's modeled size under the experiment's cost
-// scale.
-func (r *R) scaledBytes(v Value) int64 {
-	return int64(float64(v.ByteSize()) * r.costScale)
-}
-
 // runTaskLocally executes a task's body after restoring inout snapshots if
 // a copy exists (Algorithm 1, execute_task lines 30-32).
 func (r *R) runTaskLocally(t *task) {
 	for i, tag := range t.def.tags {
 		if tag == InOut && t.copies[i] != nil {
-			d := r.machine.MemcpyDuration(r.scaledBytes(t.args[i]))
+			d := r.machine.MemcpyDuration(t.args[i].ByteSize())
 			r.stats.CopyTime += d
 			r.rank().Compute(d)
 			t.args[i].Restore(t.copies[i])

@@ -80,9 +80,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Logical < 1 {
 		return nil, fmt.Errorf("experiments: cluster needs at least 1 logical rank, got %d", cfg.Logical)
 	}
-	if cfg.Degree == 0 {
-		cfg.Degree = scenario.DefaultDegree
-	}
+	cfg.Degree = scenario.EffectiveDegree(cfg.Mode, cfg.Degree)
 	defNet, defMachine := DefaultPlatform()
 	if cfg.Net == (simnet.Config{}) {
 		cfg.Net = defNet
@@ -94,10 +92,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	} else if err := scenario.CheckMachine(cfg.Machine); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	phys := cfg.Logical
-	if cfg.Mode.Replicated() {
-		phys *= cfg.Degree
-	}
+	phys := cfg.Logical * cfg.Degree
 	e := cfg.Engine
 	if e == nil {
 		e = sim.New()

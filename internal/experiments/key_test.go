@@ -21,7 +21,7 @@ import (
 
 // marshaledKey is Key as one json.Marshal of every field, the
 // construction store records were addressed by before keys were built
-// from templates.
+// from templates, with the retired cost scale at its constant 0.
 func marshaledKey(t *testing.T, s Spec) string {
 	t.Helper()
 	degree := s.Degree
@@ -45,7 +45,7 @@ func marshaledKey(t *testing.T, s Spec) string {
 		Fault     string         `json:"fault"`
 		App       string         `json:"app"`
 		Replay    bool           `json:"replay,omitempty"`
-	}{mode, s.Logical, degree, s.Inout, s.CostScale, s.Net, s.Machine,
+	}{mode, s.Logical, degree, s.Inout, 0, s.Net, s.Machine,
 		marshaledFingerprint(s.Fault), s.App.key, s.Replay != nil})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,6 @@ func TestKeyMatchesMarshal(t *testing.T) {
 	apps := []App{HPCCG(smallHPCCG(2)), GTC(gtc.Config{Cells: 16, PerCell: 4, Zones: 4, Steps: 2})}
 	trace := core.NewTraceSet(1)
 	modes := []Mode{Native, Classic, Intra, CCR}
-	scales := []float64{0, math.Copysign(0, -1), 1, 2.5, 1e-9}
 	schedule := func() *fault.Schedule {
 		switch pick.Intn(3) {
 		case 0:
@@ -109,8 +108,7 @@ func TestKeyMatchesMarshal(t *testing.T) {
 		s := Spec{
 			Name: "k", Mode: modes[pick.Intn(len(modes))], Logical: 1 + pick.Intn(16),
 			Degree: pick.Intn(4), Inout: core.InoutMode(pick.Intn(2)),
-			CostScale: scales[pick.Intn(len(scales))], App: apps[pick.Intn(len(apps))],
-			Fault: schedule(),
+			App: apps[pick.Intn(len(apps))], Fault: schedule(),
 		}
 		if pick.Intn(3) > 0 {
 			s.Net = nets[pick.Intn(len(nets))]
@@ -147,7 +145,7 @@ func TestKeyMatchesMarshal(t *testing.T) {
 		check("trial copy", c)
 		// A copy changing a templated field must not key from it.
 		o := random()
-		c.Mode, c.Degree, c.Inout, c.CostScale = o.Mode, o.Degree, o.Inout, o.CostScale
+		c.Mode, c.Degree, c.Inout = o.Mode, o.Degree, o.Inout
 		if pick.Intn(2) == 0 {
 			c.Net, c.Machine, c.App, c.Logical = o.Net, o.Machine, o.App, o.Logical
 		}
@@ -156,12 +154,8 @@ func TestKeyMatchesMarshal(t *testing.T) {
 	// Every signed-zero pair, templated one way and keyed the other.
 	for _, a := range []float64{0, math.Copysign(0, -1)} {
 		for _, b := range []float64{0, math.Copysign(0, -1)} {
-			s := Spec{Mode: Classic, Logical: 2, App: apps[0], CostScale: a}
+			s := Spec{Mode: Classic, Logical: 2, App: apps[0]}
 			s.Net, s.Machine = DefaultPlatform()
-			s.key = &keyTemplate{fields: s.keyFields()}
-			s.CostScale = b
-			check("cost scale sign", s)
-			s.CostScale = 1
 			s.Net.Bandwidth, s.Machine.FlopsPerCore = a, a
 			s.key = &keyTemplate{fields: s.keyFields()}
 			s.Net.Bandwidth, s.Machine.FlopsPerCore = b, b

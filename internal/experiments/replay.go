@@ -41,7 +41,7 @@ func RecordingKey(s Spec) (string, error) { return recordingSpec(s).Key() }
 
 // recordingSpec is s's classic twin, fault-free and executed.
 func recordingSpec(s Spec) Spec {
-	s.Mode, s.Inout, s.CostScale = scenario.Classic, core.CopyRestore, 0
+	s.Mode, s.Inout = scenario.Classic, core.CopyRestore
 	s.Fault, s.Replay = nil, nil
 	return s
 }

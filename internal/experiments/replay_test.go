@@ -208,7 +208,7 @@ func runReplicas(t *testing.T, s Spec, record bool) replicaRun {
 	c, err := NewCluster(ClusterConfig{
 		Logical: s.Logical, Mode: s.Mode, Degree: s.Degree,
 		Net: s.Net, Machine: s.Machine,
-		IntraOpts: core.Options{Mode: s.Inout, CostScale: s.CostScale},
+		IntraOpts: core.Options{Mode: s.Inout},
 		SendLog:   len(s.Fault.Crashes) > 0,
 	})
 	if err != nil {

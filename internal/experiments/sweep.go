@@ -87,14 +87,12 @@ type Spec struct {
 	Mode    Mode
 	Logical int // logical MPI ranks
 	Degree  int // replication degree (0 = default 2)
-	// Inout and CostScale are the intra engine's settings, the two a
-	// scenario can express (scenario.IntraOptions); the zero values are
-	// copy-restore and a cost scale of 1.
-	Inout     core.InoutMode
-	CostScale float64
-	Net       simnet.Config
-	Machine   perf.Machine
-	App       App
+	// Inout is the intra engine's setting a scenario can express
+	// (scenario.IntraOptions); the zero value is copy-restore.
+	Inout   core.InoutMode
+	Net     simnet.Config
+	Machine perf.Machine
+	App     App
 
 	// Fault, when non-nil and non-empty, arms the crash schedule on the
 	// cluster before launch (replicated modes only). Schedules participate
@@ -167,7 +165,7 @@ type keyFields struct {
 	Logical   int            `json:"logical"`
 	Degree    int            `json:"degree"`
 	Inout     core.InoutMode `json:"inout"`
-	CostScale float64        `json:"cost_scale"`
+	CostScale int            `json:"cost_scale"` // always 0: a retired field, kept so store keys stay put
 	Net       simnet.Config  `json:"net"`
 	Machine   perf.Machine   `json:"machine"`
 	Fault     string         `json:"fault"`
@@ -179,12 +177,7 @@ func (s Spec) keyFields() keyFields {
 	// Normalize the degree the same way the cluster resolves it, so a
 	// degree-0 (default) spec memo-hits its spelled-out twin and native
 	// specs key identically whatever degree tag they carry.
-	degree := s.Degree
-	if !s.Mode.Replicated() {
-		degree = 1
-	} else if degree == 0 {
-		degree = scenario.DefaultDegree
-	}
+	degree := scenario.EffectiveDegree(s.Mode, s.Degree)
 	// A ccr point's cluster simulation IS the native run (checkpointing is
 	// replayed outside the simulator), so it keys as native and a campaign's
 	// ccr reference memo-hits its own native baseline.
@@ -193,7 +186,7 @@ func (s Spec) keyFields() keyFields {
 		mode = scenario.Native
 	}
 	return keyFields{Mode: mode, Logical: s.Logical, Degree: degree, Inout: s.Inout,
-		CostScale: s.CostScale, Net: s.Net, Machine: s.Machine, App: s.App.key}
+		Net: s.Net, Machine: s.Machine, App: s.App.key}
 }
 
 // same reports whether two field sets encode alike: == plus the sign of
@@ -202,10 +195,9 @@ func (f keyFields) same(o keyFields) bool {
 	return f == o && f.signs() == o.signs()
 }
 
-func (f keyFields) signs() [5]bool {
-	return [5]bool{math.Signbit(f.CostScale), math.Signbit(f.Net.Bandwidth),
-		math.Signbit(f.Net.LocalBandwidth), math.Signbit(f.Machine.MemBWPerCore),
-		math.Signbit(f.Machine.FlopsPerCore)}
+func (f keyFields) signs() [4]bool {
+	return [4]bool{math.Signbit(f.Net.Bandwidth), math.Signbit(f.Net.LocalBandwidth),
+		math.Signbit(f.Machine.MemBWPerCore), math.Signbit(f.Machine.FlopsPerCore)}
 }
 
 // keyTemplate is the encoding of a keyFields split around its empty
@@ -267,8 +259,7 @@ func SpecFor(sc scenario.Scenario) (Spec, error) {
 	}
 	s := Spec{
 		Name: sc.Name, Mode: sc.Mode, Logical: sc.Logical, Degree: sc.Degree,
-		Inout: opts.Mode, CostScale: opts.CostScale,
-		Net: net, Machine: machine, App: app,
+		Inout: opts.Mode, Net: net, Machine: machine, App: app,
 		Fault: sc.Fault.Schedule(),
 	}
 	// Every copy that changes only the name, schedule or replay keys
@@ -598,7 +589,7 @@ func run(eng *sim.Engine, sc *core.Scratch, s Spec, rec *core.TraceSet) (Result,
 	c, err := NewCluster(ClusterConfig{
 		Logical: s.Logical, Mode: s.Mode, Degree: s.Degree,
 		Net: s.Net, Machine: s.Machine,
-		IntraOpts: core.Options{Mode: s.Inout, CostScale: s.CostScale},
+		IntraOpts: core.Options{Mode: s.Inout},
 		SendLog:   crashes > 0,
 		Engine:    eng, Scratch: sc,
 	})
@@ -645,20 +636,13 @@ func run(eng *sim.Engine, sc *core.Scratch, s Spec, rec *core.TraceSet) (Result,
 	}
 	m.finish(lastEnd, phys)
 
-	degree := s.Degree
-	if degree == 0 {
-		degree = 2
-	}
-	if !s.Mode.Replicated() {
-		degree = 1
-	}
 	es := c.E.Stats()
 	r := Result{
 		Name:              s.Name,
 		App:               s.App.Name,
 		Mode:              s.Mode.String(),
 		Logical:           s.Logical,
-		Degree:            degree,
+		Degree:            scenario.EffectiveDegree(s.Mode, s.Degree),
 		PhysProcs:         m.PhysProcs,
 		WallSeconds:       m.Wall.Seconds(),
 		AppSeconds:        m.AppTotal.Seconds(),

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/experiments"
 )
@@ -27,8 +26,8 @@ func (r *Result) Table() *experiments.Table {
 		t.AddRow(p.Scenario, p.Mode, fmt.Sprintf("%d", p.Degree),
 			fmt.Sprintf("%.3g", p.NodeMTBFSeconds),
 			fmt.Sprintf("%d", p.Trials),
-			fmt.Sprintf("%.3f", p.Makespan.Mean), fmtCI(p.Makespan.CI95),
-			fmt.Sprintf("%.3f", p.Efficiency.Mean), fmtCI(p.Efficiency.CI95),
+			fmt.Sprintf("%.3f", p.Makespan.Mean), p.Makespan.FormatCI(4),
+			fmt.Sprintf("%.3f", p.Efficiency.Mean), p.Efficiency.FormatCI(4),
 			rel,
 			fmt.Sprintf("%.3f", p.AnalyticEff),
 		)
@@ -67,12 +66,4 @@ func (r *Result) Table() *experiments.Table {
 			ts.AnalyticTau, ts.AnalyticBestEff, ts.ReplayTau)
 	}
 	return t
-}
-
-// fmtCI renders a confidence half-width, "-" when undefined.
-func fmtCI(ci float64) string {
-	if math.IsNaN(ci) {
-		return "-"
-	}
-	return fmt.Sprintf("%.4f", ci)
 }

@@ -169,7 +169,8 @@ type cellRun struct {
 	killBuf []int     // scratch: per-rank kill counts
 }
 
-// crashEv is one node failure mapped onto a replicated job's slot grid.
+// crashEv is one replica's death, its node's first failure in the job's
+// window, mapped onto the job's slot grid.
 type crashEv struct {
 	t          float64 // relative to job start
 	rank, lane int
@@ -393,7 +394,10 @@ func (c *cellRun) execCCR(j *job, cc *classCtx) (float64, bool, error) {
 
 // execReplicated maps the job's nodes onto the (rank, lane) slot grid —
 // node index i hosts rank i%logical, lane i/logical — and walks its
-// failure events chronologically. The first instant a rank has lost all
+// failure events chronologically. A slot's first failure in the window
+// kills its replica; the node's later failures hit a dead replica, so
+// they are no events: they neither count toward the rank's lost lanes
+// nor enter the crash schedule. The first instant a rank has lost all
 // its lanes interrupts the job (replication's unsurvivable case); the
 // survivable prefix becomes a crash schedule for the cluster simulator,
 // whose measured makespan is the job's duration if it completes first.
@@ -408,9 +412,8 @@ func (c *cellRun) execReplicated(j *job, cc *classCtx) (float64, bool, error) {
 	for iter := 0; ; iter++ {
 		c.evBuf = c.evBuf[:0]
 		for idx, node := range j.nodes {
-			rank, lane := idx%logical, idx/logical
-			for _, f := range c.trace.window(node, j.start, j.start+win) {
-				c.evBuf = append(c.evBuf, crashEv{t: f - j.start, rank: rank, lane: lane})
+			if w := c.trace.window(node, j.start, j.start+win); len(w) > 0 {
+				c.evBuf = append(c.evBuf, crashEv{t: w[0] - j.start, rank: idx % logical, lane: idx / logical})
 			}
 		}
 		sort.Slice(c.evBuf, func(a, b int) bool {

@@ -25,7 +25,6 @@ package jobstream
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
@@ -248,15 +247,6 @@ func fmtStat(s campaign.Stat, prec int) string {
 	return fmt.Sprintf("%.*f", prec, s.Mean)
 }
 
-// fmtCI renders a 95% confidence half-width, "-" below two trials (the
-// campaign convention: an undefined CI95 is NaN).
-func fmtCI(s campaign.Stat, prec int) string {
-	if math.IsNaN(s.CI95) {
-		return "-"
-	}
-	return fmt.Sprintf("%.*f", prec, s.CI95)
-}
-
 // Table renders the schedulers x FT-policies comparison — the
 // beyond-the-paper figure of the jobstream subsystem.
 func (r *Result) Table(bound float64) *experiments.Table {
@@ -276,7 +266,7 @@ func (r *Result) Table(bound float64) *experiments.Table {
 			fmt.Sprintf("%g", g.RateJobsPerSec), g.Scheduler, g.Policy,
 			fmt.Sprintf("%d", g.Completed), fmt.Sprintf("%d", g.Failed),
 			fmt.Sprintf("%d/%d/%d", g.Native, g.Replicated, g.CCR),
-			fmtStat(g.Throughput, 2), fmtCI(g.Throughput, 2),
+			fmtStat(g.Throughput, 2), g.Throughput.FormatCI(2),
 			fmtStat(g.BSLD, 2), fmtStat(g.BSLDP95, 2),
 			fmtStat(g.Wait, 4), fmtStat(g.Util, 3), fmtStat(g.Goodput, 3),
 		)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -415,5 +416,62 @@ func TestRunRejectsBadNames(t *testing.T) {
 	w.Policies = []string{"nope"}
 	if _, err := Run(Config{Trials: 1}, w); err == nil {
 		t.Fatal("unknown policy must fail")
+	}
+}
+
+// TestReplicaDiesOnce: a node's first failure kills its replica, and its
+// later failures hit a dead replica. So a degree-2 job whose node fails
+// twice while its twin's node stays up completes, exactly as if the node
+// had failed once, and only the twin's failure kills the job.
+func TestReplicaDiesOnce(t *testing.T) {
+	w := testWorkload()
+	r := newMemoRunner(nil)
+	// Node i of the job hosts rank i%4, lane i/4 of the 4-rank hpccg
+	// class, so node 4 hosts node 0's twin. Failures are fractions of the
+	// job's fault-free makespan.
+	cases := []map[int][]float64{
+		{0: {0.2}},
+		{0: {0.2, 0.6}},
+		{0: {0.2, 0.6}, 4: {0.4}},
+	}
+	dur, ok := make([]float64, len(cases)), make([]bool, len(cases))
+	var ref float64
+	var err error
+	experiments.ForEach(1, 1, func(wk *experiments.Worker, _ int) {
+		var cc classCtx
+		if cc, err = buildClass(wk, w, w.Mix[0], r); err != nil {
+			return
+		}
+		ref = cc.replWall
+		for k, failures := range cases {
+			trace := &failTrace{procs: make([]fault.Renewal, 8), times: make([][]float64, 8)}
+			for node := range trace.procs {
+				trace.procs[node].Next = fault.Never // nothing beyond the listed failures
+				for _, f := range failures[node] {
+					trace.times[node] = append(trace.times[node], f*ref)
+				}
+			}
+			c := &cellRun{
+				p:  cellParams{w: w, classes: []classCtx{cc}, runner: r},
+				wk: wk, trace: trace, killBuf: make([]int, cc.class.Logical),
+			}
+			j := &job{dec: Decision{Mode: scenario.Classic, Degree: 2}, ref: ref,
+				nodes: []int{0, 1, 2, 3, 4, 5, 6, 7}}
+			if dur[k], ok[k], err = c.exec(j); err != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok[0] || !ok[1] {
+		t.Fatalf("a job whose node failed once (completed %v) or twice (completed %v) died with its twin alive", ok[0], ok[1])
+	}
+	if dur[1] != dur[0] {
+		t.Fatalf("a second failure of a dead replica's node moved the makespan: %g s, once %g s", dur[1], dur[0])
+	}
+	if ok[2] || dur[2] != 0.4*ref {
+		t.Fatalf("losing both replicas of rank 0 at %g s gave %g s, completed %v", 0.4*ref, dur[2], ok[2])
 	}
 }

@@ -98,8 +98,8 @@ func collAllocs(t *testing.T, n, rounds int, op func(r *Rank, buf []float64) err
 }
 
 // TestCollectiveAllocBudgets pins the pooled collective state machines:
-// once the scratch pools are warm, a whole barrier, broadcast or allreduce
-// must cost at most one allocation per rank per operation. The blocking
+// once the scratch pools are warm, a whole barrier or allreduce must cost
+// at most one allocation per rank per operation. The blocking
 // pre-refactor implementation spent hundreds per allreduce-64; the budget
 // keeps the event-driven rewrite honest at both ends of the size range.
 func TestCollectiveAllocBudgets(t *testing.T) {
@@ -113,8 +113,6 @@ func TestCollectiveAllocBudgets(t *testing.T) {
 	}{
 		{"barrier-8", 8, func(r *Rank, _ []float64) error { return r.Barrier(r.World()) }},
 		{"barrier-64", 64, func(r *Rank, _ []float64) error { return r.Barrier(r.World()) }},
-		{"bcast-8", 8, func(r *Rank, buf []float64) error { return r.Bcast(r.World(), 0, buf) }},
-		{"bcast-64", 64, func(r *Rank, buf []float64) error { return r.Bcast(r.World(), 0, buf) }},
 		{"allreduce-8", 8, func(r *Rank, buf []float64) error { return r.Allreduce(r.World(), OpSum, buf) }},
 		{"allreduce-64", 64, func(r *Rank, buf []float64) error { return r.Allreduce(r.World(), OpSum, buf) }},
 		{"allreduce-512", 512, func(r *Rank, buf []float64) error { return r.Allreduce(r.World(), OpSum, buf) }},

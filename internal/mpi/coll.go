@@ -19,17 +19,17 @@ type collSM struct {
 	st *rankState
 	c  *Comm
 
-	op  int // public operation code (opBarrier..opAllreduce), for park reasons
+	op  int // public operation code (opBarrier or opAllreduce), for park reasons
 	sub int // algorithm currently running (allreduce chains reduce→bcast)
 	tag int
 
-	n, me, root, vrank int
+	n, me int
 
 	phase int
 	dist  int // dissemination barrier distance
-	mask  int // binomial tree mask (bcast/reduce)
+	mask  int // binomial tree mask (reduce and bcast phases)
 
-	data []float64 // caller buffer (bcast/reduce/allreduce)
+	data []float64 // caller buffer (allreduce)
 	rop  ReduceOp
 
 	sreq, rreq *Request
@@ -64,8 +64,6 @@ func (r *Rank) startColl(c *Comm, op int) *collSM {
 	sm.n = c.Size()
 	sm.me = me
 	sm.phase = 0
-	sm.root = 0
-	sm.vrank = 0
 	sm.dist = 0
 	sm.mask = 0
 	return sm
@@ -135,15 +133,13 @@ func (sm *collSM) advance() {
 	}
 }
 
-// finish ends the current algorithm. A successful reduce inside an
-// allreduce chains into the broadcast of the result; everything else
-// completes the collective.
+// finish ends the current algorithm. A successful reduce phase chains
+// into the broadcast of the result; everything else completes the
+// collective.
 func (sm *collSM) finish(err error) bool {
-	if err == nil && sm.op == opAllreduce && sm.sub == opReduce {
+	if err == nil && sm.sub == opReduce {
 		sm.sub = opBcast
 		sm.tag = -opBcast
-		sm.root = 0
-		sm.vrank = sm.me
 		sm.mask = 0
 		sm.phase = 0
 		return false
@@ -225,15 +221,15 @@ func (sm *collSM) stepBarrier() bool {
 	}
 }
 
-// stepBcast: binomial tree rotated so the root is virtual rank 0. Non-root
-// ranks receive from their parent, then every rank forwards to its children
-// in descending mask order with a blocking send each.
+// stepBcast: binomial tree rooted at rank 0. Every other rank receives
+// from its parent, then every rank forwards to its children in descending
+// mask order with a blocking send each.
 func (sm *collSM) stepBcast() bool {
 	st := sm.st
 	for {
 		switch sm.phase {
 		case 0:
-			if sm.vrank == 0 {
+			if sm.me == 0 {
 				sm.mask = 1
 				for sm.mask < sm.n {
 					sm.mask <<= 1
@@ -242,12 +238,11 @@ func (sm *collSM) stepBcast() bool {
 				continue
 			}
 			mask := 1
-			for sm.vrank&mask == 0 {
+			for sm.me&mask == 0 {
 				mask <<= 1
 			}
 			sm.mask = mask
-			parent := (sm.vrank - mask + sm.n) % sm.n
-			sm.rreq = st.irecv(sm.c, (parent+sm.root)%sm.n, sm.tag)
+			sm.rreq = st.irecv(sm.c, sm.me-mask, sm.tag)
 			sm.phase = 1
 		case 1:
 			if sm.yield(sm.rreq) {
@@ -262,8 +257,8 @@ func (sm *collSM) stepBcast() bool {
 			if sm.mask < 1 {
 				return sm.finish(nil)
 			}
-			if child := sm.vrank + sm.mask; child < sm.n {
-				sm.sreq = st.isend(sm.c, (child+sm.root)%sm.n, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
+			if child := sm.me + sm.mask; child < sm.n {
+				sm.sreq = st.isend(sm.c, child, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
 				sm.phase = 3
 			}
 		case 3:
@@ -278,8 +273,9 @@ func (sm *collSM) stepBcast() bool {
 	}
 }
 
-// stepReduce: binomial tree. At each mask a rank either sends its partial
-// result to its parent and is done, or receives and folds a child's data.
+// stepReduce: binomial tree rooted at rank 0. At each mask a rank either
+// sends its partial result to its parent and is done, or receives and
+// folds a child's data.
 func (sm *collSM) stepReduce() bool {
 	st := sm.st
 	for {
@@ -288,14 +284,13 @@ func (sm *collSM) stepReduce() bool {
 			if sm.mask >= sm.n {
 				return sm.finish(nil)
 			}
-			if sm.vrank&sm.mask != 0 {
-				parent := sm.vrank - sm.mask
-				sm.sreq = st.isend(sm.c, (parent+sm.root)%sm.n, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
+			if sm.me&sm.mask != 0 {
+				sm.sreq = st.isend(sm.c, sm.me-sm.mask, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
 				sm.phase = 2
 				continue
 			}
-			if child := sm.vrank + sm.mask; child < sm.n {
-				sm.rreq = st.irecv(sm.c, (child+sm.root)%sm.n, sm.tag)
+			if child := sm.me + sm.mask; child < sm.n {
+				sm.rreq = st.irecv(sm.c, child, sm.tag)
 				sm.phase = 1
 				continue
 			}

@@ -37,30 +37,29 @@ func refBarrier(r *Rank, c *Comm) error {
 	return nil
 }
 
-// refBcast is the binomial-tree broadcast rotated so root is virtual rank
-// 0: receive from the parent, then send to each child in descending mask
-// order, waiting for every send.
-func refBcast(r *Rank, c *Comm, tag, root int, data []float64) error {
-	n := c.Size()
-	vrank := (r.RankIn(c) - root + n) % n
+// refBcast is the binomial-tree broadcast from rank 0: every other rank
+// receives from its parent, then every rank sends to each child in
+// descending mask order, waiting for every send.
+func refBcast(r *Rank, c *Comm, data []float64) error {
+	n, me := c.Size(), r.RankIn(c)
 	mask := 1
-	if vrank == 0 {
+	if me == 0 {
 		for mask < n {
 			mask <<= 1
 		}
 	} else {
-		for vrank&mask == 0 {
+		for me&mask == 0 {
 			mask <<= 1
 		}
-		rq := r.Irecv(c, ((vrank-mask+n)%n+root)%n, tag)
+		rq := r.Irecv(c, me-mask, -opBcast)
 		if err := r.Wait(rq); err != nil {
 			return err
 		}
 		copy(data, rq.Msg().Data)
 	}
 	for mask >>= 1; mask >= 1; mask >>= 1 {
-		if child := vrank + mask; child < n {
-			if err := r.Wait(r.Isend(c, (child+root)%n, tag, data, nil)); err != nil {
+		if child := me + mask; child < n {
+			if err := r.Wait(r.Isend(c, child, -opBcast, data, nil)); err != nil {
 				return err
 			}
 		}
@@ -68,17 +67,17 @@ func refBcast(r *Rank, c *Comm, tag, root int, data []float64) error {
 	return nil
 }
 
-// refReduce is the binomial-tree reduction: at each mask either send the
-// partial result to the parent and stop, or receive a child's and fold it.
-func refReduce(r *Rank, c *Comm, tag, root int, op ReduceOp, data []float64) error {
-	n := c.Size()
-	vrank := (r.RankIn(c) - root + n) % n
+// refReduce is the binomial-tree reduction to rank 0: at each mask either
+// send the partial result to the parent and stop, or receive a child's and
+// fold it.
+func refReduce(r *Rank, c *Comm, op ReduceOp, data []float64) error {
+	n, me := c.Size(), r.RankIn(c)
 	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			return r.Wait(r.Isend(c, (vrank-mask+root)%n, tag, data, nil))
+		if me&mask != 0 {
+			return r.Wait(r.Isend(c, me-mask, -opReduce, data, nil))
 		}
-		if child := vrank + mask; child < n {
-			rq := r.Irecv(c, (child+root)%n, tag)
+		if child := me + mask; child < n {
+			rq := r.Irecv(c, child, -opReduce)
 			if err := r.Wait(rq); err != nil {
 				return err
 			}
@@ -90,17 +89,16 @@ func refReduce(r *Rank, c *Comm, tag, root int, op ReduceOp, data []float64) err
 
 // refAllreduce reduces to rank 0, then broadcasts from it.
 func refAllreduce(r *Rank, c *Comm, op ReduceOp, data []float64) error {
-	if err := refReduce(r, c, -opReduce, 0, op, data); err != nil {
+	if err := refReduce(r, c, op, data); err != nil {
 		return err
 	}
-	return refBcast(r, c, -opBcast, 0, data)
+	return refBcast(r, c, data)
 }
 
 // collRound is one collective every rank makes, after computing for its
 // own random time.
 type collRound struct {
-	op   int // opBarrier .. opAllreduce
-	root int
+	op   int         // opBarrier or opAllreduce
 	work []sim.Time  // per rank
 	data [][]float64 // per rank
 }
@@ -142,9 +140,9 @@ var magnitudes = func() []float64 {
 func randCollCase(rng *rand.Rand) collCase {
 	cs := collCase{n: 1 + rng.Intn(33), killAt: -1}
 	for k := 1 + rng.Intn(3); k > 0; k-- {
-		rd := collRound{op: opBarrier + rng.Intn(4), root: rng.Intn(cs.n)}
-		if rd.op == opAllreduce {
-			rd.root = 0
+		rd := collRound{op: opBarrier}
+		if rng.Intn(2) == 1 {
+			rd.op = opAllreduce
 		}
 		elems := 1 + rng.Intn(8)
 		if rng.Intn(4) == 0 {
@@ -181,14 +179,6 @@ func runCollCase(t *testing.T, cs collCase, ref bool) collOutcome {
 				err = refBarrier(r, c)
 			case rd.op == opBarrier:
 				err = r.Barrier(c)
-			case rd.op == opBcast && ref:
-				err = refBcast(r, c, -opBcast, rd.root, buf)
-			case rd.op == opBcast:
-				err = r.Bcast(c, rd.root, buf)
-			case rd.op == opReduce && ref:
-				err = refReduce(r, c, -opReduce, rd.root, OpSum, buf)
-			case rd.op == opReduce:
-				err = r.Reduce(c, rd.root, OpSum, buf)
 			case ref:
 				err = refAllreduce(r, c, OpSum, buf)
 			default:
@@ -270,9 +260,9 @@ func diffCollOutcomes(sm, ref collOutcome) string {
 }
 
 // TestCollectivesMatchBlockingReference is the differential oracle for the
-// collective state machines: on random world sizes (1..33), roots,
-// payloads mixing magnitudes from 1e-10 to 1e10 (so any change of fold
-// order shows in the bits) and 1-3 back-to-back collectives separated by
+// collective state machines: on random world sizes (1..33), payloads
+// mixing magnitudes from 1e-10 to 1e10 (so any change of fold order shows
+// in the bits) and 1-3 back-to-back barriers and allreduces separated by
 // random compute, the state machines and the blocking references must
 // agree on every rank's results bit for bit, every error and return time,
 // every rank's Stats, the engine's event count and final time, and which
@@ -292,12 +282,12 @@ func TestCollectivesMatchBlockingReference(t *testing.T) {
 			t.Fatalf("case %d (n=%d): fault-free run failed: %s%v", i, cs.n, clean.runErr, clean.blocked)
 		}
 		for k, rd := range cs.rounds {
-			if rd.op != opBcast {
+			if rd.op != opAllreduce {
 				continue
 			}
 			for r := range clean.ranks {
-				if !reflect.DeepEqual(clean.ranks[r].bits[k], clean.ranks[rd.root].bits[k]) {
-					t.Fatalf("case %d round %d: rank %d did not receive root %d's broadcast", i, k, r, rd.root)
+				if !reflect.DeepEqual(clean.ranks[r].bits[k], clean.ranks[0].bits[k]) {
+					t.Fatalf("case %d round %d: rank %d's allreduce result is not rank 0's", i, k, r)
 				}
 			}
 		}

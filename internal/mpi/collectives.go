@@ -6,28 +6,12 @@ import "fmt"
 // length.
 type ReduceOp func(dst, src []float64)
 
-// Predefined reduction operators.
-var (
-	OpSum ReduceOp = func(dst, src []float64) {
-		for i, v := range src {
-			dst[i] += v
-		}
+// OpSum is the element-wise sum, the one reduction the applications use.
+var OpSum ReduceOp = func(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
 	}
-	OpMax ReduceOp = func(dst, src []float64) {
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	}
-	OpMin ReduceOp = func(dst, src []float64) {
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	}
-)
+}
 
 // Collective operation codes. Each operation uses the fixed tag -op, in the
 // negative tag space so it can never collide with user tags (which must be
@@ -36,6 +20,8 @@ var (
 // is FIFO per (source, tag, communicator) channel, so successive rounds
 // self-match — and the bounded tag space keeps the per-rank matching maps,
 // and their allocations, bounded no matter how many collectives run.
+// opBcast and opReduce are not operations of their own: they tag
+// Allreduce's two phases.
 const (
 	opBarrier = iota + 1
 	opBcast
@@ -59,40 +45,10 @@ func (r *Rank) Barrier(c *Comm) error {
 	return r.runColl(sm)
 }
 
-// Bcast broadcasts data from root to all members using a binomial tree.
-// Non-root callers pass a buffer of the correct length that is filled in.
-func (r *Rank) Bcast(c *Comm, root int, data []float64) error {
-	sm := r.startColl(c, opBcast)
-	if sm.n == 1 {
-		sm.release()
-		return nil
-	}
-	sm.root = root
-	sm.vrank = (sm.me - root + sm.n) % sm.n
-	sm.data = data
-	return r.runColl(sm)
-}
-
-// Reduce combines each member's data into root's data using op (binomial
-// tree). data is modified in place on all ranks (it is used as the local
-// accumulation buffer); only root's final value is meaningful.
-func (r *Rank) Reduce(c *Comm, root int, op ReduceOp, data []float64) error {
-	sm := r.startColl(c, opReduce)
-	if sm.n == 1 {
-		sm.release()
-		return nil
-	}
-	sm.root = root
-	sm.vrank = (sm.me - root + sm.n) % sm.n
-	sm.data = data
-	sm.rop = op
-	sm.mask = 1
-	return r.runColl(sm)
-}
-
 // Allreduce combines data across all members and leaves the result in data
-// on every member (reduce-to-0 then broadcast, chained inside one state
-// machine so the caller parks at most once).
+// on every member: a binomial-tree reduce to rank 0, then a binomial-tree
+// broadcast from it, chained inside one state machine so the caller parks
+// at most once.
 func (r *Rank) Allreduce(c *Comm, op ReduceOp, data []float64) error {
 	sm := r.startColl(c, opAllreduce)
 	if sm.n == 1 {
@@ -101,8 +57,6 @@ func (r *Rank) Allreduce(c *Comm, op ReduceOp, data []float64) error {
 	}
 	sm.sub = opReduce
 	sm.tag = -opReduce
-	sm.root = 0
-	sm.vrank = sm.me
 	sm.data = data
 	sm.rop = op
 	sm.mask = 1

@@ -257,41 +257,6 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		for _, root := range []int{0, n - 1} {
-			if root < 0 {
-				continue
-			}
-			n, root := n, root
-			t.Run(fmt.Sprintf("n=%d,root=%d", n, root), func(t *testing.T) {
-				e, w := collectiveWorld(t, n)
-				got := make([][]float64, n)
-				w.LaunchAll("p", func(r *Rank) {
-					data := make([]float64, 4)
-					if r.Rank() == root {
-						for i := range data {
-							data[i] = float64(10 + i)
-						}
-					}
-					if err := r.Bcast(r.World(), root, data); err != nil {
-						t.Errorf("bcast: %v", err)
-					}
-					got[r.Rank()] = data
-				})
-				run(t, e)
-				for i, d := range got {
-					for j, v := range d {
-						if v != float64(10+j) {
-							t.Fatalf("rank %d got %v", i, d)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 6, 8, 9} {
 		n := n
@@ -316,38 +281,32 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
+// TestAllreduceMaxMin runs Allreduce under caller-defined operators: the
+// tree applies whatever fold it is given, not only OpSum.
 func TestAllreduceMaxMin(t *testing.T) {
+	opMax := func(dst, src []float64) {
+		for i, v := range src {
+			dst[i] = math.Max(dst[i], v)
+		}
+	}
+	opMin := func(dst, src []float64) {
+		for i, v := range src {
+			dst[i] = math.Min(dst[i], v)
+		}
+	}
 	e, w := collectiveWorld(t, 5)
 	w.LaunchAll("p", func(r *Rank) {
 		v := float64(r.Rank())
-		mx, err := r.AllreduceScalar(r.World(), OpMax, v)
+		mx, err := r.AllreduceScalar(r.World(), opMax, v)
 		if err != nil || mx != 4 {
 			t.Errorf("max = %v, %v", mx, err)
 		}
-		mn, err := r.AllreduceScalar(r.World(), OpMin, v)
+		mn, err := r.AllreduceScalar(r.World(), opMin, v)
 		if err != nil || mn != 0 {
 			t.Errorf("min = %v, %v", mn, err)
 		}
 	})
 	run(t, e)
-}
-
-func TestReduce(t *testing.T) {
-	e, w := collectiveWorld(t, 6)
-	var rootVal float64
-	w.LaunchAll("p", func(r *Rank) {
-		data := []float64{1}
-		if err := r.Reduce(r.World(), 3, OpSum, data); err != nil {
-			t.Errorf("reduce: %v", err)
-		}
-		if r.Rank() == 3 {
-			rootVal = data[0]
-		}
-	})
-	run(t, e)
-	if rootVal != 6 {
-		t.Fatalf("reduce = %v, want 6", rootVal)
-	}
 }
 
 func TestSubCommunicator(t *testing.T) {

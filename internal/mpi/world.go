@@ -2,9 +2,8 @@
 // the discrete-event simulator.
 //
 // It provides ranks, communicators, tagged point-to-point messaging
-// (blocking and nonblocking, with Wait/Waitall) and the collectives Barrier,
-// Bcast, Reduce and Allreduce. It stands in for Open MPI 1.7 in the
-// original evaluation.
+// (blocking and nonblocking, with Wait/Waitall) and the collectives Barrier
+// and Allreduce. It stands in for Open MPI 1.7 in the original evaluation.
 //
 // Failure semantics are crash-stop: when a rank is killed, messages it
 // fully transmitted are still delivered, in-flight transmissions are lost,

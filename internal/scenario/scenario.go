@@ -102,8 +102,6 @@ type IntraOptions struct {
 	// Inout selects the protection against the §III-B2 true-dependence
 	// hazard: "copy" (copy-restore, the default) or "atomic".
 	Inout string `json:"inout,omitempty"`
-	// CostScale multiplies the modeled size of task arguments (0 = 1).
-	CostScale float64 `json:"cost_scale,omitempty"`
 }
 
 // CoreOptions converts the serializable options to the engine's form.
@@ -120,10 +118,6 @@ func (o *IntraOptions) CoreOptions() (core.Options, error) {
 	default:
 		return core.Options{}, fmt.Errorf("scenario: unknown inout mode %q (copy | atomic)", o.Inout)
 	}
-	if o.CostScale < 0 {
-		return core.Options{}, fmt.Errorf("scenario: negative cost scale %g", o.CostScale)
-	}
-	opts.CostScale = o.CostScale
 	return opts, nil
 }
 
@@ -266,17 +260,21 @@ func (s Scenario) AppConfig() (any, error) {
 	return cfg, nil
 }
 
-// EffectiveDegree is the replication degree the point actually runs:
-// 1 in native mode, the default 2 when Degree is zero.
-func (s Scenario) EffectiveDegree() int {
-	if !s.Mode.Replicated() {
+// EffectiveDegree is the replication degree a point of mode m and degree
+// field degree actually runs: 1 outside the replicated modes, and
+// DefaultDegree when degree is zero.
+func EffectiveDegree(m Mode, degree int) int {
+	if !m.Replicated() {
 		return 1
 	}
-	if s.Degree == 0 {
+	if degree == 0 {
 		return DefaultDegree
 	}
-	return s.Degree
+	return degree
 }
+
+// EffectiveDegree is the replication degree the point actually runs.
+func (s Scenario) EffectiveDegree() int { return EffectiveDegree(s.Mode, s.Degree) }
 
 // PhysProcs is the number of physical processes the point occupies.
 func (s Scenario) PhysProcs() int { return s.Logical * s.EffectiveDegree() }
@@ -404,11 +402,11 @@ func (s Scenario) Fingerprint() (string, error) {
 		Net       simnet.Config  `json:"net"`
 		Machine   perf.Machine   `json:"machine"`
 		Inout     core.InoutMode `json:"inout"`
-		CostScale float64        `json:"cost_scale"`
+		CostScale int            `json:"cost_scale"` // always 0: a retired field, kept so trial seeds stay put
 		Ckpt      *CkptOptions   `json:"ckpt"`
 		Fault     string         `json:"fault"`
 	}{s.App, cfg, s.Mode, s.Logical, s.EffectiveDegree(), net, machine,
-		opts.Mode, opts.CostScale, s.Ckpt.norm(), s.Fault.fingerprint()}
+		opts.Mode, 0, s.Ckpt.norm(), s.Fault.fingerprint()}
 	b, err := json.Marshal(key)
 	if err != nil {
 		return "", fmt.Errorf("scenario %q: fingerprint: %w", s.Name, err)
