@@ -49,7 +49,6 @@ func main() {
 	cfg := hpccg.Config{
 		Nx: *nx, Ny: *ny, Nz: *nz,
 		Iters: *iters, Tasks: *tasks, Scale: 1, PlaneScale: 1,
-		IntraDdot: true, IntraSparsemv: true,
 	}
 	logical := *procs
 	if mode.Replicated() {

@@ -44,9 +44,9 @@ type Config struct {
 	SetupFactor float64 // AMG setup cost, in operator-sweep equivalents per level
 	//            (coarsening, interpolation and RAP triple products; a large
 	//            non-sectionable fraction of real AMG2013 runs)
-	Scale       float64 // virtual-cost multiplier (volume)
-	PlaneScale  float64 // wire-size multiplier for halo planes
-	IntraSweeps bool    // run stencil sweeps as intra-parallel sections
+	Scale       float64          // virtual-cost multiplier (volume)
+	PlaneScale  float64          // wire-size multiplier for halo planes
+	IntraSweeps apputil.AlwaysOn // stencil sweeps always run as intra-parallel sections
 }
 
 // DefaultConfig returns a small PCG test configuration.
@@ -56,7 +56,6 @@ func DefaultConfig() Config {
 		Levels: 2, Solver: PCG, Points: 27,
 		Iters: 8, Restart: 5, CoarseIters: 4,
 		Tasks: 8, SetupFactor: 2, Scale: 1, PlaneScale: 1,
-		IntraSweeps: true,
 	}
 }
 
@@ -179,15 +178,10 @@ func (a *app) exchangeHalo(lvl int, s *kernels.Slab) error {
 }
 
 // applyStencil computes out = A(in) over the whole level as an
-// intra-parallel section of z-block tasks (or replicated compute when
-// sections are disabled). Halos of `in` must be current.
+// intra-parallel section of z-block tasks. Halos of `in` must be current.
 func (a *app) applyStencil(lvl *level, in, out *kernels.Slab, name string) error {
 	var err error
 	a.clock.Track(name, func() {
-		if !a.cfg.IntraSweeps {
-			a.rt.Compute(a.rawStencil(in, out, 0, lvl.nz).Scale(a.cfg.Scale))
-			return
-		}
 		nTasks := a.cfg.Tasks
 		if nTasks > lvl.nz {
 			nTasks = lvl.nz

@@ -18,7 +18,6 @@ func PaperPCGConfig() Config {
 		Levels: 2, Solver: PCG, Points: 27,
 		Iters: 6, CoarseIters: 4, Tasks: 8, SetupFactor: 12,
 		Scale: k * k * k, PlaneScale: k * k,
-		IntraSweeps: true,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/kernels"
-	"repro/internal/mpi"
 )
 
 const omega = 0.7 // damped-Jacobi relaxation weight
@@ -20,7 +19,7 @@ func (a *app) dot(u, v *kernels.Slab) (float64, error) {
 		local = s
 		a.rt.Compute(w.Scale(a.cfg.Scale))
 	})
-	return a.rt.AllreduceScalar(mpi.OpSum, local)
+	return a.rt.AllreduceScalar(local)
 }
 
 // axpy computes y += alpha*x over slab interiors.

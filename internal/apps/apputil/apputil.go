@@ -2,6 +2,7 @@
 package apputil
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -14,6 +15,30 @@ import (
 // every figure run under a second of real time while preserving time
 // ratios.
 const SizeDivisor = 8
+
+// AlwaysOn is the type of a per-kernel intra switch that is always on: the
+// kernel it names always runs as an intra-parallel section. The field
+// stays in its app's config so every encoding of that config keeps its
+// bytes (AppFingerprint, and with it store keys and campaign seeds, and
+// the checked-in scenario files): it encodes as true, as the bool it
+// replaced always did, and decodes only true, so a config asking to turn
+// the section off is an error rather than silently ignored.
+type AlwaysOn struct{}
+
+// MarshalJSON encodes the switch as true. Every call returns one shared
+// literal (encoding/json copies it and never writes it), so encoding a
+// config allocates nothing per switch.
+func (AlwaysOn) MarshalJSON() ([]byte, error) { return trueJSON, nil }
+
+var trueJSON = []byte("true")
+
+// UnmarshalJSON accepts true and rejects anything else.
+func (*AlwaysOn) UnmarshalJSON(b []byte) error {
+	if string(b) != "true" {
+		return fmt.Errorf("apputil: intra switch set to %s: the section is always on", b)
+	}
+	return nil
+}
 
 // KernelTime is the accumulated wall time of one kernel, with the portion
 // spent waiting on update transfers after local tasks finished (the dashed

@@ -16,7 +16,6 @@ import (
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mpi"
 	"repro/internal/perf"
 	"repro/internal/sim"
 )
@@ -33,10 +32,11 @@ type Config struct {
 	AuxBytes  float64 // per-particle memory traffic of the non-sectioned phases
 	//          (poloidal field solve, smoothing, diagnostics; GTC spends
 	//          ~25% of its time there, §V-D)
-	// Intra-parallelize the two main kernels (the paper applies it to both
-	// charge and push, which account for ~75% of runtime).
-	IntraCharge bool
-	IntraPush   bool
+	// The two main kernels always run as intra-parallel sections (the
+	// paper parallelizes both charge and push, which account for ~75% of
+	// runtime); their switches are constant (apputil.AlwaysOn).
+	IntraCharge apputil.AlwaysOn
+	IntraPush   apputil.AlwaysOn
 }
 
 // DefaultConfig returns a small test configuration.
@@ -44,7 +44,6 @@ func DefaultConfig() Config {
 	return Config{
 		Cells: 64, PerCell: 16, Zones: 8,
 		Steps: 4, Dt: 0.05, Scale: 1, ShiftFrac: 0.05, AuxBytes: 40,
-		IntraCharge: true, IntraPush: true,
 	}
 }
 
@@ -133,7 +132,7 @@ func Run(rt core.Runner, cfg Config) (*Result, error) {
 		wz, _ := kernels.TotalWeight(z.W)
 		weight += wz
 	}
-	total, err := rt.AllreduceScalar(mpi.OpSum, weight)
+	total, err := rt.AllreduceScalar(weight)
 	if err != nil {
 		return nil, err
 	}
@@ -155,15 +154,6 @@ func Run(rt core.Runner, cfg Config) (*Result, error) {
 func (a *app) charge() error {
 	var err error
 	a.clock.Track("charge", func() {
-		if !a.cfg.IntraCharge {
-			for z, ps := range a.zones {
-				lo, hi := int(a.zoneC0[z]), int(a.zoneC1[z])
-				w := kernels.ChargeDeposit(ps.Psi, ps.W, a.rho[lo:hi], a.zoneC0[z])
-				a.rt.Compute(w.Scale(a.cfg.Scale))
-				_ = hi
-			}
-			return
-		}
 		a.rt.SectionBegin()
 		id := a.rt.TaskRegister(func(c core.Ctx, args []core.Value) {
 			z := int(*args[1].(core.Scalar).P)
@@ -193,7 +183,7 @@ func (a *app) fieldSolve() error {
 		for _, v := range a.rho {
 			mean += v
 		}
-		mean, err = a.rt.AllreduceScalar(mpi.OpSum, mean)
+		mean, err = a.rt.AllreduceScalar(mean)
 		if err != nil {
 			return
 		}
@@ -227,13 +217,6 @@ func (a *app) fieldSolve() error {
 func (a *app) push() error {
 	var err error
 	a.clock.Track("push", func() {
-		if !a.cfg.IntraPush {
-			for z, ps := range a.zones {
-				w := kernels.Push(ps.Psi, ps.Vpar, a.phiZone(z), a.zoneC0[z], a.zoneC1[z], a.cfg.Dt)
-				a.rt.Compute(w.Scale(a.cfg.Scale))
-			}
-			return
-		}
 		a.rt.SectionBegin()
 		id := a.rt.TaskRegister(func(c core.Ctx, args []core.Value) {
 			z := int(*args[2].(core.Scalar).P)

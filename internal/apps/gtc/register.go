@@ -15,7 +15,6 @@ func PaperConfig() Config {
 	return Config{
 		Cells: 64, PerCell: 25, Zones: 8,
 		Steps: 6, Dt: 0.02, Scale: 64, ShiftFrac: 0.05, AuxBytes: 180,
-		IntraCharge: true, IntraPush: true,
 	}
 }
 

@@ -20,8 +20,6 @@ import (
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mpi"
-	"repro/internal/perf"
 	"repro/internal/sim"
 )
 
@@ -32,21 +30,22 @@ type Config struct {
 	Tasks      int     // tasks per intra-parallel section (paper: 8)
 	Scale      float64 // virtual-cost multiplier (paper volume / actual volume)
 	PlaneScale float64 // wire-size multiplier for halo planes (paper plane / actual plane)
-	// Which kernels run as intra-parallel sections. Under the native and
-	// classic engines, sections execute locally, so these switches only
-	// change where the work is accounted.
-	IntraDdot     bool
-	IntraSparsemv bool
+	// ddot and sparsemv always run as intra-parallel sections; their
+	// switches are constant (apputil.AlwaysOn). IntraWaxpby sections
+	// waxpby too (Figures 5a and 5b toggle it). Under the native and
+	// classic engines sections execute locally, so it only changes where
+	// the work is accounted.
+	IntraDdot     apputil.AlwaysOn
+	IntraSparsemv apputil.AlwaysOn
 	IntraWaxpby   bool
 }
 
-// DefaultConfig returns a small, fast configuration with all kernels
-// sectioned.
+// DefaultConfig returns a small, fast configuration with ddot and
+// sparsemv sectioned.
 func DefaultConfig() Config {
 	return Config{
 		Nx: 16, Ny: 16, Nz: 16,
 		Iters: 10, Tasks: 8, Scale: 1,
-		IntraDdot: true, IntraSparsemv: true, IntraWaxpby: false,
 	}
 }
 
@@ -182,18 +181,12 @@ func (s *solver) exchangeHalo(v []float64) error {
 }
 
 // ddot computes the global dot product of a and b: the local part is an
-// intra-parallel section (when enabled); the reduction stays outside the
-// section, as in the paper (footnote 6).
+// intra-parallel section; the reduction stays outside the section, as in
+// the paper (footnote 6).
 func (s *solver) ddot(a, b []float64) (float64, error) {
 	var local float64
 	var err error
 	s.clock.Track("ddot", func() {
-		if !s.cfg.IntraDdot {
-			var w perf.Work
-			local, w = kernels.Ddot(a, b)
-			s.rt.Compute(w.Scale(s.cfg.Scale))
-			return
-		}
 		parts := make([]float64, s.cfg.Tasks)
 		s.rt.SectionBegin()
 		id := s.rt.TaskRegister(func(c core.Ctx, args []core.Value) {
@@ -220,7 +213,7 @@ func (s *solver) ddot(a, b []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.rt.AllreduceScalar(mpi.OpSum, local)
+	return s.rt.AllreduceScalar(local)
 }
 
 // sparsemv computes y = A*x as an intra-parallel section over row blocks,
@@ -228,10 +221,6 @@ func (s *solver) ddot(a, b []float64) (float64, error) {
 func (s *solver) sparsemv(x, y []float64) error {
 	var err error
 	s.clock.Track("sparsemv", func() {
-		if !s.cfg.IntraSparsemv {
-			s.rt.Compute(s.op.MulVec(x, y).Scale(s.cfg.Scale))
-			return
-		}
 		s.rt.SectionBegin()
 		id := s.rt.TaskRegister(func(c core.Ctx, args []core.Value) {
 			lo := int(*args[1].(core.Scalar).P)

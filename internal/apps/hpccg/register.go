@@ -19,7 +19,7 @@ func PaperConfig(replicated bool, iters int, intraWaxpby bool) Config {
 		Nx: 128 / div, Ny: 128 / div, Nz: 128 / div,
 		Iters: iters, Tasks: 8,
 		Scale: k * k * k, PlaneScale: k * k,
-		IntraDdot: true, IntraSparsemv: true, IntraWaxpby: intraWaxpby,
+		IntraWaxpby: intraWaxpby,
 	}
 	if replicated {
 		cfg.Nz *= 2 // per-logical problem size doubles (§V-C)

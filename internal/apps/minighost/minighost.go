@@ -13,20 +13,19 @@ import (
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
 // Config parameterizes a MiniGhost run.
 type Config struct {
-	Nx, Ny, Nz int     // local grid dimensions (z-decomposed globally)
-	Steps      int     // time steps
-	Vars       int     // number of grid variables
-	ReduceVars int     // variables summed (checksummed) each step
-	Tasks      int     // tasks per intra-parallel section
-	Scale      float64 // virtual-cost multiplier (volume)
-	PlaneScale float64 // wire-size multiplier for halo planes
-	IntraGsum  bool    // run grid summations as intra-parallel sections
+	Nx, Ny, Nz int              // local grid dimensions (z-decomposed globally)
+	Steps      int              // time steps
+	Vars       int              // number of grid variables
+	ReduceVars int              // variables summed (checksummed) each step
+	Tasks      int              // tasks per intra-parallel section
+	Scale      float64          // virtual-cost multiplier (volume)
+	PlaneScale float64          // wire-size multiplier for halo planes
+	IntraGsum  apputil.AlwaysOn // grid summations always run as intra-parallel sections
 }
 
 // DefaultConfig returns a small test configuration.
@@ -35,7 +34,6 @@ func DefaultConfig() Config {
 		Nx: 8, Ny: 8, Nz: 8,
 		Steps: 4, Vars: 4, ReduceVars: 4,
 		Tasks: 8, Scale: 1, PlaneScale: 1,
-		IntraGsum: true,
 	}
 }
 
@@ -138,13 +136,6 @@ func (a *app) gsum(s *kernels.Slab) (float64, error) {
 	var err error
 	a.clock.Track("gsum", func() {
 		interior := s.Interior()
-		if !a.cfg.IntraGsum {
-			var w = kernels.SumWork(len(interior))
-			v, _ := kernels.Sum(interior)
-			local = v
-			a.rt.Compute(w.Scale(a.cfg.Scale))
-			return
-		}
 		parts := make([]float64, a.cfg.Tasks)
 		bounds := make([]float64, 2*a.cfg.Tasks)
 		a.rt.SectionBegin()
@@ -171,5 +162,5 @@ func (a *app) gsum(s *kernels.Slab) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return a.rt.AllreduceScalar(mpi.OpSum, local)
+	return a.rt.AllreduceScalar(local)
 }

@@ -18,7 +18,6 @@ func PaperConfig() Config {
 		Nx: 128 / div, Ny: 128 / div, Nz: 64 / div,
 		Steps: 6, Vars: 4, ReduceVars: 4, Tasks: 8,
 		Scale: k * k * k, PlaneScale: k * k,
-		IntraGsum: true,
 	}
 }
 

@@ -279,7 +279,6 @@ func verifyScenarios() []campaign.Scenario {
 			Config: scenario.MustRaw(hpccg.Config{
 				Nx: 8, Ny: 8, Nz: 8, Iters: 2, Tasks: 8,
 				Scale: 64, PlaneScale: 16,
-				IntraDdot: true, IntraSparsemv: true,
 			}),
 			Mode: scenario.Intra, Logical: 2,
 		},

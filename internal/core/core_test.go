@@ -166,9 +166,6 @@ func TestNativeRunnerExecutesLocally(t *testing.T) {
 	w := mpi.NewWorld(e, net, 1, perf.Grid5000, nil)
 	w.Launch("native", 0, func(r *mpi.Rank) {
 		rt := NewNative(r)
-		if rt.Mode() != "native" {
-			t.Errorf("mode = %s", rt.Mode())
-		}
 		wv, err := runWaxpbySection(rt, 32, 8)
 		if err != nil {
 			t.Errorf("section: %v", err)
@@ -188,9 +185,6 @@ func TestClassicRunnerExecutesEverythingEverywhere(t *testing.T) {
 	h := newHarness(t, 1, 2)
 	h.sys.Launch("app", func(p *replication.Proc) {
 		rt := NewClassic(p)
-		if rt.Mode() != "classic" {
-			t.Errorf("mode = %s", rt.Mode())
-		}
 		wv, err := runWaxpbySection(rt, 32, 8)
 		if err != nil {
 			t.Errorf("section: %v", err)
@@ -708,6 +702,9 @@ func TestUpdateWaitVisibleForTransferBoundTasks(t *testing.T) {
 	}
 }
 
+// TestAllreduceAndBarrierViaRunner checks the runner's logical rank
+// space, its scalar sum and logical p2p under the intra engine. Its name
+// keeps the id it had while it also ran the retired Barrier.
 func TestAllreduceAndBarrierViaRunner(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	bad := false
@@ -716,16 +713,13 @@ func TestAllreduceAndBarrierViaRunner(t *testing.T) {
 		if rt.LogicalRank() != p.Logical || rt.LogicalSize() != 3 {
 			bad = true
 		}
-		v, err := rt.AllreduceScalar(mpi.OpSum, float64(rt.LogicalRank()))
+		v, err := rt.AllreduceScalar(float64(rt.LogicalRank()))
 		if err != nil || v != 3 {
-			bad = true
-		}
-		if err := rt.Barrier(); err != nil {
 			bad = true
 		}
 		// Logical p2p through the runner.
 		if rt.LogicalRank() == 0 {
-			if err := rt.Send(1, 7, []float64{math.Pi}); err != nil {
+			if err := rt.SendSized(1, 7, []float64{math.Pi}, 8); err != nil {
 				bad = true
 			}
 		} else if rt.LogicalRank() == 1 {

@@ -92,8 +92,6 @@ type intraEngine struct {
 	sends    []*mpi.Request
 }
 
-func (en *intraEngine) mode() string { return "intra" }
-
 // NewIntra creates a Runner for one replica under intra-parallelization.
 func NewIntra(p *replication.Proc, opts Options) *R { return new(R).intraOn(p, opts) }
 

@@ -9,11 +9,7 @@ import (
 // backs the two baselines of the evaluation: the native (unreplicated) runs
 // and classic state-machine replication, where all replicas redundantly
 // execute all computation (Figure 1a).
-type localEngine struct {
-	name string
-}
-
-func (en *localEngine) mode() string { return en.name }
+type localEngine struct{}
 
 func (en *localEngine) runSection(r *R) error {
 	for _, t := range r.tasks {
@@ -29,7 +25,6 @@ func (en *localEngine) runSection(r *R) error {
 func NewNative(rank *mpi.Rank) *R { return new(R).native(rank) }
 
 func (r *R) native(rank *mpi.Rank) *R {
-	r.local.name = "native"
 	r.comm, r.engine = mpiComm{r: rank}, &r.local
 	r.machine = rank.Machine()
 	return r
@@ -41,7 +36,6 @@ func (r *R) native(rank *mpi.Rank) *R {
 func NewClassic(p *replication.Proc) *R { return new(R).classic(p) }
 
 func (r *R) classic(p *replication.Proc) *R {
-	r.local.name = "classic"
 	r.comm, r.engine = replComm{p: p}, &r.local
 	r.machine = p.R.Machine()
 	return r

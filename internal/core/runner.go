@@ -41,23 +41,20 @@ type Stats struct {
 }
 
 // Runner is the logical-process programming interface the applications are
-// written against: MPI-style communication plus the paper's section API
-// (§III-C). Three engines implement it: native, classic replication, and
-// intra-parallelization.
+// written against: the MPI-style communication they use (sends, receives
+// and a scalar sum) plus the paper's section API (§III-C). Three engines
+// implement it: native, classic replication, and intra-parallelization.
 type Runner interface {
 	LogicalRank() int
 	LogicalSize() int
 	Now() sim.Time
-	Mode() string
 
-	Send(dst, tag int, data []float64) error
 	// SendSized models a message whose on-wire payload is payloadBytes even
 	// though the in-memory array is smaller (scaled experiment runs).
 	SendSized(dst, tag int, data []float64, payloadBytes int64) error
 	Recv(src, tag int) ([]float64, error)
-	Allreduce(op mpi.ReduceOp, data []float64) error
-	AllreduceScalar(op mpi.ReduceOp, v float64) (float64, error)
-	Barrier() error
+	// AllreduceScalar sums v across all logical ranks.
+	AllreduceScalar(v float64) (float64, error)
 
 	// Compute charges work performed outside intra-parallel sections.
 	Compute(w perf.Work)
@@ -85,8 +82,7 @@ type comm interface {
 	logicalSize() int
 	sendSized(dst, tag int, data []float64, payloadBytes int64) error
 	recv(src, tag int) ([]float64, error)
-	allreduce(op mpi.ReduceOp, data []float64) error
-	barrier() error
+	allreduce(data []float64) error // element-wise sum
 	rank() *mpi.Rank
 }
 
@@ -104,10 +100,9 @@ func (c mpiComm) recv(src, tag int) ([]float64, error) {
 	}
 	return msg.Data, nil
 }
-func (c mpiComm) allreduce(op mpi.ReduceOp, data []float64) error {
-	return c.r.Allreduce(c.r.World(), op, data)
+func (c mpiComm) allreduce(data []float64) error {
+	return c.r.Allreduce(c.r.World(), mpi.OpSum, data)
 }
-func (c mpiComm) barrier() error  { return c.r.Barrier(c.r.World()) }
 func (c mpiComm) rank() *mpi.Rank { return c.r }
 
 type replComm struct{ p *replication.Proc }
@@ -124,16 +119,12 @@ func (c replComm) recv(src, tag int) ([]float64, error) {
 	}
 	return msg.Data, nil
 }
-func (c replComm) allreduce(op mpi.ReduceOp, data []float64) error {
-	return c.p.Allreduce(op, data)
-}
-func (c replComm) barrier() error  { return c.p.Barrier() }
-func (c replComm) rank() *mpi.Rank { return c.p.R }
+func (c replComm) allreduce(data []float64) error { return c.p.Allreduce(data) }
+func (c replComm) rank() *mpi.Rank                { return c.p.R }
 
 // sectionEngine runs a buffered section to completion.
 type sectionEngine interface {
 	runSection(r *R) error
-	mode() string
 }
 
 // R is the concrete Runner shared by all three engines. Its section
@@ -152,7 +143,7 @@ type R struct {
 	tasks     []*task
 	local     localEngine
 	intra     intraEngine
-	reduceBuf []float64 // AllreduceScalar's cell and replayed allreduces' buffer
+	reduceBuf [1]float64 // AllreduceScalar's cell, replayed allreduces' too
 }
 
 type taskDef struct {
@@ -181,14 +172,6 @@ func (r *R) LogicalSize() int { return r.logicalSize() }
 // Now returns the current virtual time.
 func (r *R) Now() sim.Time { return r.rank().Now() }
 
-// Mode identifies the engine ("native", "classic", or "intra").
-func (r *R) Mode() string { return r.engine.mode() }
-
-// Send performs a logical send.
-func (r *R) Send(dst, tag int, data []float64) error {
-	return r.SendSized(dst, tag, data, 8*int64(len(data)))
-}
-
 // SendSized performs a logical send with an explicit modeled payload size.
 func (r *R) SendSized(dst, tag int, data []float64, payloadBytes int64) error {
 	r.rec.comm(traceSend, dst, tag, payloadBytes)
@@ -201,35 +184,14 @@ func (r *R) Recv(src, tag int) ([]float64, error) {
 	return r.recv(src, tag)
 }
 
-// Allreduce reduces data across all logical ranks.
-func (r *R) Allreduce(op mpi.ReduceOp, data []float64) error {
-	r.rec.comm(traceAllreduce, len(data), 0, 0)
-	return r.allreduce(op, data)
-}
-
-// AllreduceScalar reduces a single value across all logical ranks.
-func (r *R) AllreduceScalar(op mpi.ReduceOp, v float64) (float64, error) {
-	r.rec.comm(traceAllreduce, 1, 0, 0)
-	buf := r.reduceBuffer(1)
-	buf[0] = v
-	if err := r.allreduce(op, buf); err != nil {
+// AllreduceScalar sums v across all logical ranks.
+func (r *R) AllreduceScalar(v float64) (float64, error) {
+	r.rec.comm(traceAllreduce, 0, 0, 0)
+	r.reduceBuf[0] = v
+	if err := r.allreduce(r.reduceBuf[:]); err != nil {
 		return 0, err
 	}
-	return buf[0], nil
-}
-
-// reduceBuffer returns the runner's reduction buffer at length n.
-func (r *R) reduceBuffer(n int) []float64 {
-	if n > len(r.reduceBuf) {
-		r.reduceBuf = make([]float64, n)
-	}
-	return r.reduceBuf[:n]
-}
-
-// Barrier synchronizes all logical ranks.
-func (r *R) Barrier() error {
-	r.rec.comm(traceBarrier, 0, 0, 0)
-	return r.barrier()
+	return r.reduceBuf[0], nil
 }
 
 // Compute charges work performed outside sections.

@@ -67,7 +67,7 @@ func recordSections(t *testing.T) *TraceSet {
 				t.Error(err)
 				return
 			}
-			if _, err := rt.AllreduceScalar(mpi.OpSum, 1); err != nil {
+			if _, err := rt.AllreduceScalar(1); err != nil {
 				t.Error(err)
 				return
 			}

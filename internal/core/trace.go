@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
 // The applications are deterministic programs over the Runner interface,
 // and every effect a program has on the simulation passes through that
-// interface: compute charges, sends, receives, allreduces, barriers and
+// interface: compute charges, sends, receives, allreduces and
 // intra-parallel sections. Recording that sequence once per logical rank,
 // with each section's tasks (their argument tags, each argument's
 // ByteSize and the compute the task body charged), captures everything
@@ -54,14 +53,13 @@ const (
 	traceCompute   = iota // d: accumulated compute duration
 	traceSend             // peer, tag, bytes: modeled payload size
 	traceRecv             // peer, tag
-	traceAllreduce        // peer: element count
-	traceBarrier
-	traceSection // peer, tag: first index and count of its tasks; d, charged: their compute
+	traceAllreduce        // a scalar sum
+	traceSection          // peer, tag: first index and count of its tasks; d, charged: their compute
 )
 
 type traceOp struct {
 	kind    int
-	peer    int // send dst / recv src; allreduce element count; section's first task
+	peer    int // send dst / recv src; section's first task
 	tag     int // send/recv tag; section's task count
 	bytes   int64
 	d       sim.Time
@@ -302,9 +300,9 @@ func StartRecording(rt Runner) (*Trace, error) {
 // any engine (see the top of this file). The Runner-level call sequence,
 // and with it every simulated time, is identical to executing the
 // recorded application, minus message payload contents: replayed sends
-// carry empty arrays with the recorded modeled sizes, allreduces run on
-// the runner's reduction buffer at the recorded length (its contents are
-// whatever the last reduction left), and sections move no data.
+// carry empty arrays with the recorded modeled sizes, allreduces sum the
+// runner's reduction cell (its contents are whatever the last reduction
+// left), and sections move no data.
 //
 // On a local engine Replay returns the recording's in-app total. On the
 // intra engine, whose timing differs from the recording engine's, it
@@ -355,9 +353,7 @@ func Replay(rt Runner, ts *TraceSet) (sim.Time, error) {
 		case traceRecv:
 			_, err = r.recv(op.peer, op.tag)
 		case traceAllreduce:
-			err = r.allreduce(mpi.OpSum, r.reduceBuffer(op.peer))
-		case traceBarrier:
-			err = r.barrier()
+			err = r.allreduce(r.reduceBuf[:])
 		case traceSection:
 			err = r.replaySection(tr.tasks[op.peer : op.peer+op.tag])
 		}

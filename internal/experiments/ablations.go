@@ -115,7 +115,6 @@ func degreeScenarios(procs, iters int) ([]scenario.Scenario, error) {
 	raw := scenario.MustRaw(hpccg.Config{
 		Nx: 16, Ny: 16, Nz: 16, Iters: 10, Tasks: 12,
 		Scale: 512, PlaneScale: 64,
-		IntraDdot: true, IntraSparsemv: true,
 	})
 	scs := []scenario.Scenario{{
 		Name: "degree/native", App: "hpccg", Config: raw, Mode: Native, Logical: logical,

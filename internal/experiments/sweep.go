@@ -622,7 +622,7 @@ func run(eng *sim.Engine, sc *core.Scratch, s Spec, rec *core.TraceSet) (Result,
 	if _, err := c.Run(); err != nil {
 		return Result{}, err
 	}
-	phys := c.PhysProcs()
+	phys, es := c.PhysProcs(), c.E.Stats()
 	if sc != nil {
 		// The cluster dies with this call; hand its state back to the
 		// worker's scratch so the next spec starts warm.
@@ -636,7 +636,6 @@ func run(eng *sim.Engine, sc *core.Scratch, s Spec, rec *core.TraceSet) (Result,
 	}
 	m.finish(lastEnd, phys)
 
-	es := c.E.Stats()
 	r := Result{
 		Name:              s.Name,
 		App:               s.App.Name,

@@ -24,7 +24,6 @@ func smallHPCCG(iters int) hpccg.Config {
 	return hpccg.Config{
 		Nx: 8, Ny: 8, Nz: 8, Iters: iters, Tasks: 8,
 		Scale: 64, PlaneScale: 16,
-		IntraDdot: true, IntraSparsemv: true,
 	}
 }
 

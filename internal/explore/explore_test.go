@@ -20,7 +20,6 @@ func smallPoint(name string, mode scenario.Mode) scenario.Scenario {
 		Config: scenario.MustRaw(hpccg.Config{
 			Nx: 8, Ny: 8, Nz: 8, Iters: 3, Tasks: 8,
 			Scale: 64, PlaneScale: 16,
-			IntraDdot: true, IntraSparsemv: true,
 		}),
 		Mode: mode, Logical: 2,
 	}

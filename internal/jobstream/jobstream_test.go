@@ -32,6 +32,22 @@ func testWorkload() *scenario.Workload {
 	}
 }
 
+// failingWorkload is testWorkload with the checkpointing policies added
+// and a node MTBF short enough that jobs fail: its groups hold ccr jobs
+// and failed jobs as well as crashed replicated ones.
+func failingWorkload() *scenario.Workload {
+	w := testWorkload()
+	w.MTBFSeconds = 0.05
+	w.Policies = []string{"native", "replicate", "ccr", "adaptive"}
+	return w
+}
+
+// testWorkloads are the inputs of the whole-run tests, by name.
+var testWorkloads = []struct {
+	name string
+	w    func() *scenario.Workload
+}{{"mild", testWorkload}, {"failing", failingWorkload}}
+
 func TestGenArrivalsDeterministic(t *testing.T) {
 	w := testWorkload()
 	a := genArrivals(w, 4, w.Seed, 0)
@@ -271,7 +287,26 @@ func resultJSON(t *testing.T, r *Result) string {
 }
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	w := testWorkload()
+	for _, tw := range testWorkloads {
+		t.Run(tw.name, func(t *testing.T) {
+			one := runDeterministicAcrossWorkers(t, tw.w())
+			if tw.name != "failing" {
+				return
+			}
+			// The failing workload reaches the ccr side and the failed-job count.
+			ccr, failed := 0, 0
+			for _, g := range one.Groups {
+				ccr += g.CCR
+				failed += g.Failed
+			}
+			if ccr == 0 || failed == 0 {
+				t.Fatalf("the failing workload ran %d ccr jobs and failed %d, want both > 0", ccr, failed)
+			}
+		})
+	}
+}
+
+func runDeterministicAcrossWorkers(t *testing.T, w *scenario.Workload) *Result {
 	one, err := Run(Config{Trials: 2, Workers: 1}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +318,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	if a, b := resultJSON(t, one), resultJSON(t, many); a != b {
 		t.Fatalf("worker count changed the result:\n%s\n%s", a, b)
 	}
-	if len(one.Groups) != 4 {
-		t.Fatalf("want 2 schedulers x 2 policies = 4 groups, got %d", len(one.Groups))
+	if want := len(w.Schedulers) * len(w.Policies); len(one.Groups) != want {
+		t.Fatalf("want %d schedulers x %d policies = %d groups, got %d",
+			len(w.Schedulers), len(w.Policies), want, len(one.Groups))
 	}
 	for _, g := range one.Groups {
 		if g.Jobs != 2*w.Jobs {
@@ -304,10 +340,20 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+	return one
 }
 
 func TestRunStoreWarmAndSharded(t *testing.T) {
-	w := testWorkload()
+	for _, tw := range testWorkloads {
+		t.Run(tw.name, func(t *testing.T) { runStoreWarmAndSharded(t, tw.w()) })
+	}
+	// Populate without a store is a usage error.
+	if _, err := Populate(Config{Trials: 2}, testWorkload(), store.Shard{Count: 3}); err == nil {
+		t.Fatal("storeless Populate should fail")
+	}
+}
+
+func runStoreWarmAndSharded(t *testing.T, w *scenario.Workload) {
 	plain, err := Run(Config{Trials: 2}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -377,8 +423,8 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if totalOwned != 8 {
-		t.Fatalf("shards own %d cells in total, want 8", totalOwned)
+	if cells := 2 * len(w.Schedulers) * len(w.Policies); totalOwned != cells {
+		t.Fatalf("shards own %d cells in total, want %d", totalOwned, cells)
 	}
 	mst, err := store.Open(dir2, "merge")
 	if err != nil {
@@ -397,10 +443,56 @@ func TestRunStoreWarmAndSharded(t *testing.T) {
 	if err := mst.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// Populate without a store is a usage error.
-	if _, err := Populate(Config{Trials: 2}, w, store.Shard{Count: 3}); err == nil {
-		t.Fatal("storeless Populate should fail")
+// TestRunRecordsTracesOfStoreServedReferences: a class whose replicated
+// reference comes from the store was never executed in this run, so its
+// op trace is recorded on first use, by the first crashed replicated job.
+// A native-only run fills the store with every class's references; a
+// replicate run against it hits them, misses its own cells, and must
+// still match a storeless replicate run byte for byte.
+func TestRunRecordsTracesOfStoreServedReferences(t *testing.T) {
+	w := failingWorkload()
+	w.Policies = []string{"native"}
+	dir := t.TempDir()
+	st, err := store.Open(dir, "native")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Config{Trials: 2, Store: st}, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w.Policies = []string{"replicate"}
+	plain, err := Run(Config{Trials: 2}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, "replicate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := Run(Config{Trials: 2, Store: st2}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultJSON(t, served) != resultJSON(t, plain) {
+		t.Fatal("a run on store-served references diverged from a storeless run")
+	}
+	s := st2.Stats()
+	if refs := int64(2 * len(w.Mix)); s.Hits != refs {
+		t.Fatalf("want the %d references (native and replicated per class) served from the store: %s", refs, s.String())
+	}
+	// Past its cells (schedulers x trials), the run stored the crashed
+	// replicated jobs it simulated on recorded traces.
+	if cells := int64(2 * len(w.Schedulers)); s.Puts <= cells {
+		t.Fatalf("want crashed replicated jobs simulated beyond the %d cells: %s", cells, s.String())
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

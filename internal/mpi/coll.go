@@ -2,9 +2,9 @@ package mpi
 
 import "repro/internal/sim"
 
-// collSM is a per-rank collective state machine. Instead of parking the
+// collSM is a per-rank allreduce state machine. Instead of parking the
 // calling process once per hop (goroutine handoff per message), the caller
-// parks once per collective and the machine advances inside engine event
+// parks once per allreduce and the machine advances inside engine event
 // callbacks: each completed request schedules exactly one continuation event
 // via Future.NotifyTimer, at the same virtual time and sequence position a
 // process wake-up would have occupied, so the engine's event sequence — and
@@ -19,17 +19,14 @@ type collSM struct {
 	st *rankState
 	c  *Comm
 
-	op  int // public operation code (opBarrier or opAllreduce), for park reasons
-	sub int // algorithm currently running (allreduce chains reduce→bcast)
-	tag int
+	sub int // phase currently running: opReduce, then opBcast
 
 	n, me int
 
 	phase int
-	dist  int // dissemination barrier distance
-	mask  int // binomial tree mask (reduce and bcast phases)
+	mask  int // binomial tree mask
 
-	data []float64 // caller buffer (allreduce)
+	data []float64 // caller buffer
 	rop  ReduceOp
 
 	sreq, rreq *Request
@@ -42,8 +39,9 @@ type collSM struct {
 	err    error
 }
 
-// startColl readies the rank's pooled machine for one collective.
-func (r *Rank) startColl(c *Comm, op int) *collSM {
+// startColl readies the rank's pooled machine for one allreduce, starting
+// with its reduce phase.
+func (r *Rank) startColl(c *Comm) *collSM {
 	me := c.CommRank(r.st.rank)
 	if me < 0 {
 		panic(errNotMember(r.st.rank, c.id))
@@ -58,14 +56,11 @@ func (r *Rank) startColl(c *Comm, op int) *collSM {
 	}
 	sm.active = true
 	sm.c = c
-	sm.op = op
-	sm.sub = op
-	sm.tag = -op
+	sm.sub = opReduce
 	sm.n = c.Size()
 	sm.me = me
 	sm.phase = 0
-	sm.dist = 0
-	sm.mask = 0
+	sm.mask = 1
 	return sm
 }
 
@@ -77,7 +72,7 @@ func (r *Rank) runColl(sm *collSM) error {
 	if !sm.done {
 		sm.proc = r.p
 		sm.parked = true
-		r.p.Block(sim.ParkReason{Kind: sim.WaitColl, A: int64(sm.op)})
+		r.p.Block(sim.ParkReason{Kind: sim.WaitColl, A: opAllreduce})
 	}
 	err := sm.err
 	sm.release()
@@ -114,17 +109,14 @@ func (sm *collSM) Fire() {
 	}
 }
 
-// advance runs the current algorithm until it blocks or the collective
-// (including a chained sub-collective) completes.
+// advance runs the current phase until it blocks or the allreduce
+// completes.
 func (sm *collSM) advance() {
 	for {
 		var blocked bool
-		switch sm.sub {
-		case opBarrier:
-			blocked = sm.stepBarrier()
-		case opBcast:
+		if sm.sub == opBcast {
 			blocked = sm.stepBcast()
-		case opReduce:
+		} else {
 			blocked = sm.stepReduce()
 		}
 		if blocked || sm.done {
@@ -133,13 +125,11 @@ func (sm *collSM) advance() {
 	}
 }
 
-// finish ends the current algorithm. A successful reduce phase chains
-// into the broadcast of the result; everything else completes the
-// collective.
+// finish ends the current phase. A successful reduce phase chains into
+// the broadcast of the result; everything else completes the allreduce.
 func (sm *collSM) finish(err error) bool {
 	if err == nil && sm.sub == opReduce {
 		sm.sub = opBcast
-		sm.tag = -opBcast
 		sm.mask = 0
 		sm.phase = 0
 		return false
@@ -160,17 +150,16 @@ func (sm *collSM) yield(rq *Request) bool {
 	return true
 }
 
-// takeRecv consumes the completed receive: the payload is copied into
-// `into` (when non-nil) and the pooled message and request are recycled.
-func (sm *collSM) takeRecv(into []float64) error {
+// takeRecv consumes the completed broadcast receive: the payload is
+// copied into the caller's buffer and the pooled message and request are
+// recycled.
+func (sm *collSM) takeRecv() error {
 	rq := sm.rreq
 	sm.rreq = nil
 	if rq.err != nil {
 		return rq.err
 	}
-	if into != nil {
-		copy(into, rq.msg.Data)
-	}
+	copy(sm.data, rq.msg.Data)
 	sm.st.w.putMessage(rq.msg)
 	sm.st.w.putRequest(rq)
 	return nil
@@ -185,40 +174,6 @@ func (sm *collSM) takeSend() error {
 	}
 	sm.st.w.putRequest(rq)
 	return nil
-}
-
-// stepBarrier: dissemination barrier. For dist = 1, 2, 4, ... < n: send to
-// (me+dist) mod n, receive from (me-dist) mod n, wait send completion.
-func (sm *collSM) stepBarrier() bool {
-	st := sm.st
-	for {
-		switch sm.phase {
-		case 0:
-			if sm.dist >= sm.n {
-				return sm.finish(nil)
-			}
-			sm.sreq = st.isend(sm.c, (sm.me+sm.dist)%sm.n, sm.tag, nil, nil, 0)
-			sm.rreq = st.irecv(sm.c, (sm.me-sm.dist+sm.n)%sm.n, sm.tag)
-			sm.phase = 1
-		case 1:
-			if sm.yield(sm.rreq) {
-				return true
-			}
-			if err := sm.takeRecv(nil); err != nil {
-				return sm.finish(err)
-			}
-			sm.phase = 2
-		case 2:
-			if sm.yield(sm.sreq) {
-				return true
-			}
-			if err := sm.takeSend(); err != nil {
-				return sm.finish(err)
-			}
-			sm.dist <<= 1
-			sm.phase = 0
-		}
-	}
 }
 
 // stepBcast: binomial tree rooted at rank 0. Every other rank receives
@@ -242,13 +197,13 @@ func (sm *collSM) stepBcast() bool {
 				mask <<= 1
 			}
 			sm.mask = mask
-			sm.rreq = st.irecv(sm.c, sm.me-mask, sm.tag)
+			sm.rreq = st.irecv(sm.c, sm.me-mask, -opBcast)
 			sm.phase = 1
 		case 1:
 			if sm.yield(sm.rreq) {
 				return true
 			}
-			if err := sm.takeRecv(sm.data); err != nil {
+			if err := sm.takeRecv(); err != nil {
 				return sm.finish(err)
 			}
 			sm.phase = 2
@@ -258,7 +213,7 @@ func (sm *collSM) stepBcast() bool {
 				return sm.finish(nil)
 			}
 			if child := sm.me + sm.mask; child < sm.n {
-				sm.sreq = st.isend(sm.c, child, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
+				sm.sreq = st.isend(sm.c, child, -opBcast, sm.data, nil, 8*int64(len(sm.data)))
 				sm.phase = 3
 			}
 		case 3:
@@ -285,12 +240,12 @@ func (sm *collSM) stepReduce() bool {
 				return sm.finish(nil)
 			}
 			if sm.me&sm.mask != 0 {
-				sm.sreq = st.isend(sm.c, sm.me-sm.mask, sm.tag, sm.data, nil, 8*int64(len(sm.data)))
+				sm.sreq = st.isend(sm.c, sm.me-sm.mask, -opReduce, sm.data, nil, 8*int64(len(sm.data)))
 				sm.phase = 2
 				continue
 			}
 			if child := sm.me + sm.mask; child < sm.n {
-				sm.rreq = st.irecv(sm.c, child, sm.tag)
+				sm.rreq = st.irecv(sm.c, child, -opReduce)
 				sm.phase = 1
 				continue
 			}

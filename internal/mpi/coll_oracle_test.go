@@ -13,29 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// The collectives run as event-driven state machines (coll.go) that claim
-// to reproduce, event for event, the blocking point-to-point algorithms
-// they replaced. The references below are those algorithms, written the
-// plain way from Isend, IsendSized, Irecv and Wait with coll.go's tags and
-// step order, and TestCollectivesMatchBlockingReference holds the state
-// machines to them on random worlds, payloads and crash times.
-
-// refBarrier is the dissemination barrier: for dist = 1, 2, 4, ... < n send
-// to me+dist, receive from me-dist, then wait for the send.
-func refBarrier(r *Rank, c *Comm) error {
-	n, me := c.Size(), r.RankIn(c)
-	for dist := 1; dist < n; dist <<= 1 {
-		sreq := r.IsendSized(c, (me+dist)%n, -opBarrier, nil, nil, 0)
-		rreq := r.Irecv(c, (me-dist+n)%n, -opBarrier)
-		if err := r.Wait(rreq); err != nil {
-			return err
-		}
-		if err := r.Wait(sreq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Allreduce runs as an event-driven state machine (coll.go) that claims
+// to reproduce, event for event, the blocking point-to-point algorithm it
+// replaced. The references below are that algorithm, written the plain
+// way from Isend, Irecv and Wait with coll.go's tags and step order, and
+// TestCollectivesMatchBlockingReference holds the state machine to it on
+// random worlds, payloads and crash times.
 
 // refBcast is the binomial-tree broadcast from rank 0: every other rank
 // receives from its parent, then every rank sends to each child in
@@ -95,10 +78,9 @@ func refAllreduce(r *Rank, c *Comm, op ReduceOp, data []float64) error {
 	return refBcast(r, c, data)
 }
 
-// collRound is one collective every rank makes, after computing for its
+// collRound is one allreduce every rank makes, after computing for its
 // own random time.
 type collRound struct {
-	op   int         // opBarrier or opAllreduce
 	work []sim.Time  // per rank
 	data [][]float64 // per rank
 }
@@ -140,10 +122,7 @@ var magnitudes = func() []float64 {
 func randCollCase(rng *rand.Rand) collCase {
 	cs := collCase{n: 1 + rng.Intn(33), killAt: -1}
 	for k := 1 + rng.Intn(3); k > 0; k-- {
-		rd := collRound{op: opBarrier}
-		if rng.Intn(2) == 1 {
-			rd.op = opAllreduce
-		}
+		var rd collRound
 		elems := 1 + rng.Intn(8)
 		if rng.Intn(4) == 0 {
 			elems = 1 + rng.Intn(512) // up to 4 KB: microseconds on the wire
@@ -161,8 +140,8 @@ func randCollCase(rng *rand.Rand) collCase {
 	return cs
 }
 
-// runCollCase runs cs on a fresh world through the state machines, or
-// through the blocking references when ref is set.
+// runCollCase runs cs on a fresh world through the state machine, or
+// through the blocking reference when ref is set.
 func runCollCase(t *testing.T, cs collCase, ref bool) collOutcome {
 	e, w := testWorld(t, cs.n)
 	out := collOutcome{ranks: make([]rankOutcome, cs.n)}
@@ -174,14 +153,9 @@ func runCollCase(t *testing.T, cs collCase, ref bool) collOutcome {
 			buf := append([]float64(nil), rd.data[r.Rank()]...)
 			o.enter = append(o.enter, r.Now())
 			var err error
-			switch {
-			case rd.op == opBarrier && ref:
-				err = refBarrier(r, c)
-			case rd.op == opBarrier:
-				err = r.Barrier(c)
-			case ref:
+			if ref {
 				err = refAllreduce(r, c, OpSum, buf)
-			default:
+			} else {
 				err = r.Allreduce(c, OpSum, buf)
 			}
 			o.ret = append(o.ret, r.Now())
@@ -260,14 +234,14 @@ func diffCollOutcomes(sm, ref collOutcome) string {
 }
 
 // TestCollectivesMatchBlockingReference is the differential oracle for the
-// collective state machines: on random world sizes (1..33), payloads
-// mixing magnitudes from 1e-10 to 1e10 (so any change of fold order shows
-// in the bits) and 1-3 back-to-back barriers and allreduces separated by
-// random compute, the state machines and the blocking references must
-// agree on every rank's results bit for bit, every error and return time,
-// every rank's Stats, the engine's event count and final time, and which
-// processes a deadlock leaves parked. Half the cases crash a random rank
-// at a time drawn inside the fault-free run's span.
+// allreduce state machine: on random world sizes (1..33), payloads mixing
+// magnitudes from 1e-10 to 1e10 (so any change of fold order shows in the
+// bits) and 1-3 back-to-back allreduces separated by random compute, the
+// state machine and the blocking reference must agree on every rank's
+// results bit for bit, every error and return time, every rank's Stats,
+// the engine's event count and final time, and which processes a deadlock
+// leaves parked. Half the cases crash a random rank at a time drawn inside
+// the fault-free run's span.
 func TestCollectivesMatchBlockingReference(t *testing.T) {
 	const cases = 400
 	rng := rand.New(rand.NewSource(1))
@@ -281,10 +255,7 @@ func TestCollectivesMatchBlockingReference(t *testing.T) {
 		if clean.runErr != "" || clean.blocked != nil {
 			t.Fatalf("case %d (n=%d): fault-free run failed: %s%v", i, cs.n, clean.runErr, clean.blocked)
 		}
-		for k, rd := range cs.rounds {
-			if rd.op != opAllreduce {
-				continue
-			}
+		for k := range cs.rounds {
 			for r := range clean.ranks {
 				if !reflect.DeepEqual(clean.ranks[r].bits[k], clean.ranks[0].bits[k]) {
 					t.Fatalf("case %d round %d: rank %d's allreduce result is not rank 0's", i, k, r)

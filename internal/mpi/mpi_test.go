@@ -230,33 +230,6 @@ func collectiveWorld(t *testing.T, n int) (*sim.Engine, *World) {
 	return testWorld(t, n)
 }
 
-func TestBarrier(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 16} {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			e, w := collectiveWorld(t, n)
-			var releases []sim.Time
-			w.LaunchAll("p", func(r *Rank) {
-				r.Compute(sim.Time(r.Rank()) * sim.Millisecond)
-				if err := r.Barrier(r.World()); err != nil {
-					t.Errorf("barrier: %v", err)
-				}
-				releases = append(releases, r.Now())
-			})
-			run(t, e)
-			if len(releases) != n {
-				t.Fatalf("%d ranks released", len(releases))
-			}
-			slowest := sim.Time(n-1) * sim.Millisecond
-			for _, rel := range releases {
-				if rel < slowest {
-					t.Fatalf("release %v before slowest entry %v", rel, slowest)
-				}
-			}
-		})
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 6, 8, 9} {
 		n := n

@@ -278,7 +278,11 @@ func (st *rankState) pruneOutgoing() {
 }
 
 // deliver matches an arriving message against the channel's pending
-// receives, or queues it as unexpected. Messages stay in send order.
+// receives, or queues it as unexpected. Only the unexpected queue restores
+// send order: a pending receive takes whichever message arrives first, so
+// a message that overtakes an earlier one on the wire (a small one behind
+// a large one on the same-node path) completes the receive posted for the
+// earlier one.
 func (st *rankState) deliver(key matchKey, ch *chanState, msg *Message) {
 	if st.dead {
 		st.w.putMessage(msg) // arrived after the receiver crashed: nobody can see it

@@ -24,7 +24,7 @@ type Proc struct {
 	// on first use; a replica that exchanges nothing but collectives never
 	// materializes them. Reclaim clears them and keeps them.
 	expected  map[chanKey]uint64                  // next seq per (logical src, tag)
-	stash     map[chanKey]map[uint64]*mpi.Message // early messages (defensive)
+	stash     map[chanKey]map[uint64]*mpi.Message // early messages
 	sendSeq   map[chanKey]uint64                  // next seq per (logical dst, tag)
 	log       []logEntry                          // send log for crash coverage
 	logArena  []float64                           // payload storage backing log entries
@@ -120,7 +120,7 @@ func (p *Proc) SendSized(dst, tag int, data []float64, meta any, payloadBytes in
 }
 
 func (p *Proc) isendInto(reqs []*mpi.Request, dst, tag int, data []float64, meta any, payloadBytes int64) []*mpi.Request {
-	// Collective tags (negative, minted fresh per round by collTag) are
+	// Collective tags (negative, minted fresh per round by Allreduce) are
 	// single-shot: each (src, dst, tag) pair carries at most one message,
 	// so their sequence number is constantly 1 and per-channel counters
 	// would only accumulate dead entries. Only application tags, which can
@@ -278,45 +278,15 @@ func (e *LogicalRankLostError) Error() string {
 	return fmt.Sprintf("replication: all replicas of logical rank %d are dead", e.Rank)
 }
 
-// Logical collectives are implemented as message trees over logical ranks
-// using the replication layer's own Send/Recv, so they inherit its fault
-// tolerance: every collective message is mirrored per lane, deduplicated by
-// sequence number, and covered by the twin's send-log replay if a replica
-// crashes mid-collective. Tags live in the negative space so they can never
-// collide with application tags.
-func (p *Proc) collTag(op int) int {
-	p.collRound++
-	return -(op<<24 | p.collRound&0xffffff)
-}
-
-// Collective opcodes, the high bits of a collective's tag (2 and 3 are
-// free).
-const (
-	opBarrier   = 1
-	opAllreduce = 4
-)
-
-// Barrier blocks until all logical ranks have entered it (dissemination
-// algorithm).
-func (p *Proc) Barrier() error {
-	tag := p.collTag(opBarrier)
-	n := p.s.cfg.Logical
-	if n == 1 {
-		return nil
-	}
-	me := p.Logical
-	for k := 1; k < n; k <<= 1 {
-		if err := p.Send((me+k)%n, tag, nil, nil); err != nil {
-			return err
-		}
-		msg, err := p.Recv((me-k+n)%n, tag)
-		if err != nil {
-			return err
-		}
-		p.s.w.RecycleMessage(msg)
-	}
-	return nil
-}
+// The logical collective, a sum Allreduce, is a message tree over logical
+// ranks built on the replication layer's own Send/Recv, so it inherits its
+// fault tolerance: every collective message is mirrored per lane,
+// deduplicated by sequence number, and covered by the twin's send-log
+// replay if a replica crashes mid-collective. Its tags live in the
+// negative space so they can never collide with application tags: the
+// opcode in the high bits (opAllreduce; 1 was the retired Barrier's, 2 and
+// 3 are free) and the round counter in the low 24.
+const opAllreduce = 4
 
 // bcastTag broadcasts data from logical rank 0 to every logical rank
 // (binomial tree) under tag.
@@ -352,10 +322,9 @@ func (p *Proc) bcastTag(tag int, data []float64) error {
 	return nil
 }
 
-// reduceTag combines every logical rank's data into logical rank 0's
-// buffer using op (binomial tree) under tag. data is the local
-// accumulator on every rank.
-func (p *Proc) reduceTag(tag int, op mpi.ReduceOp, data []float64) error {
+// reduceTag sums every logical rank's data into logical rank 0's buffer
+// (binomial tree) under tag. data is the local accumulator on every rank.
+func (p *Proc) reduceTag(tag int, data []float64) error {
 	n := p.s.cfg.Logical
 	if n == 1 {
 		return nil
@@ -370,19 +339,21 @@ func (p *Proc) reduceTag(tag int, op mpi.ReduceOp, data []float64) error {
 			if err != nil {
 				return err
 			}
-			op(data, msg.Data)
+			for i, v := range msg.Data {
+				data[i] += v
+			}
 			p.s.w.RecycleMessage(msg)
 		}
 	}
 	return nil
 }
 
-// Allreduce combines data across all logical ranks and leaves the result
-// in data everywhere (reduce to 0, then broadcast).
-func (p *Proc) Allreduce(op mpi.ReduceOp, data []float64) error {
+// Allreduce sums data element-wise across all logical ranks and leaves
+// the result in data everywhere (reduce to 0, then broadcast).
+func (p *Proc) Allreduce(data []float64) error {
 	p.collRound++
 	base := -(opAllreduce<<24 | p.collRound&0xffffff)
-	if err := p.reduceTag(base, op, data); err != nil {
+	if err := p.reduceTag(base, data); err != nil {
 		return err
 	}
 	// The paired broadcast reuses the same round with a distinct opcode

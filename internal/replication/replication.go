@@ -18,10 +18,10 @@
 // communicator of each logical rank (used by intra-parallelization for
 // task updates) is exposed via Proc.ReplicaComm.
 //
-// Collectives are implemented as message trees over *logical* ranks on top
-// of the logical Send/Recv, so they inherit the same fault tolerance as
-// point-to-point traffic: a crash in the middle of an allreduce is covered
-// by the twin's send-log replay and receive failover.
+// The one collective, a sum Allreduce, is a message tree over *logical*
+// ranks on top of the logical Send/Recv, so it inherits the same fault
+// tolerance as point-to-point traffic: a crash in the middle of an
+// allreduce is covered by the twin's send-log replay and receive failover.
 //
 // As in the paper (§III, footnote 1, and §V-A), the exact replica
 // consistency protocol is not the contribution; this package provides a

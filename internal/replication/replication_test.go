@@ -84,7 +84,7 @@ func TestLogicalAllreduce(t *testing.T) {
 	e, s := testSystem(t, 3, 2, false)
 	bad := false
 	s.Launch("app", func(p *Proc) {
-		v, err := allreduce1(p, mpi.OpSum, float64(p.Logical))
+		v, err := allreduce1(p, float64(p.Logical))
 		if err != nil || v != 3 { // 0+1+2
 			bad = true
 		}
@@ -95,26 +95,24 @@ func TestLogicalAllreduce(t *testing.T) {
 	}
 }
 
-// TestLogicalBarrierAndBcast runs a barrier, then spreads data only
-// logical rank 1 holds to every replica through an allreduce.
+// TestLogicalBarrierAndBcast spreads data only logical rank 1 holds to
+// every replica through an allreduce. Its name keeps the id it had while
+// it also ran the retired Barrier.
 func TestLogicalBarrierAndBcast(t *testing.T) {
 	e, s := testSystem(t, 3, 2, false)
 	bad := false
 	s.Launch("app", func(p *Proc) {
-		if err := p.Barrier(); err != nil {
-			bad = true
-		}
 		data := make([]float64, 2)
 		if p.Logical == 1 {
 			data[0], data[1] = 7, 8
 		}
-		if err := p.Allreduce(mpi.OpSum, data); err != nil || data[0] != 7 || data[1] != 8 {
+		if err := p.Allreduce(data); err != nil || data[0] != 7 || data[1] != 8 {
 			bad = true
 		}
 	})
 	run(t, e)
 	if bad {
-		t.Fatal("barrier/bcast wrong")
+		t.Fatal("bcast wrong")
 	}
 }
 
@@ -214,19 +212,75 @@ func TestSendLogReplayCoversPastMessages(t *testing.T) {
 	}
 }
 
+// TestReplayedMessagesOvertakeIntoStash reaches the early-message stash.
+// With two cores per node, logical 2's lane-0 replica (world rank 2) and
+// logical 0's lane-1 replica (rank 3) share node 1. Logical 2 sends a
+// large and then a small message on one tag; its lane-1 replica dies
+// before sending either, so the lane-0 replica covers lane 1 and replays
+// both at once over the same-node path. The small one arrives first and
+// completes the receive (0,1) posted for the large one: accept stashes
+// it as early, and the next Recv serves it from the stash. Both lanes
+// must still receive in send order.
+func TestReplayedMessagesOvertakeIntoStash(t *testing.T) {
+	e, s := testSystem(t, 3, 2, true)
+	const big = 100_000
+	got := map[int][]int{}        // lane -> received lengths, in order
+	stashedAfterFirst := [2]int{} // lane -> stashed messages once the first Recv returned
+	s.Launch("app", func(p *Proc) {
+		switch p.Logical {
+		case 2:
+			if p.Lane == 1 {
+				p.R.Compute(10 * sim.Millisecond) // killed at 2ms, before sending
+			}
+			for _, n := range []int{big, 1} {
+				if err := p.Send(0, 5, make([]float64, n), nil); err != nil {
+					t.Errorf("send: %v", err)
+					return
+				}
+			}
+		case 0:
+			for i := 0; i < 2; i++ {
+				msg, err := p.Recv(2, 5)
+				if err != nil {
+					t.Errorf("lane %d recv %d: %v", p.Lane, i, err)
+					return
+				}
+				got[p.Lane] = append(got[p.Lane], len(msg.Data))
+				if i == 0 {
+					stashedAfterFirst[p.Lane] = len(p.stash[chanKey{peer: 2, tag: 5}])
+				}
+			}
+			if n := len(p.stash[chanKey{peer: 2, tag: 5}]); n != 0 {
+				t.Errorf("lane %d: %d messages left in the stash", p.Lane, n)
+			}
+		}
+	})
+	e.At(2*sim.Millisecond, func() { s.KillReplica(2, 1) })
+	run(t, e)
+	for lane := 0; lane < 2; lane++ {
+		if g := got[lane]; len(g) != 2 || g[0] != big || g[1] != 1 {
+			t.Errorf("lane %d received lengths %v, want [%d 1]", lane, g, big)
+		}
+	}
+	if stashedAfterFirst != [2]int{0, 1} {
+		t.Fatalf("stashed messages after the first receive, by lane: %v, want [0 1] "+
+			"(the small replayed message overtakes into lane 1's stash)", stashedAfterFirst)
+	}
+}
+
 func TestCollectivesSurviveDeathAtQuiescence(t *testing.T) {
 	// A replica dies between collectives; the covering twin joins the
 	// orphaned lane's subsequent collectives.
 	e, s := testSystem(t, 3, 2, true)
 	bad := false
 	s.Launch("app", func(p *Proc) {
-		v, err := allreduce1(p, mpi.OpSum, 1)
+		v, err := allreduce1(p, 1)
 		if err != nil || v != 3 {
 			bad = true
 			return
 		}
 		p.R.Compute(20 * sim.Millisecond) // death happens here (at 10ms)
-		v, err = allreduce1(p, mpi.OpSum, 2)
+		v, err = allreduce1(p, 2)
 		if err != nil || v != 6 {
 			t.Errorf("post-death allreduce: lane %d logical %d: %v %v", p.Lane, p.Logical, v, err)
 			bad = true
@@ -306,7 +360,7 @@ func TestDegreeOneDegeneratesToNative(t *testing.T) {
 	e, s := testSystem(t, 4, 1, false)
 	bad := false
 	s.Launch("app", func(p *Proc) {
-		v, err := allreduce1(p, mpi.OpSum, 1)
+		v, err := allreduce1(p, 1)
 		if err != nil || v != 4 {
 			bad = true
 		}
@@ -384,7 +438,7 @@ func TestCollectiveAfterLowerLaneDeath(t *testing.T) {
 	bad := false
 	s.Launch("app", func(p *Proc) {
 		p.R.Compute(20 * sim.Millisecond) // death of (0,0) happens at 10ms
-		v, err := allreduce1(p, mpi.OpSum, 2)
+		v, err := allreduce1(p, 2)
 		if err != nil || v != 6 {
 			t.Errorf("allreduce after lane-0 death: lane %d logical %d: %v %v",
 				p.Lane, p.Logical, v, err)
@@ -409,7 +463,7 @@ func TestCrashMidCollective(t *testing.T) {
 			s.Launch("app", func(p *Proc) {
 				// Stagger entries so the kill lands while the tree is active.
 				p.R.Compute(sim.Time(p.Logical) * sim.Microsecond)
-				v, err := allreduce1(p, mpi.OpSum, float64(p.Logical+1))
+				v, err := allreduce1(p, float64(p.Logical+1))
 				if err != nil {
 					t.Errorf("victim=%d lane=%d: logical %d lane %d: %v",
 						victim, lane, p.Logical, p.Lane, err)
@@ -441,7 +495,7 @@ func TestBcastSurvivesRootReplicaCrash(t *testing.T) {
 		if p.Logical == 0 {
 			data[0], data[1], data[2] = 5, 6, 7
 		}
-		if err := p.Allreduce(mpi.OpSum, data); err != nil {
+		if err := p.Allreduce(data); err != nil {
 			t.Errorf("allreduce: logical %d lane %d: %v", p.Logical, p.Lane, err)
 			return
 		}
@@ -470,7 +524,7 @@ func TestAllreduceStreamUnderCrashProperty(t *testing.T) {
 		s.Launch("app", func(p *Proc) {
 			for i := 1; i <= 5; i++ {
 				p.R.Compute(sim.Time(p.Logical+1) * sim.Microsecond)
-				v, err := allreduce1(p, mpi.OpSum, float64(i))
+				v, err := allreduce1(p, float64(i))
 				if err != nil {
 					ok = false
 					return
@@ -492,9 +546,9 @@ func TestAllreduceStreamUnderCrashProperty(t *testing.T) {
 	}
 }
 
-// allreduce1 sums or folds one value across the logical ranks.
-func allreduce1(p *Proc, op mpi.ReduceOp, v float64) (float64, error) {
+// allreduce1 sums one value across the logical ranks.
+func allreduce1(p *Proc, v float64) (float64, error) {
 	buf := []float64{v}
-	err := p.Allreduce(op, buf)
+	err := p.Allreduce(buf)
 	return buf[0], err
 }

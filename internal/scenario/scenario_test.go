@@ -88,7 +88,6 @@ func smallConfig() hpccg.Config {
 	return hpccg.Config{
 		Nx: 8, Ny: 8, Nz: 8, Iters: 4, Tasks: 8,
 		Scale: 64, PlaneScale: 16,
-		IntraDdot: true, IntraSparsemv: true,
 	}
 }
 
@@ -156,13 +155,26 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("degree 0 must fingerprint as the default degree 2")
 	}
 
+	// Naming the default platform, or spelling its models inline, keys
+	// like omitting it: the fingerprint holds the resolved models.
+	omitted := smallScenario()
+	omitted.Net, omitted.Machine = "", ""
+	if fingerprint(t, omitted) == base {
+		t.Fatal("the default platform must key unlike eth10g/skylake")
+	}
+	namedPlatform := omitted
+	namedPlatform.Net, namedPlatform.Machine = "ib20g", "grid5000"
+	inline := omitted
+	net, machine := simnet.InfiniBand20G, perf.Grid5000
+	inline.NetConfig, inline.MachineConfig = &net, &machine
+	for how, sc := range map[string]scenario.Scenario{"named": namedPlatform, "inline": inline} {
+		if fingerprint(t, sc) != fingerprint(t, omitted) {
+			t.Fatalf("the default platform spelled %s must key like the omitted default", how)
+		}
+	}
+
 	// Explicitly spelling the default intra options keys like omitting
 	// them: the fingerprint normalizes to resolved engine options.
-	spelled := smallScenario()
-	spelled.Intra = &scenario.IntraOptions{Inout: "atomic"}
-	if fingerprint(t, spelled) != base {
-		t.Fatal("equal resolved intra options must key identically")
-	}
 	plain := scenario.Scenario{App: "hpccg", Mode: scenario.Intra, Logical: 2}
 	copyDefault := plain
 	copyDefault.Intra = &scenario.IntraOptions{Inout: "copy"}
